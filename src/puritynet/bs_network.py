@@ -21,11 +21,12 @@ the algebra for small N.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import CapacityError, DensityOperator, check_qubit_capacity, purity
+from .qstate import CapacityError, DensityOperator, check_qubit_capacity, purity, site_mask
 from .separability import SubsetPurityMap, all_subset_purities
 
 #: Sign convention: "+" is the symmetric projector (I + V)/2, whose
@@ -37,81 +38,64 @@ def sign_vectors(n_sites: int) -> list[tuple[int, ...]]:
     return list(itertools.product((+1, -1), repeat=n_sites))
 
 
-def _subset_mask(subset, n_sites: int) -> int:
-    # site i occupies bit (n_sites - i): site 1 is the most significant bit
-    mask = 0
-    for site in subset:
-        mask |= 1 << (n_sites - site)
-    return mask
-
-
-def _mask_subset(mask: int, n_sites: int) -> tuple[int, ...]:
-    return tuple(i for i in range(1, n_sites + 1) if mask & (1 << (n_sites - i)))
-
-
-def _sign_mask(signs, n_sites: int) -> int:
-    mask = 0
-    for i, s in enumerate(signs, start=1):
-        if s == -1:
-            mask |= 1 << (n_sites - i)
-    return mask
-
-
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """In-place-style fast Walsh-Hadamard transform (Sylvester order).
+    """Fast Walsh-Hadamard transform (Sylvester order).
 
     out[j] = sum_k (-1)^{popcount(j & k)} values[k]; self-inverse up to the
-    factor len(values).
+    factor len(values).  Viewed as a (2,)*N tensor, the transform is a
+    two-point butterfly (a, b) -> (a + b, a - b) along each axis in turn.
     """
     out = np.array(values, dtype=float)
-    if out.ndim != 1 or out.size & (out.size - 1):
+    if out.ndim != 1 or out.size < 1 or out.size & (out.size - 1):
         raise ValueError("length must be a power of two")
-    h = 1
-    while h < out.size:
-        for start in range(0, out.size, 2 * h):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h]
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
-        h *= 2
+    t = out.reshape((2,) * (out.size.bit_length() - 1))
+    for axis in range(t.ndim):
+        pair = np.moveaxis(t, axis, 0)  # a view: writes land in ``out``
+        pair[0], pair[1] = pair[0] + pair[1], pair[0] - pair[1]
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSignProbabilityTable:
-    """Probabilities of the 2^N joint +/- outcomes, keyed by sign vector."""
+    """Probabilities of the 2^N joint +/- outcomes, as one array.
+
+    ``values[mask]`` is the probability of the sign vector whose "-" sites
+    are the set bits of ``mask``, site i at bit N - i (site 1 is the most
+    significant bit), so the array runs in :func:`sign_vectors` order.
+    The constructor also accepts a mapping from sign tuples to
+    probabilities over all 2^N sign vectors and converts it once.
+    """
 
     n_sites: int
-    probabilities: dict[tuple[int, ...], float]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.probabilities) != 2**self.n_sites:
-            raise ValueError(
-                f"need all {2**self.n_sites} sign vectors, got {len(self.probabilities)}"
-            )
-        for signs in self.probabilities:
-            if len(signs) != self.n_sites or any(s not in (-1, +1) for s in signs):
-                raise ValueError(f"bad sign vector {signs}")
+        n = self.n_sites
+        if isinstance(self.values, Mapping):
+            # distinct valid sign tuples have distinct masks
+            if len(self.values) != 2**n:
+                raise ValueError(f"need all {2**n} sign vectors, got {len(self.values)}")
+            values = np.empty(2**n)
+            values[[self._mask(signs) for signs in self.values]] = list(self.values.values())
+        else:
+            values = np.array(self.values, dtype=float)
+            if values.shape != (2**n,):
+                raise ValueError(f"need an array of {2**n} probabilities, got shape {values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def _mask(self, signs) -> int:
+        signs = tuple(signs)
+        if len(signs) != self.n_sites or any(s not in (-1, +1) for s in signs):
+            raise ValueError(f"bad sign vector {signs}")
+        minus = [i for i, s in enumerate(signs, start=1) if s == -1]
+        return site_mask(minus, self.n_sites) if minus else 0
 
     def probability(self, signs) -> float:
-        return self.probabilities[tuple(signs)]
+        return float(self.values[self._mask(signs)])
 
     def total(self) -> float:
-        return float(sum(self.probabilities.values()))
-
-    def to_array(self) -> np.ndarray:
-        """Vector indexed by the minus-mask of the sign vector."""
-        out = np.empty(2**self.n_sites)
-        for signs, p in self.probabilities.items():
-            out[_sign_mask(signs, self.n_sites)] = p
-        return out
-
-    @classmethod
-    def from_array(cls, n_sites: int, values: np.ndarray) -> "JointSignProbabilityTable":
-        probs = {}
-        for signs in sign_vectors(n_sites):
-            probs[signs] = float(values[_sign_mask(signs, n_sites)])
-        return cls(n_sites, probs)
+        return float(self.values.sum())
 
 
 @dataclass(frozen=True)
@@ -173,15 +157,12 @@ def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProb
     """Forward sign transform: purity table -> joint outcome probabilities.
 
     Accepts any SubsetPurityMap, physical or not; the involution with
-    :func:`purities_from_probabilities` holds regardless.
+    :func:`purities_from_probabilities` holds regardless.  Both tables are
+    indexed by the same site bitmask, so the transform is one
+    Walsh-Hadamard pass over the purity array.
     """
     n = purities.n_sites
-    values = np.empty(2**n)
-    values[0] = 1.0  # empty subset sentinel
-    for subset, p in purities.entries.items():
-        values[_subset_mask(subset, n)] = p
-    transformed = walsh_hadamard(values) / 2**n
-    return JointSignProbabilityTable.from_array(n, transformed)
+    return JointSignProbabilityTable(n, walsh_hadamard(purities.values) / 2**n)
 
 
 def joint_sign_probabilities(rho: DensityOperator, cap: int | None = None) -> JointSignProbabilityTable:
@@ -203,12 +184,9 @@ def purities_from_probabilities(table: JointSignProbabilityTable, norm_atol: flo
             f"probability table sums to {total!r}, deficit {1.0 - total:+.3e} "
             f"exceeds tolerance {norm_atol}"
         )
-    n = table.n_sites
-    back = walsh_hadamard(table.to_array())
-    entries = {}
-    for mask in range(1, 2**n):
-        entries[_mask_subset(mask, n)] = float(back[mask])
-    return SubsetPurityMap(n, entries)
+    back = walsh_hadamard(table.values)
+    back[0] = 1.0  # the empty subset is the sentinel, not the measured total
+    return SubsetPurityMap(table.n_sites, back)
 
 
 def _swap_operator(site: int, n_sites: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bs_network import joint_sign_probabilities, pair_projection_probabilities
+from .bs_network import pair_projection_probabilities, sign_probabilities_from_purities, sign_vectors
 from .lattice import (
     FockState,
     LatticeParams,
@@ -59,6 +59,15 @@ EXIT_IO = 5
 
 SPEC_HEADER = "statespec v1"
 
+#: The fields each state kind takes besides ``kind``; any other is an error.
+SPEC_FIELDS = {
+    "cluster_family": {"n", "phi"},
+    "ghz": {"n"},
+    "cat": {"n", "phi1", "phi2"},
+    "product": {"qubits"},
+    "raw": {"amplitudes", "matrix"},
+}
+
 
 class SpecParseError(ValueError):
     """A state spec file or string could not be parsed."""
@@ -69,6 +78,8 @@ class SpecParseError(ValueError):
 
 
 def format_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} cannot be written to a report")
     return format(float(x), ".17g")
 
 
@@ -77,6 +88,7 @@ def json_text(obj, indent: int = 0) -> str:
 
     The stdlib encoder offers no hook for float formatting, and shortest
     round-trip reprs are not what the byte-identity contract asks for.
+    Raises ValueError on NaN or infinity, which JSON cannot represent.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -104,15 +116,19 @@ def json_text(obj, indent: int = 0) -> str:
 
 
 def write_json(path: str, obj) -> None:
+    """Write ``obj`` as JSON.  The text is rendered before the file is
+    opened, so a value that cannot be written leaves no file behind."""
+    text = json_text(obj) + "\n"
     with open(path, "w") as fh:
-        fh.write(json_text(obj) + "\n")
+        fh.write(text)
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Write a CSV table, rendered in full before the file is opened."""
+    lines = [",".join(header)]
+    lines += [",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +140,8 @@ def _parse_bloch(text: str) -> PureState:
         theta, azim = (float(v) for v in text.split(","))
     except ValueError as exc:
         raise SpecParseError(f"Bloch angles must be 'theta,azimuth', got {text!r}") from exc
+    if not (math.isfinite(theta) and math.isfinite(azim)):
+        raise SpecParseError(f"Bloch angles must be finite, got {text!r}")
     return PureState.from_amplitudes(
         [math.cos(theta / 2), np.exp(1j * azim) * math.sin(theta / 2)]
     )
@@ -132,17 +150,21 @@ def _parse_bloch(text: str) -> PureState:
 def _parse_complex_list(text: str) -> np.ndarray:
     items = text.replace(",", " ").split()
     try:
-        return np.array([complex(v) for v in items])
+        values = np.array([complex(v) for v in items])
     except ValueError as exc:
         raise SpecParseError(f"bad complex literal in {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise SpecParseError(f"non-finite complex literal in {text!r}")
+    return values
 
 
 def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator, dict]:
     """Parse the key-value state grammar into a density operator.
 
     Format: a ``statespec v1`` header line, then ``key = value`` lines;
-    ``#`` starts a comment.  Returns the state and an echo dict for
-    reports.
+    ``#`` starts a comment.  Each key may appear once, and only the keys
+    of ``SPEC_FIELDS`` for the given kind are accepted.  Returns the state
+    and an echo dict for reports.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -152,12 +174,19 @@ def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator
     for ln_no, ln in enumerate(lines[1:], start=2):
         if "=" not in ln:
             raise SpecParseError(f"line {ln_no}: expected 'key = value', got {ln!r}")
-        key, value = ln.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in ln.split("=", 1))
+        if key in fields:
+            raise SpecParseError(f"line {ln_no}: duplicate key {key!r}")
+        fields[key] = value
 
     kind = fields.get("kind")
     if kind is None:
         raise SpecParseError("missing 'kind' field")
+    if kind not in SPEC_FIELDS:
+        raise SpecParseError(f"unknown kind {kind!r}; expected one of {', '.join(SPEC_FIELDS)}")
+    unknown = sorted(set(fields) - SPEC_FIELDS[kind] - {"kind"})
+    if unknown:
+        raise SpecParseError(f"kind {kind!r} does not take field(s) {', '.join(map(repr, unknown))}")
     echo = {"source": source, "kind": kind}
 
     def need(key: str) -> str:
@@ -184,7 +213,9 @@ def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator
         for q in qubits[1:]:
             amps = np.kron(amps, _parse_bloch(q).amplitudes)
         state = PureState.from_amplitudes(amps).to_density()
-    elif kind == "raw":
+    else:  # raw
+        if "amplitudes" in fields and "matrix" in fields:
+            raise SpecParseError("kind 'raw' takes 'amplitudes' or 'matrix', not both")
         if "amplitudes" in fields:
             amps = _parse_complex_list(fields["amplitudes"])
             norm = np.linalg.norm(amps)
@@ -212,10 +243,8 @@ def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator
             state = DensityOperator(n, mat)
         else:
             raise SpecParseError("kind 'raw' requires 'amplitudes' or 'matrix'")
-    else:
-        raise SpecParseError(
-            f"unknown kind {kind!r}; expected cluster_family, ghz, cat, product or raw"
-        )
+        if state.n_qubits < 1:
+            raise SpecParseError("raw state has dimension 1; a state needs at least one site")
     echo["n_sites"] = state.n_qubits
     return state, echo
 
@@ -270,6 +299,8 @@ def _chain_report_dict(report) -> dict:
 
 
 def run_probe(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise SpecParseError(f"--threshold must be finite, got {args.threshold}")
     if args.spec_text is not None:
         text, source = args.spec_text, "inline"
     else:
@@ -289,7 +320,7 @@ def run_probe(args) -> int:
     else:
         chains = [left_to_right_chain(n)]
     reports = [check_chain(purities, chain, threshold=args.threshold) for chain in chains]
-    table = joint_sign_probabilities(rho, cap=args.qubit_cap)
+    table = sign_probabilities_from_purities(purities)
 
     entangled = any(r.entangled for r in reports)
     report = {
@@ -299,7 +330,7 @@ def run_probe(args) -> int:
         "seed": None,
         "threshold": args.threshold,
         "purities": {_subset_key(s): purities.purity(s) for s in purities.subsets()},
-        "sign_probabilities": {_sign_key(signs): p for signs, p in table.probabilities.items()},
+        "sign_probabilities": {_sign_key(s): p for s, p in zip(sign_vectors(n), table.values.tolist())},
         "chains": [_chain_report_dict(r) for r in reports],
         "max_violation": max((r.max_violation for r in reports), default=0.0),
         "verdict": "entangled_detected" if entangled else "no_violation",
@@ -333,6 +364,8 @@ def run_fig2b(args) -> int:
 
 
 def run_lattice_validate(args) -> int:
+    if args.end_to_end_states < 1:
+        raise SpecParseError(f"--end-to-end-states must be at least 1, got {args.end_to_end_states}")
     params = LatticeParams(n_sites=1, J=args.j, U_a=args.u, U_b=args.u, U_ab=args.u)
     build_fock_basis(params.n_modes, 2, cap=args.fock_cap)  # enforce the cap up front
     test_states = standard_test_states(seed=args.seed)
@@ -401,6 +434,8 @@ def run_lattice_validate(args) -> int:
 def run_cat_experiment(args) -> int:
     if not 0.0 <= args.epsilon <= 1.0:
         raise SpecParseError(f"epsilon must lie in [0, 1], got {args.epsilon}")
+    if args.runs < 1:
+        raise SpecParseError(f"--runs must be at least 1, got {args.runs}")
     gamma = 1.0 - args.epsilon**2
 
     n_values, purities, per_run_estimates = [], [], []

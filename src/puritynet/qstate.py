@@ -59,6 +59,15 @@ def subset_index(members, n_sites: int) -> tuple[int, ...]:
     return members
 
 
+def site_mask(members, n_sites: int) -> int:
+    """Bitmask of a nonempty site set: site i sets bit ``n_sites - i``.
+
+    Site 1 is the most significant bit, as in the amplitude index.  The
+    subset-purity and sign-probability tables are arrays indexed by it.
+    """
+    return sum(1 << (n_sites - s) for s in subset_index(members, n_sites))
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of ``n_qubits`` qubits.
@@ -81,6 +90,8 @@ class PureState:
                 f"amplitude vector of shape {amps.shape} does not match "
                 f"{self.n_qubits} qubits"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state vector has non-finite amplitudes")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state vector not normalized: |norm-1| = {abs(norm-1):.3e}")
@@ -117,6 +128,8 @@ class DensityOperator:
         dim = 2**self.n_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix of shape {mat.shape} does not match {self.n_qubits} qubits")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix has non-finite entries")
         herm = np.max(np.abs(mat - mat.conj().T))
         if herm > HERMITICITY_ATOL:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import DensityOperator, check_qubit_capacity, partial_trace, purity, subset_index
+from .qstate import DensityOperator, check_qubit_capacity, site_mask, subset_index
 from .states import ClusterFamilySpec, cluster_family_state, collision_phase_state
 
 #: Purity differences below this are numerical noise, not violations.
@@ -24,39 +25,52 @@ from .states import ClusterFamilySpec, cluster_family_state, collision_phase_sta
 VIOLATION_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetPurityMap:
-    """Purities tr(rho_T^2) for every nonempty subset T of {1..N}.
+    """Purities tr(rho_T^2) for every subset T of {1..N}, as one array.
 
-    ``entries`` maps sorted site tuples to purities; the empty subset acts
-    as a sentinel with purity 1 (the trace itself) and is not stored.
-    Construction checks completeness of the subset lattice only; the
-    physical value range is a property of maps derived from actual states
-    and is checked separately by :meth:`is_physical`, because the sign
+    ``values[mask]`` is the purity of the subset whose sites are the set
+    bits of ``mask``, site i at bit N - i (site 1 is the most significant
+    bit, as in the amplitude index of ``qstate``).  ``values[0]`` is the
+    empty subset, the sentinel 1 (the trace itself).  The constructor also
+    accepts a mapping from site tuples to purities over all 2^N - 1
+    nonempty subsets and converts it once.  Construction checks that the
+    lattice is complete, not that the values are physical: the sign
     transform in ``bs_network`` must also round-trip unphysical tables.
     """
 
     n_sites: int
-    entries: dict[tuple[int, ...], float]
+    values: np.ndarray
 
     def __post_init__(self):
-        expected = 2**self.n_sites - 1
-        if len(self.entries) != expected:
-            raise ValueError(
-                f"need all {expected} nonempty subsets of 1..{self.n_sites}, "
-                f"got {len(self.entries)} entries"
-            )
-        for subset in self.entries:
-            subset_index(subset, self.n_sites)
+        n = self.n_sites
+        if isinstance(self.values, Mapping):
+            values = np.ones(2**n)
+            masks = {site_mask(s, n): p for s, p in self.values.items()}
+            if len(masks) != 2**n - 1 or len(self.values) != 2**n - 1:
+                raise ValueError(
+                    f"need all {2**n - 1} nonempty subsets of 1..{n}, got {len(self.values)} entries"
+                )
+            values[list(masks)] = list(masks.values())
+        else:
+            values = np.array(self.values, dtype=float)
+            if values.shape != (2**n,) or values[0] != 1.0:
+                raise ValueError(
+                    f"need an array of {2**n} purities with values[0] = 1, got shape {values.shape}"
+                )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def purity(self, subset) -> float:
-        subset = tuple(sorted(subset))
+        subset = tuple(subset)
         if not subset:
             return 1.0
-        return self.entries[subset]
+        return float(self.values[site_mask(subset, self.n_sites)])
 
-    def is_physical(self, atol: float = 1e-12) -> bool:
-        return all(-atol <= v <= 1 + atol for v in self.entries.values())
+    @property
+    def entries(self) -> dict[tuple[int, ...], float]:
+        """Tuple-keyed view in :meth:`subsets` order, for reports."""
+        return {s: self.purity(s) for s in self.subsets()}
 
     def subsets(self) -> list[tuple[int, ...]]:
         """All nonempty subsets in (size, lexicographic) order."""
@@ -65,18 +79,31 @@ class SubsetPurityMap:
 
 
 def all_subset_purities(rho: DensityOperator, cap: int | None = None) -> SubsetPurityMap:
-    """Purity of every reduction of ``rho``, including the full set."""
+    """Purity of every reduction of ``rho``, including the full set.
+
+    Visits the subsets depth first: each reduced operator is traced from
+    its parent's by one more site, taken only at or after the position of
+    the site its parent removed, so every subset is reached exactly once.
+    That costs about 4 * 5^N operations in all, against 8^N for tracing each
+    subset from the full matrix, and keeps O(4^N) memory live.
+    """
     n = rho.n_qubits
     check_qubit_capacity(n, cap)
-    full = tuple(range(1, n + 1))
-    entries: dict[tuple[int, ...], float] = {}
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(full, k):
-            if subset == full:
-                entries[subset] = purity(rho)
-            else:
-                entries[subset] = purity(partial_trace(rho, subset))
-    return SubsetPurityMap(n, entries)
+    values = np.ones(2**n)
+
+    def visit(mat: np.ndarray, k: int, mask: int, start: int) -> None:
+        # mat is the reduced operator on the k sites of ``mask``.  Every site
+        # removed so far precedes position ``start``, so position j >= start
+        # holds site N - k + j + 1, whose mask bit is 2^(k - 1 - j).
+        values[mask] = np.vdot(mat, mat).real
+        for j in range(start, k if k > 1 else 0):
+            a, b = 2**j, 2 ** (k - 1 - j)
+            t = mat.reshape(a, 2, b, a, 2, b)
+            child = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(a * b, a * b)
+            visit(child, k - 1, mask & ~b, j)
+
+    visit(rho.matrix, n, 2**n - 1, 0)
+    return SubsetPurityMap(n, values)
 
 
 @dataclass(frozen=True)

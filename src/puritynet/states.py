@@ -22,8 +22,11 @@ class InversionError(ValueError):
     """A measured purity cannot be inverted to a distinctness parameter."""
 
 
-def _bits(x: int, n: int) -> list[int]:
-    return [(x >> (n - 1 - i)) & 1 for i in range(n)]
+def _adjacent_pairs(n: int) -> np.ndarray:
+    """Adjacent 11 pairs of each basis index: popcount(x & (x >> 1))."""
+    x = np.arange(2**n)
+    pairs = x & (x >> 1)
+    return sum((pairs >> k) & 1 for k in range(n - 1))
 
 
 def linear_cluster(n: int, cap: int | None = None) -> PureState:
@@ -34,10 +37,7 @@ def linear_cluster(n: int, cap: int | None = None) -> PureState:
     if n < 2:
         raise ValueError("cluster states need at least 2 sites")
     check_qubit_capacity(n, cap)
-    amps = np.empty(2**n, dtype=complex)
-    for x in range(2**n):
-        b = _bits(x, n)
-        amps[x] = (-1) ** sum(b[i] * b[i + 1] for i in range(n - 1))
+    amps = 1.0 - 2.0 * (_adjacent_pairs(n) & 1)
     return PureState(n, amps / math.sqrt(2**n))
 
 
@@ -51,6 +51,8 @@ class ClusterFamilySpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("family needs at least 2 sites")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         check_qubit_capacity(self.n_sites)
 
 
@@ -89,11 +91,7 @@ def collision_phase_state(n: int, phi: float, cap: int | None = None) -> PureSta
     if n < 2:
         raise ValueError("need at least 2 sites")
     check_qubit_capacity(n, cap)
-    amps = np.empty(2**n, dtype=complex)
-    for x in range(2**n):
-        b = _bits(x, n)
-        w = sum(b[i] * b[i + 1] for i in range(n - 1))
-        amps[x] = np.exp(1j * phi * w)
+    amps = np.exp(1j * phi * _adjacent_pairs(n))
     return PureState(n, amps / math.sqrt(2**n))
 
 

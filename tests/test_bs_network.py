@@ -101,7 +101,7 @@ class TestJointSignProbabilities:
     @settings(max_examples=30, deadline=None)
     def test_entries_form_distribution(self, seed, n):
         table = joint_sign_probabilities(random_state(n, 1 + seed % 2**n, seed))
-        for p in table.probabilities.values():
+        for p in table.values:
             assert -1e-12 <= p <= 1 + 1e-12
         assert table.total() == pytest.approx(1.0, abs=1e-10)
 
@@ -203,12 +203,14 @@ class TestWalshHadamard:
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(8)
-        out = walsh_hadamard(v)
-        for j in range(8):
-            direct = sum((-1) ** bin(j & k).count("1") * v[k] for k in range(8))
-            assert out[j] == pytest.approx(direct, abs=1e-12)
+        for size in (1, 2, 4, 8, 16, 32, 64):
+            v = rng.standard_normal(size)
+            out = walsh_hadamard(v)
+            for j in range(size):
+                direct = sum((-1) ** bin(j & k).count("1") * v[k] for k in range(size))
+                assert out[j] == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            walsh_hadamard(np.ones(3))
+        for size in (0, 3, 6):
+            with pytest.raises(ValueError):
+                walsh_hadamard(np.ones(size))

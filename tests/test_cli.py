@@ -16,6 +16,7 @@ from puritynet.cli import (
     parse_chains,
     parse_state_spec,
 )
+from puritynet import bs_network, cli, separability
 from puritynet.qstate import purity, random_state, tensor
 
 GHZ_SPEC = "statespec v1\nkind = ghz\nn = 3\n"
@@ -85,6 +86,38 @@ class TestStateSpecParsing:
         rho, _ = parse_state_spec("statespec v1\n# a comment\n\nkind = ghz\nn = 2\n")
         assert rho.n_qubits == 2
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param("kind = ghz\nn = 3\nn = 4", "duplicate key 'n'", id="duplicate-n"),
+            pytest.param("kind = ghz\nkind = raw\nn = 3", "duplicate key 'kind'", id="duplicate-kind"),
+            pytest.param("kind = ghz\nn = 3\nphi = 0.5", "does not take field.*'phi'", id="ghz-phi"),
+            pytest.param("kind = product\nqubits = 0,0\ncolour = red", "does not take field.*'colour'", id="unknown"),
+            pytest.param("kind = raw\namplitudes = 1 0\nmatrix = 1 0;0 0", "not both", id="raw-both"),
+            pytest.param("kind = raw\nmatrix = 1+0j", "at least one site", id="raw-1x1"),
+            pytest.param("kind = raw\namplitudes = 1+0j", "at least one site", id="raw-one-amplitude"),
+        ],
+    )
+    def test_strict_grammar_names_the_bad_input(self, body, message):
+        with pytest.raises(SpecParseError, match=message):
+            parse_state_spec(f"statespec v1\n{body}\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "kind = cluster_family\nn = 3\nphi = nan",
+            "kind = cluster_family\nn = 3\nphi = inf",
+            "kind = product\nqubits = nan,0",
+            "kind = cat\nn = 3\nphi1 = 0,0\nphi2 = 1,inf",
+            "kind = raw\namplitudes = nan 1",
+            "kind = raw\nmatrix = 1 nan;nan 0",
+        ],
+        ids=["phi-nan", "phi-inf", "bloch-nan", "bloch-inf", "amplitude-nan", "matrix-nan"],
+    )
+    def test_non_finite_spec_values_rejected(self, body):
+        with pytest.raises(ValueError, match="finite"):
+            parse_state_spec(f"statespec v1\n{body}\n")
+
     def test_parse_chains(self):
         chains = parse_chains("1,2,3>1,2>1;1,2>2", 3)
         assert chains == [((1, 2, 3), (1, 2), (1,)), ((1, 2), (2,))]
@@ -100,6 +133,14 @@ class TestSerialization:
         parsed = json.loads(json_text(obj))
         assert parsed["a"] == 1 / 3
         assert parsed["b"] == [True, None, 7]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_never_serialized(self, bad):
+        # bare NaN/Infinity tokens are not JSON
+        with pytest.raises(ValueError, match="non-finite"):
+            json_text({"ok": 1.0, "nested": [bad]})
+        with pytest.raises(ValueError, match="non-finite"):
+            format_float(bad)
 
 
 class TestProbeCommand:
@@ -159,6 +200,36 @@ class TestProbeCommand:
     def test_io_error_exit_code(self):
         assert run("probe", "--spec-text", GHZ_SPEC, "--out", "/nonexistent-dir/x.json") == 5
 
+    def test_builds_one_purity_table(self, tmp_path, monkeypatch):
+        real, calls = separability.all_subset_purities, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (separability, bs_network, cli):
+            monkeypatch.setattr(module, "all_subset_purities", counting)
+        assert run("probe", "--spec-text", GHZ_SPEC, "--out", str(tmp_path / "x.json")) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_non_finite_threshold_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        for bad in ("nan", "inf", "-inf"):
+            assert run("probe", "--spec-text", GHZ_SPEC, f"--threshold={bad}", "--out", str(out)) == EXIT_USAGE
+            assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_phi_exits_usage_without_output(self, tmp_path):
+        out = tmp_path / "x.json"
+        spec = "statespec v1\nkind = cluster_family\nn = 3\nphi = nan\n"
+        assert run("probe", "--spec-text", spec, "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_one_by_one_matrix_exits_usage(self, tmp_path, capsys):
+        spec = "statespec v1\nkind = raw\nmatrix = 1+0j\n"
+        assert run("probe", "--spec-text", spec, "--out", str(tmp_path / "x.json")) == EXIT_USAGE
+        assert "at least one site" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("probe", "--spec-text", GHZ_SPEC, "--out", str(a))
@@ -212,6 +283,11 @@ class TestLatticeValidateCommand:
         assert fids == sorted(fids, reverse=True)
         assert fids[-1] < fids[0]
 
+    def test_zero_end_to_end_states_rejected(self, tmp_path, capsys):
+        code = run("lattice-validate", "--end-to-end-states", "0", "--out", str(tmp_path / "x.json"))
+        assert code == EXIT_USAGE
+        assert "--end-to-end-states" in capsys.readouterr().err
+
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("lattice-validate", "--out", str(a))
@@ -235,6 +311,12 @@ class TestCatExperimentCommand:
             "cat-experiment", "--epsilon", "0.6", "--survival", "1.0", "--out", str(tmp_path / "x.json")
         )
         assert code == EXIT_INVERSION
+
+    def test_zero_runs_is_a_usage_error(self, tmp_path, capsys):
+        # not an inversion failure: no run was sampled at all
+        code = run("cat-experiment", "--epsilon", "0.6", "--runs", "0", "--out", str(tmp_path / "x.json"))
+        assert code == EXIT_USAGE
+        assert "--runs" in capsys.readouterr().err
 
     def test_epsilon_validation(self, tmp_path):
         assert (

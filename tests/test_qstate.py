@@ -171,6 +171,15 @@ def test_density_operator_validation():
         DensityOperator(1, np.eye(2, dtype=complex))  # trace 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_non_finite(bad):
+    # a NaN passes every tolerance comparison, so it needs its own check
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState(1, np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityOperator(1, np.array([[0.5, bad], [bad, 0.5]], dtype=complex))
+
+
 def test_immutability():
     rho = random_state(1, 1, 0)
     with pytest.raises(ValueError):

@@ -50,12 +50,14 @@ class TestAllSubsetPurities:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_oracle(self, seed):
-        rho = random_state(2, 3, seed)
-        pm = all_subset_purities(rho)
-        for subset in pm.subsets():
-            assert pm.purity(subset) == pytest.approx(
-                ref_subset_purity(rho.matrix, 2, subset), abs=1e-12
-            )
+        # every depth of the depth-first recursion, on mixed and pure states
+        for n in range(2, 6):
+            for rho in (random_state(n, 3, seed), random_pure_state(n, seed).to_density()):
+                pm = all_subset_purities(rho)
+                for subset in pm.subsets():
+                    assert pm.purity(subset) == pytest.approx(
+                        ref_subset_purity(rho.matrix, n, subset), abs=1e-12
+                    )
 
     def test_empty_subset_sentinel(self):
         pm = all_subset_purities(all_zero(2))
@@ -74,6 +76,18 @@ class TestAllSubsetPurities:
     def test_structural_validation(self):
         with pytest.raises(ValueError):
             SubsetPurityMap(2, {(1,): 1.0})
+        with pytest.raises(ValueError):  # (2, 1) and (1, 2) are one subset
+            SubsetPurityMap(2, {(1,): 1.0, (1, 2): 1.0, (2, 1): 1.0})
+        with pytest.raises(ValueError):
+            SubsetPurityMap(2, np.ones(3))
+        with pytest.raises(ValueError):  # values[0] is the empty-subset sentinel
+            SubsetPurityMap(2, np.array([0.5, 1.0, 1.0, 1.0]))
+
+    def test_mapping_and_array_forms_agree(self):
+        # site 1 is the most significant bit of the subset mask
+        pm = SubsetPurityMap(2, {(1,): 0.25, (2,): 0.5, (1, 2): 0.75})
+        np.testing.assert_array_equal(pm.values, [1.0, 0.5, 0.25, 0.75])
+        assert SubsetPurityMap(2, pm.values).entries == pm.entries
 
 
 class TestCheckChain:

@@ -196,9 +196,10 @@ class TestEstimateEpsilon:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="float64 cannot support 1e-6 inversion once gamma^n drops below "
-        "~1e-13: Pi - 1/2 then carries too few bits (e.g. eps=0.9, n=20 leaves "
-        "Pi within 5e-15 of 1/2, an irrecoverable ~1e-4 spread in epsilon)",
+        reason="float64 cannot support a 1e-6 inversion where gamma^n < 1e-12 "
+        "(the README bound): a float64 Pi fixes epsilon only to "
+        "r = spacing(Pi)/|dPi/deps|, and at eps=0.9, n=20 the gap "
+        "Pi - 1/2 = 1.9e-15 gives r = 3.1e-4",
     )
     def test_round_trip_full_stated_range(self):
         for eps in np.arange(0.05, 1.0001, 0.05):
