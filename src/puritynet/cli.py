@@ -189,19 +189,22 @@ def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator
         raise SpecParseError(f"kind {kind!r} does not take field(s) {', '.join(map(repr, unknown))}")
     echo = {"source": source, "kind": kind}
 
-    def need(key: str) -> str:
+    def need(key: str, convert=str):
         if key not in fields:
             raise SpecParseError(f"kind {kind!r} requires field {key!r}")
-        return fields[key]
+        try:
+            return convert(fields[key])
+        except ValueError as exc:
+            raise SpecParseError(f"field {key!r} is not a valid {convert.__name__}: {fields[key]!r}") from exc
 
     if kind == "ghz":
-        state = ghz(int(need("n"))).to_density()
+        state = ghz(need("n", int)).to_density()
     elif kind == "cluster_family":
-        n, phi = int(need("n")), float(need("phi"))
+        n, phi = need("n", int), need("phi", float)
         state = cluster_family_state(ClusterFamilySpec(n, phi)).to_density()
         echo["phi"] = phi
     elif kind == "cat":
-        n = int(need("n"))
+        n = need("n", int)
         psi, cat = cat_state(n, _parse_bloch(need("phi1")), _parse_bloch(need("phi2")))
         state = psi.to_density()
         echo["epsilon"] = cat.epsilon
@@ -339,9 +342,15 @@ def run_probe(args) -> int:
     return EXIT_OK
 
 
+def _require_points(args) -> None:
+    if args.points < 1:
+        raise SpecParseError(f"--points must be at least 1, got {args.points}")
+
+
 def run_fig2a(args) -> int:
     if args.n != 3:
         raise SpecParseError("the three-curve violation sweep is defined for --n 3")
+    _require_points(args)
     rows = []
     for phi in np.linspace(0.0, 2 * math.pi, args.points):
         pt = fig2a_violations(float(phi), family=args.family)
@@ -351,7 +360,11 @@ def run_fig2a(args) -> int:
 
 
 def run_fig2b(args) -> int:
-    m_list = [int(m) for m in args.m.split(",")]
+    _require_points(args)
+    try:
+        m_list = [int(m) for m in args.m.split(",")]
+    except ValueError as exc:
+        raise SpecParseError(f"--m must be comma-separated integers, got {args.m!r}") from exc
     for m in m_list:
         if not 0 < m < args.n:
             raise SpecParseError(f"m values must lie strictly between 0 and N={args.n}, got {m}")
@@ -436,6 +449,9 @@ def run_cat_experiment(args) -> int:
         raise SpecParseError(f"epsilon must lie in [0, 1], got {args.epsilon}")
     if args.runs < 1:
         raise SpecParseError(f"--runs must be at least 1, got {args.runs}")
+    if args.n < 2:
+        # an informative run keeps 0 < n < N atoms, which needs N >= 2
+        raise SpecParseError(f"--n must be at least 2, got {args.n}")
     gamma = 1.0 - args.epsilon**2
 
     n_values, purities, per_run_estimates = [], [], []

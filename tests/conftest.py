@@ -76,3 +76,37 @@ def ref_epsilon_resolution(n_sites: int, n_lost: int, eps: float) -> float:
     dpi_dgamma = (dnum * den - num * dden) / den**2
     dpi_deps = dpi_dgamma * (-2 * eps)
     return float(np.spacing(num / den) / abs(dpi_deps))
+
+
+def ref_hamiltonians(params, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (H_hop, H_int) built one basis state at a time.
+
+    Walks ``basis.states`` and looks moved occupations up in ``basis.index``;
+    mode m = 4 (site - 1) + 2 row + internal, with row I = 0, a = 0.
+    """
+    dim = basis.dim
+    h_bs = np.zeros((dim, dim), dtype=complex)
+    h_int = np.zeros((dim, dim), dtype=complex)
+    for k, occ in enumerate(basis.states):
+        energy = 0.0
+        for site in range(params.n_sites):
+            for row in range(2):
+                na, nb = occ[4 * site + 2 * row], occ[4 * site + 2 * row + 1]
+                energy += params.U_a / 2 * na * (na - 1) + params.U_b / 2 * nb * (nb - 1) + params.U_ab * na * nb
+            for internal in range(2):
+                top, bottom = 4 * site + internal, 4 * site + 2 + internal
+                for src, dst in ((bottom, top), (top, bottom)):
+                    if occ[src] == 0:
+                        continue
+                    moved = list(occ)
+                    moved[src] -= 1
+                    moved[dst] += 1
+                    h_bs[basis.index[tuple(moved)], k] += -params.J * math.sqrt(occ[src] * (occ[dst] + 1))
+        h_int[k, k] = energy
+    return h_bs, h_int
+
+
+def ref_propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) from one dense eigendecomposition of the Hermitian H."""
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T

@@ -118,6 +118,10 @@ class TestStateSpecParsing:
         with pytest.raises(ValueError, match="finite"):
             parse_state_spec(f"statespec v1\n{body}\n")
 
+    def test_unparsable_integer_field_is_named(self):
+        with pytest.raises(SpecParseError, match="field 'n'"):
+            parse_state_spec("statespec v1\nkind = ghz\nn = x\n")
+
     def test_parse_chains(self):
         chains = parse_chains("1,2,3>1,2>1;1,2>2", 3)
         assert chains == [((1, 2, 3), (1, 2), (1,)), ((1, 2), (2,))]
@@ -268,6 +272,19 @@ class TestFigureCommands:
     def test_fig2b_m_validation(self, tmp_path):
         assert run("fig2b", "--m", "0,7", "--out", str(tmp_path / "x.csv")) == EXIT_USAGE
 
+    def test_fig2b_unparsable_m_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("fig2b", "--m", "1,x", "--out", str(out)) == EXIT_USAGE
+        assert "--m" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fig2a", "fig2b"])
+    def test_zero_points_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert run(command, "--points", "0", "--out", str(out)) == EXIT_USAGE
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLatticeValidateCommand:
     def test_default_report(self, tmp_path):
@@ -317,6 +334,14 @@ class TestCatExperimentCommand:
         code = run("cat-experiment", "--epsilon", "0.6", "--runs", "0", "--out", str(tmp_path / "x.json"))
         assert code == EXIT_USAGE
         assert "--runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("atoms", ["0", "1"])
+    def test_too_few_atoms_is_a_usage_error(self, tmp_path, capsys, atoms):
+        # not an inversion failure: 0 < n < N cannot hold for N < 2
+        out = tmp_path / "x.json"
+        assert run("cat-experiment", "--epsilon", "0.5", "--n", atoms, "--runs", "5", "--out", str(out)) == EXIT_USAGE
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_epsilon_validation(self, tmp_path):
         assert (

@@ -28,6 +28,8 @@ from puritynet.lattice import (
 from puritynet.bs_network import pair_projection_probabilities
 from puritynet.qstate import DensityOperator, partial_trace, purity, random_state
 
+from conftest import ref_hamiltonians, ref_propagator
+
 
 class TestModeIndexing:
     def test_round_trip(self):
@@ -56,6 +58,16 @@ class TestFockBasis:
         a = build_fock_basis(4, 2)
         b = build_fock_basis(4, 2)
         assert a.states == b.states
+
+    @pytest.mark.parametrize("modes,total", [(1, 3), (4, 0), (4, 2), (8, 4), (12, 3)])
+    def test_occupations_array(self, modes, total):
+        basis = build_fock_basis(modes, total)
+        assert basis.occupations.shape == (basis.dim, modes)
+        assert basis.occupations.tolist() == [list(s) for s in basis.states]
+        assert basis.states == tuple(sorted(basis.states))
+        np.testing.assert_array_equal(basis.positions(basis.occupations), np.arange(basis.dim))
+        with pytest.raises(ValueError):
+            basis.occupations[0, 0] = 1
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -86,6 +98,13 @@ class TestHamiltonians:
         occ_ab[mode_index(1, "I", "b")] = 1
         assert h_int[basis.index[tuple(occ_ab)], basis.index[tuple(occ_ab)]] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("n_sites,total", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4)])
+    def test_matches_per_state_oracle(self, n_sites, total):
+        basis = build_fock_basis(4 * n_sites, total)
+        params = LatticeParams(n_sites=n_sites, J=0.83, U_a=0.37, U_b=1.21, U_ab=-0.44)
+        for got, want in zip(build_hamiltonians(params, basis), ref_hamiltonians(params, basis)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     def test_hermitian(self):
         basis = build_fock_basis(8, 2)
         h_bs, h_int = build_hamiltonians(LatticeParams(n_sites=2, J=1.1, U_a=0.3, U_b=0.3, U_ab=0.3), basis)
@@ -100,6 +119,40 @@ class TestHamiltonians:
         with pytest.raises(ValueError):
             LatticeParams(n_sites=1, U_a=1.0, U_b=2.0).theta
         assert LatticeParams(n_sites=1, J=2.0).t_bs * 2.0 == pytest.approx(math.pi / 4)
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_lattice_hamiltonians_match_dense_oracle(self, n_sites):
+        basis = build_fock_basis(4 * n_sites, 2 * n_sites)
+        params = LatticeParams(n_sites=n_sites, J=1.3, U_a=0.7, U_b=0.2, U_ab=0.45)
+        h_bs, h_int = build_hamiltonians(params, basis)
+        for h in (h_bs, h_bs + h_int):
+            for t in (params.t_bs, 2.9):
+                np.testing.assert_allclose(propagator(h, t), ref_propagator(h, t), rtol=0, atol=1e-12)
+
+    def test_dense_random_hermitian_is_one_block(self):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        h = a + a.conj().T
+        assert np.count_nonzero(h == 0) == 0
+        np.testing.assert_allclose(propagator(h, 0.37), ref_propagator(h, 0.37), rtol=0, atol=1e-12)
+
+    def test_permuted_block_diagonal(self):
+        rng = np.random.default_rng(22)
+        sizes = [1, 3, 3, 5, 2, 7, 1, 4]
+        h = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+        start = 0
+        for size in sizes:
+            a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            h[start : start + size, start : start + size] = a + a.conj().T
+            start += size
+        perm = rng.permutation(len(h))
+        h = h[np.ix_(perm, perm)]
+        u = propagator(h, 1.1)
+        np.testing.assert_allclose(u, ref_propagator(h, 1.1), rtol=0, atol=1e-12)
+        block = np.repeat(np.arange(len(sizes)), sizes)[perm]
+        assert np.count_nonzero(u[block[:, None] != block[None, :]]) == 0
 
 
 class TestEvolve:
