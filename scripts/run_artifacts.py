@@ -35,9 +35,11 @@ def main():
     run(["fig2b", "--n", "300", "--m", "1,7,14,20", "--points", "101",
          "--out", str(out / "cat_purity_n300.csv")])
 
-    ghz_spec = out / "ghz4.spec"
-    ghz_spec.write_text("statespec v1\nkind = ghz\nn = 4\n")
-    run(["probe", "--spec", str(ghz_spec), "--out", str(out / "ghz4_probe.json")])
+    # The probe reads the spec inline, so its report names no path and the
+    # artifacts do not depend on --out-dir.
+    ghz_spec = "statespec v1\nkind = ghz\nn = 4\n"
+    (out / "ghz4.spec").write_text(ghz_spec)
+    run(["probe", "--spec-text", ghz_spec, "--out", str(out / "ghz4_probe.json")])
 
     run(["lattice-validate", "--j", "1.0", "--u", "0.0", "--seed", str(args.seed),
          "--out", str(out / "lattice_validate.json")])

@@ -32,15 +32,13 @@ from .lattice import (
     build_hamiltonians,
     embed_two_copies,
     hopping_bs_check,
-    identical_pair_state,
     interaction_phase_check,
     occupancy_probabilities,
     propagator,
     sample_loss,
-    singlet_state,
     standard_test_states,
 )
-from .qstate import CapacityError, DensityOperator, PureState, random_state, validate
+from .qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity, random_state, validate
 from .separability import (
     VIOLATION_THRESHOLD,
     all_subset_purities,
@@ -158,12 +156,25 @@ def _parse_complex_list(text: str) -> np.ndarray:
     return values
 
 
-def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator, dict]:
+def _raw_qubits(dim: int, cap: int | None) -> int:
+    """Site count of a raw state of dimension ``dim``, checked against the cap."""
+    n = dim.bit_length() - 1
+    if dim != 2**n:
+        raise SpecParseError(f"raw state dimension {dim} is not a power of two")
+    if n < 1:
+        raise SpecParseError("raw state has dimension 1; a state needs at least one site")
+    check_qubit_capacity(n, cap)
+    return n
+
+
+def parse_state_spec(text: str, source: str = "inline", cap: int | None = None) -> tuple[DensityOperator, dict]:
     """Parse the key-value state grammar into a density operator.
 
     Format: a ``statespec v1`` header line, then ``key = value`` lines;
     ``#`` starts a comment.  Each key may appear once, and only the keys
-    of ``SPEC_FIELDS`` for the given kind are accepted.  Returns the state
+    of ``SPEC_FIELDS`` for the given kind are accepted.  The site count of
+    every kind is checked against the qubit cap (default
+    ``DEFAULT_QUBIT_CAP``) before the state is built.  Returns the state
     and an echo dict for reports.
     """
     lines = [ln.strip() for ln in text.splitlines()]
@@ -198,20 +209,21 @@ def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator
             raise SpecParseError(f"field {key!r} is not a valid {convert.__name__}: {fields[key]!r}") from exc
 
     if kind == "ghz":
-        state = ghz(need("n", int)).to_density()
+        state = ghz(need("n", int), cap).to_density()
     elif kind == "cluster_family":
         n, phi = need("n", int), need("phi", float)
-        state = cluster_family_state(ClusterFamilySpec(n, phi)).to_density()
+        state = cluster_family_state(ClusterFamilySpec(n, phi), cap).to_density()
         echo["phi"] = phi
     elif kind == "cat":
         n = need("n", int)
-        psi, cat = cat_state(n, _parse_bloch(need("phi1")), _parse_bloch(need("phi2")))
+        psi, cat = cat_state(n, _parse_bloch(need("phi1")), _parse_bloch(need("phi2")), cap)
         state = psi.to_density()
         echo["epsilon"] = cat.epsilon
     elif kind == "product":
         qubits = [q.strip() for q in need("qubits").split(";") if q.strip()]
         if not qubits:
             raise SpecParseError("product state needs at least one qubit")
+        check_qubit_capacity(len(qubits), cap)
         amps = _parse_bloch(qubits[0]).amplitudes
         for q in qubits[1:]:
             amps = np.kron(amps, _parse_bloch(q).amplitudes)
@@ -221,15 +233,17 @@ def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator
             raise SpecParseError("kind 'raw' takes 'amplitudes' or 'matrix', not both")
         if "amplitudes" in fields:
             amps = _parse_complex_list(fields["amplitudes"])
+            n = _raw_qubits(amps.size, cap)
             norm = np.linalg.norm(amps)
             if abs(norm - 1.0) > 1e-6:
                 raise SpecParseError(f"raw amplitudes have norm {norm!r}, more than 1e-6 from 1")
-            state = PureState.from_amplitudes(amps / norm).to_density()
+            state = PureState(n, amps / norm).to_density()
         elif "matrix" in fields:
             rows = [_parse_complex_list(r) for r in fields["matrix"].split(";")]
             mat = np.array(rows)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise SpecParseError(f"raw matrix is not square: shape {mat.shape}")
+            n = _raw_qubits(mat.shape[0], cap)
             tr = mat.trace()
             if abs(tr - 1.0) > 1e-6:
                 raise SpecParseError(f"raw matrix trace {tr!r} more than 1e-6 from 1")
@@ -240,14 +254,9 @@ def parse_state_spec(text: str, source: str = "inline") -> tuple[DensityOperator
                 raise SpecParseError(
                     f"raw matrix has negative eigenvalue {report.min_eigenvalue!r}"
                 )
-            n = int(round(math.log2(mat.shape[0])))
-            if 2**n != mat.shape[0]:
-                raise SpecParseError(f"matrix dimension {mat.shape[0]} is not a power of two")
             state = DensityOperator(n, mat)
         else:
             raise SpecParseError("kind 'raw' requires 'amplitudes' or 'matrix'")
-        if state.n_qubits < 1:
-            raise SpecParseError("raw state has dimension 1; a state needs at least one site")
     echo["n_sites"] = state.n_qubits
     return state, echo
 
@@ -310,7 +319,7 @@ def run_probe(args) -> int:
         with open(args.spec) as fh:
             text = fh.read()
         source = args.spec
-    rho, echo = parse_state_spec(text, source)
+    rho, echo = parse_state_spec(text, source, cap=args.qubit_cap)
     n = rho.n_qubits
 
     purities = all_subset_purities(rho, cap=args.qubit_cap)
@@ -379,17 +388,19 @@ def run_fig2b(args) -> int:
 def run_lattice_validate(args) -> int:
     if args.end_to_end_states < 1:
         raise SpecParseError(f"--end-to-end-states must be at least 1, got {args.end_to_end_states}")
+    for flag, value in (("--j", args.j), ("--u", args.u)):
+        if not math.isfinite(value):
+            raise SpecParseError(f"{flag} must be finite, got {value}")
     params = LatticeParams(n_sites=1, J=args.j, U_a=args.u, U_b=args.u, U_ab=args.u)
-    build_fock_basis(params.n_modes, 2, cap=args.fock_cap)  # enforce the cap up front
+    basis = build_fock_basis(params.n_modes, 2, cap=args.fock_cap)
     test_states = standard_test_states(seed=args.seed)
-    basis = test_states[0].basis
 
     bs_report = hopping_bs_check(params, test_states, include_interactions=args.u != 0.0)
 
     h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1, J=args.j), basis)
     bs_prop = propagator(h_bs, params.t_bs)
-    hom_bunched = FockState(basis, bs_prop @ identical_pair_state().amplitudes)
-    hom_singlet = FockState(basis, bs_prop @ singlet_state().amplitudes)
+    hom_bunched = FockState(basis, bs_prop @ test_states[0].amplitudes)
+    hom_singlet = FockState(basis, bs_prop @ test_states[2].amplitudes)
     hom = {
         "identical_pair_p_diff": occupancy_probabilities([(1.0, hom_bunched)], 1).p_diff_mode,
         "singlet_p_diff": occupancy_probabilities([(1.0, hom_singlet)], 1).p_diff_mode,
@@ -410,7 +421,7 @@ def run_lattice_validate(args) -> int:
     end_to_end = []
     for k in range(args.end_to_end_states):
         rho = random_state(1, 1 + k % 2, seed=args.seed + 1000 + k)
-        _, ensemble = embed_two_copies(rho, cap=args.fock_cap)
+        _, ensemble = embed_two_copies(rho, basis)
         evolved = [(w, FockState(basis, bs_prop @ s.amplitudes)) for w, s in ensemble]
         got = occupancy_probabilities(evolved, 1).p_diff_mode
         expected = pair_projection_probabilities(rho).p_minus

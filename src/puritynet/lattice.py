@@ -20,9 +20,10 @@ holding two bosons acquires the phase theta = U*tau during a hold of
 length tau while singly occupied site-rows acquire none, which is what
 makes double occupancy observable.
 
-States live on the fixed-total-boson Fock basis, which also keeps its
-occupation vectors as one integer array; the Hamiltonians, the two-copy
-embedding and the occupancy statistics are array operations over it.
+States live on the fixed-total-boson Fock basis, stored as one integer
+array of occupation vectors; the Hamiltonians, the ideal splitter map,
+the two-copy embedding and the occupancy statistics are array operations
+over it.
 Both H_hop and H_int conserve, per column, the number of a bosons and of
 b bosons summed over the two rows, so a Hamiltonian on this basis is
 block diagonal.  Evolution finds those blocks from the exact nonzero
@@ -48,27 +49,9 @@ ROWS = ("I", "II")
 INTERNALS = ("a", "b")
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    """One bosonic mode: (site column, row, internal state)."""
-
-    site: int
-    row: str
-    internal: str
-
-    def flat(self) -> int:
-        return 4 * (self.site - 1) + 2 * ROWS.index(self.row) + INTERNALS.index(self.internal)
-
-
 def mode_index(site: int, row: str, internal: str) -> int:
     """Flat mode number; site-major, then row (I, II), then internal (a, b)."""
-    return ModeIndex(site, row, internal).flat()
-
-
-def mode_label(flat: int) -> ModeIndex:
-    site, rest = divmod(flat, 4)
-    row, internal = divmod(rest, 2)
-    return ModeIndex(site + 1, ROWS[row], INTERNALS[internal])
+    return 4 * (site - 1) + 2 * ROWS.index(row) + INTERNALS.index(internal)
 
 
 @dataclass(frozen=True)
@@ -91,6 +74,10 @@ class LatticeParams:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("need at least one site column")
+        for name in ("J", "U_a", "U_b", "U_ab", "tau", "T_bs"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.J <= 0:
             raise ValueError("hopping energy J must be positive")
 
@@ -114,23 +101,23 @@ class FockBasis:
     """Deterministic enumeration of occupation vectors with fixed total.
 
     ``occupations`` is the read-only ``(dim, n_modes)`` integer array of
-    the same vectors as ``states``; row k is basis state k.
+    the vectors in lexicographic order; row k is basis state k.
     """
 
     n_modes: int
     total_bosons: int
-    states: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int] = field(repr=False)
     occupations: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.occupations.shape[0]
 
     def positions(self, occupations: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of an integer occupation array.
 
-        Each row must be a vector of this basis.  Its lexicographic rank
+        Each row must be a vector of this basis: any other row gets a
+        wrong index or an IndexError, so outside input is checked first
+        (see ``basis_state``).  Its lexicographic rank
         sums, over modes i, the basis states that agree with it before
         mode i and hold fewer bosons in mode i.  With r bosons left for
         mode i and the k modes after it, there are
@@ -168,9 +155,7 @@ def build_fock_basis(n_modes: int, total_bosons: int, cap: int | None = None) ->
     bars = np.array(list(itertools.combinations(range(slots), n_modes - 1)), dtype=np.int64)
     occ = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
     occ.flags.writeable = False
-
-    states = tuple(map(tuple, occ.tolist()))
-    return FockBasis(n_modes, total_bosons, states, {s: i for i, s in enumerate(states)}, occ)
+    return FockBasis(n_modes, total_bosons, occ)
 
 
 @dataclass(frozen=True)
@@ -184,6 +169,8 @@ class FockState:
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.basis.dim,):
             raise ValueError(f"amplitude vector of shape {amps.shape}, basis dim {self.basis.dim}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("Fock state has non-finite amplitudes")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"Fock state not normalized: |norm-1| = {abs(norm-1):.3e}")
@@ -194,9 +181,24 @@ class FockState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def _position(basis: FockBasis, occupation) -> int:
+    """Basis index of one occupation vector, which must lie in the basis."""
+    occ = np.asarray(occupation)
+    if not (
+        occ.shape == (basis.n_modes,)
+        and np.issubdtype(occ.dtype, np.integer)
+        and occ.min() >= 0
+        and occ.sum() == basis.total_bosons
+    ):
+        raise ValueError(
+            f"occupation {occupation!r} is not {basis.total_bosons} bosons over {basis.n_modes} modes"
+        )
+    return int(basis.positions(occ))
+
+
 def basis_state(basis: FockBasis, occupation) -> FockState:
     amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index[tuple(occupation)]] = 1.0
+    amps[_position(basis, occupation)] = 1.0
     return FockState(basis, amps)
 
 
@@ -204,8 +206,11 @@ def superpose(basis: FockBasis, terms: dict) -> FockState:
     """Normalized superposition from {occupation tuple: amplitude}."""
     amps = np.zeros(basis.dim, dtype=complex)
     for occ, amp in terms.items():
-        amps[basis.index[tuple(occ)]] = amp
-    return FockState(basis, amps / np.linalg.norm(amps))
+        amps[_position(basis, occ)] = amp
+    norm = np.linalg.norm(amps)
+    if not 0 < norm < math.inf:
+        raise ValueError(f"superposition has norm {norm}; it needs a finite, nonzero one")
+    return FockState(basis, amps / norm)
 
 
 def _site_row_counts(basis: FockBasis) -> np.ndarray:
@@ -300,51 +305,38 @@ def ideal_bs_mode_matrix(n_sites: int) -> np.ndarray:
     Block [[1, -i], [-i, 1]]/sqrt(2) on each (row I, row II) pair, per site
     and internal state: the action on annihilation operators.
     """
-    u = np.zeros((4 * n_sites, 4 * n_sites), dtype=complex)
     block = np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2)
-    for site in range(1, n_sites + 1):
-        for internal in INTERNALS:
-            m1 = mode_index(site, "I", internal)
-            m2 = mode_index(site, "II", internal)
-            u[np.ix_([m1, m2], [m1, m2])] = block
-    return u
+    # modes run site-major, then row, then internal state
+    return np.kron(np.eye(n_sites), np.kron(block, np.eye(len(INTERNALS))))
 
 
-def apply_mode_unitary(state: FockState, u: np.ndarray) -> FockState:
-    """Apply the second quantization of a single-particle unitary.
+def mode_unitary_matrix(u: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Dense many-body matrix of a single-particle unitary on a Fock basis.
 
-    Creation operators transform as a_m^dag -> sum_n conj(u[m, n]) a_n^dag,
-    so each basis occupation is rebuilt by applying the transformed
-    creation operators to the vacuum.
+    Creation operators transform as a_m^dag -> sum_k conj(u[m, k]) a_k^dag.
+    With S(n) the modes of occupation n, each listed as often as it is
+    occupied, every amplitude is a permanent of a submatrix of conj(u)
+    (Scheel, quant-ph/0406127):
+
+        <n'|U|n> = sum_sigma prod_i conj(u)[S(n)_i, S(n')_sigma(i)]
+                   / sqrt(prod n! prod n'!),
+
+    summed over the N! orderings sigma of the N bosons, one array product
+    over all (n, n') pairs per ordering.  The result is not renormalized:
+    it is unitary exactly when u is.
     """
-    basis = state.basis
-    u_conj = u.conj()
-    out = np.zeros(basis.dim, dtype=complex)
-    vac = (0,) * basis.n_modes
-
-    for k, amp in enumerate(state.amplitudes):
-        if abs(amp) < 1e-15:
-            continue
-        occ = basis.states[k]
-        norm = math.sqrt(math.prod(math.factorial(n) for n in occ))
-        terms: dict[tuple[int, ...], complex] = {vac: amp / norm}
-        for mode, count in enumerate(occ):
-            coeffs = u_conj[mode]
-            for _ in range(count):
-                new_terms: dict[tuple[int, ...], complex] = {}
-                for partial, a in terms.items():
-                    for target in range(basis.n_modes):
-                        c = coeffs[target]
-                        if abs(c) < 1e-15:
-                            continue
-                        raised = list(partial)
-                        raised[target] += 1
-                        key = tuple(raised)
-                        new_terms[key] = new_terms.get(key, 0.0) + a * c * math.sqrt(raised[target])
-                terms = new_terms
-        for occ_out, a in terms.items():
-            out[basis.index[occ_out]] += a
-    return FockState(basis, out / np.linalg.norm(out))
+    if u.shape != (basis.n_modes, basis.n_modes):
+        raise ValueError(f"mode matrix of shape {u.shape} on a basis of {basis.n_modes} modes")
+    dim, n = basis.dim, basis.total_bosons
+    occ = basis.occupations
+    modes = np.repeat(np.tile(np.arange(basis.n_modes), dim), occ.ravel()).reshape(dim, n)
+    u_conj = np.conj(u)
+    amplitude = np.zeros((dim, dim), dtype=complex)
+    for sigma in itertools.permutations(range(n)):
+        amplitude += np.prod(u_conj[modes[:, None, :], modes[None, :, list(sigma)]], axis=-1)
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    norm = np.sqrt(factorials[occ].prod(axis=1))
+    return amplitude.T / np.outer(norm, norm)
 
 
 @dataclass(frozen=True)
@@ -377,14 +369,13 @@ def hopping_bs_check(
     h_bs, h_int = build_hamiltonians(params, basis)
     h = h_bs + h_int if include_interactions else h_bs
     u_prop = propagator(h, params.t_bs)
-    ideal_u = ideal_bs_mode_matrix(params.n_sites)
-
-    fidelities = []
-    for state in test_states:
-        evolved = u_prop @ state.amplitudes
-        ideal = apply_mode_unitary(state, ideal_u)
-        fidelities.append(float(abs(np.vdot(ideal.amplitudes, evolved)) ** 2))
-    return BSCheckReport(params.t_bs, tuple(fidelities), include_interactions)
+    # The target comes from the mode matrix alone, never from H_hop, so a
+    # wrong splitter time shows as lost fidelity.
+    u_ideal = mode_unitary_matrix(ideal_bs_mode_matrix(params.n_sites), basis)
+    fidelities = tuple(
+        float(abs(np.vdot(u_ideal @ state.amplitudes, u_prop @ state.amplitudes)) ** 2) for state in test_states
+    )
+    return BSCheckReport(params.t_bs, fidelities, include_interactions)
 
 
 @dataclass(frozen=True)
@@ -431,7 +422,7 @@ def interaction_phase_check(U: float, tau: float, basis: FockBasis) -> PhaseChec
 
 
 def embed_two_copies(
-    rho_row: DensityOperator, cap: int | None = None
+    rho_row: DensityOperator, basis: FockBasis | None = None
 ) -> tuple[FockBasis, list[tuple[float, FockState]]]:
     """Load two copies of an N-qubit state into the two-row lattice.
 
@@ -439,10 +430,17 @@ def embed_two_copies(
     row) and the ensemble of product eigenvector pairs: rho x rho
     decomposes as sum_ij lambda_i lambda_j |v_i>_I |v_j>_II, and each
     member maps a = |0>, b = |1> per site into the occupation basis.
-    Eigenvalues below 1e-12 are dropped.
+    Eigenvalues below 1e-12 are dropped.  ``basis`` is that Fock basis,
+    built under the default cap when not given.
     """
     n = rho_row.n_qubits
-    basis = build_fock_basis(4 * n, 2 * n, cap=cap)
+    if basis is None:
+        basis = build_fock_basis(4 * n, 2 * n)
+    elif (basis.n_modes, basis.total_bosons) != (4 * n, 2 * n):
+        raise ValueError(
+            f"basis of {basis.n_modes} modes and {basis.total_bosons} bosons; "
+            f"{n} qubits need {4 * n} and {2 * n}"
+        )
 
     eigenvalues, eigenvectors = np.linalg.eigh(rho_row.matrix)
     keep = eigenvalues > 1e-12
@@ -537,40 +535,29 @@ def sample_loss(n_atoms: int, survival_prob: float, seed: int) -> LossOutcome:
 def standard_test_states(seed: int = 0, n_random: int = 4) -> list[FockState]:
     """Canonical one-column two-boson test set for splitter checks.
 
-    Six structured states (identical pairs of both species, singlet and
-    triplet combinations, same-row pair, doubly occupied mode) plus seeded
-    random superpositions; ten states by default.
+    Six structured states, in this order: the identical a-pair
+    aI^dag aII^dag |vac> (entry 0), the identical b-pair, the singlet
+    (aI^dag bII^dag - aII^dag bI^dag)|vac>/sqrt(2) (entry 2), the matching
+    triplet, both bosons in row I, and a doubly occupied mode; then
+    ``n_random`` seeded random superpositions.  Ten states by default.
     """
     basis = build_fock_basis(4, 2)
-    ia, ib = mode_index(1, "I", "a"), mode_index(1, "I", "b")
-    iia, iib = mode_index(1, "II", "a"), mode_index(1, "II", "b")
+    ia, ib, iia, iib = (mode_index(1, row, internal) for row in ROWS for internal in INTERNALS)
 
-    def occ(**counts) -> tuple[int, ...]:
-        occ = [0, 0, 0, 0]
-        for flat, c in counts.items():
-            occ[{"ia": ia, "ib": ib, "iia": iia, "iib": iib}[flat]] = c
-        return tuple(occ)
+    def occ(*modes: int) -> tuple[int, ...]:
+        """One boson per listed mode."""
+        return tuple(np.bincount(modes, minlength=4).tolist())
 
     states = [
-        basis_state(basis, occ(ia=1, iia=1)),  # identical a-pair, one per row
-        basis_state(basis, occ(ib=1, iib=1)),  # identical b-pair
-        superpose(basis, {occ(ia=1, iib=1): 1, occ(iia=1, ib=1): -1}),  # singlet
-        superpose(basis, {occ(ia=1, iib=1): 1, occ(iia=1, ib=1): +1}),  # triplet ab
-        basis_state(basis, occ(ia=1, ib=1)),  # both bosons in row I
-        basis_state(basis, occ(ia=2)),  # doubly occupied single mode
+        basis_state(basis, occ(ia, iia)),  # identical a-pair, one per row
+        basis_state(basis, occ(ib, iib)),  # identical b-pair
+        superpose(basis, {occ(ia, iib): 1, occ(iia, ib): -1}),  # singlet
+        superpose(basis, {occ(ia, iib): 1, occ(iia, ib): +1}),  # triplet ab
+        basis_state(basis, occ(ia, ib)),  # both bosons in row I
+        basis_state(basis, occ(ia, ia)),  # doubly occupied single mode
     ]
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         states.append(FockState(basis, amps / np.linalg.norm(amps)))
     return states
-
-
-def singlet_state() -> FockState:
-    """(aI^dag bII^dag - aII^dag bI^dag)|vac>/sqrt(2) on one column."""
-    return standard_test_states()[2]
-
-
-def identical_pair_state() -> FockState:
-    """aI^dag aII^dag |vac> on one column."""
-    return standard_test_states()[0]

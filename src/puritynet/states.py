@@ -53,22 +53,22 @@ class ClusterFamilySpec:
             raise ValueError("family needs at least 2 sites")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        check_qubit_capacity(self.n_sites)
 
 
-def cluster_family_state(spec: ClusterFamilySpec) -> PureState:
+def cluster_family_state(spec: ClusterFamilySpec, cap: int | None = None) -> PureState:
     """Two-term superposition (1+e^{i phi})/2 |0..0> + (1-e^{i phi})/2 |cluster>.
 
     phi = 0 gives exactly |0..0>, phi = pi exactly the cluster state.  The
     result is renormalized, although the two-term form is already exactly
     normalized for every (n, phi): the cross term (1+e^{-i phi})(1-e^{i phi})/4
     is purely imaginary while <0..0|cluster> is real, so the overlap
-    contributes nothing to the norm.
+    contributes nothing to the norm.  The site count is checked against the
+    qubit cap before anything is built.
     """
     n, phi = spec.n_sites, spec.phi
     u = (1 + np.exp(1j * phi)) / 2
     v = (1 - np.exp(1j * phi)) / 2
-    amps = v * linear_cluster(n).amplitudes.copy()
+    amps = v * linear_cluster(n, cap).amplitudes.copy()
     amps[0] += u
     return PureState(n, amps / np.linalg.norm(amps))
 

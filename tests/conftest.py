@@ -5,6 +5,7 @@ the reference partial trace walks matrix elements with explicit bit
 arithmetic, and the reference purity multiplies matrices out.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -78,16 +79,30 @@ def ref_epsilon_resolution(n_sites: int, n_lost: int, eps: float) -> float:
     return float(np.spacing(num / den) / abs(dpi_deps))
 
 
+def ref_occupations(n_modes: int, total: int) -> list[tuple[int, ...]]:
+    """Occupation tuples of ``total`` bosons over ``n_modes`` modes.
+
+    ``itertools.product`` runs over the first ``n_modes - 1`` modes in
+    lexicographic order and the last mode takes the bosons left, so the
+    list is the lexicographic enumeration of the basis.
+    """
+    heads = itertools.product(range(total + 1), repeat=n_modes - 1)
+    return [head + (total - sum(head),) for head in heads if sum(head) <= total]
+
+
 def ref_hamiltonians(params, basis) -> tuple[np.ndarray, np.ndarray]:
     """Dense (H_hop, H_int) built one basis state at a time.
 
-    Walks ``basis.states`` and looks moved occupations up in ``basis.index``;
-    mode m = 4 (site - 1) + 2 row + internal, with row I = 0, a = 0.
+    Enumerates its own occupations with :func:`ref_occupations` and looks
+    moved occupations up in a dict; mode m = 4 (site - 1) + 2 row +
+    internal, with row I = 0, a = 0.
     """
-    dim = basis.dim
+    states = ref_occupations(basis.n_modes, basis.total_bosons)
+    index = {occ: k for k, occ in enumerate(states)}
+    dim = len(states)
     h_bs = np.zeros((dim, dim), dtype=complex)
     h_int = np.zeros((dim, dim), dtype=complex)
-    for k, occ in enumerate(basis.states):
+    for k, occ in enumerate(states):
         energy = 0.0
         for site in range(params.n_sites):
             for row in range(2):
@@ -101,9 +116,40 @@ def ref_hamiltonians(params, basis) -> tuple[np.ndarray, np.ndarray]:
                     moved = list(occ)
                     moved[src] -= 1
                     moved[dst] += 1
-                    h_bs[basis.index[tuple(moved)], k] += -params.J * math.sqrt(occ[src] * (occ[dst] + 1))
+                    h_bs[index[tuple(moved)], k] += -params.J * math.sqrt(occ[src] * (occ[dst] + 1))
         h_int[k, k] = energy
     return h_bs, h_int
+
+
+def ref_mode_unitary_matrix(u: np.ndarray, total: int) -> np.ndarray:
+    """Second quantization of a single-particle unitary, one state at a time.
+
+    Column k is the image of the k-th lexicographic occupation of
+    ``total`` bosons in ``len(u)`` modes.  Creation operators transform as
+    a_m^dag -> sum_n conj(u[m, n]) a_n^dag, so each occupation is rebuilt
+    by applying the transformed creation operators to the vacuum, one
+    boson at a time, in a dict of partial occupations.  No renormalization.
+    """
+    n_modes = len(u)
+    states = ref_occupations(n_modes, total)
+    index = {occ: k for k, occ in enumerate(states)}
+    u_conj = u.conj()
+    out = np.zeros((len(states), len(states)), dtype=complex)
+    for k, occ in enumerate(states):
+        terms = {(0,) * n_modes: 1 / math.sqrt(math.prod(math.factorial(n) for n in occ))}
+        for mode, count in enumerate(occ):
+            for _ in range(count):
+                new_terms = {}
+                for partial, a in terms.items():
+                    for target in range(n_modes):
+                        raised = list(partial)
+                        raised[target] += 1
+                        key = tuple(raised)
+                        new_terms[key] = new_terms.get(key, 0.0) + a * u_conj[mode, target] * math.sqrt(raised[target])
+                terms = new_terms
+        for occ_out, a in terms.items():
+            out[index[occ_out], k] += a
+    return out
 
 
 def ref_propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:

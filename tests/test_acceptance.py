@@ -33,11 +33,9 @@ from puritynet.lattice import (
     LatticeParams,
     build_hamiltonians,
     embed_two_copies,
-    identical_pair_state,
     interaction_phase_check,
     occupancy_probabilities,
     propagator,
-    singlet_state,
     standard_test_states,
     hopping_bs_check,
 )
@@ -249,10 +247,10 @@ def test_criterion_08_lattice_bs_timing():
     h_bs, _ = build_hamiltonians(params, states[0].basis)
     prop = propagator(h_bs, params.t_bs)
     p_pair = occupancy_probabilities(
-        [(1.0, FockState(states[0].basis, prop @ identical_pair_state().amplitudes))], 1
+        [(1.0, FockState(states[0].basis, prop @ states[0].amplitudes))], 1
     ).p_diff_mode
     p_singlet = occupancy_probabilities(
-        [(1.0, FockState(states[0].basis, prop @ singlet_state().amplitudes))], 1
+        [(1.0, FockState(states[0].basis, prop @ states[2].amplitudes))], 1
     ).p_diff_mode
 
     checks = [

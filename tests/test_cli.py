@@ -16,11 +16,21 @@ from puritynet.cli import (
     parse_chains,
     parse_state_spec,
 )
-from puritynet import bs_network, cli, separability
-from puritynet.qstate import purity, random_state, tensor
+from puritynet import bs_network, cli, qstate, separability
+from puritynet.qstate import CapacityError, purity, random_state, tensor
 
 GHZ_SPEC = "statespec v1\nkind = ghz\nn = 3\n"
 PRODUCT_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 0,0\n"
+
+#: One three-site spec body per kind (and both raw forms).
+THREE_SITE_SPECS = {
+    "ghz": "kind = ghz\nn = 3",
+    "cluster_family": "kind = cluster_family\nn = 3\nphi = 1.0",
+    "cat": "kind = cat\nn = 3\nphi1 = 0,0\nphi2 = 1,0",
+    "product": "kind = product\nqubits = 0,0; 0,0; 0,0",
+    "raw-amplitudes": "kind = raw\namplitudes = 1 0 0 0 0 0 0 0",
+    "raw-matrix": "kind = raw\nmatrix = 1" + " 0" * 7 + (";" + "0 " * 7 + "0") * 7,
+}
 
 
 def run(*argv):
@@ -122,6 +132,15 @@ class TestStateSpecParsing:
         with pytest.raises(SpecParseError, match="field 'n'"):
             parse_state_spec("statespec v1\nkind = ghz\nn = x\n")
 
+    @pytest.mark.parametrize("body", THREE_SITE_SPECS.values(), ids=THREE_SITE_SPECS.keys())
+    def test_every_kind_checked_against_the_cap(self, body, monkeypatch):
+        with pytest.raises(CapacityError):
+            parse_state_spec(f"statespec v1\n{body}\n", cap=2)
+        # an explicit cap above the default is honoured too
+        monkeypatch.setattr(qstate, "DEFAULT_QUBIT_CAP", 2)
+        rho, _ = parse_state_spec(f"statespec v1\n{body}\n", cap=3)
+        assert rho.n_qubits == 3
+
     def test_parse_chains(self):
         chains = parse_chains("1,2,3>1,2>1;1,2>2", 3)
         assert chains == [((1, 2, 3), (1, 2), (1,)), ((1, 2), (2,))]
@@ -200,6 +219,23 @@ class TestProbeCommand:
             )
             == EXIT_CAPACITY
         )
+
+    @pytest.mark.parametrize("kind", ["product", "raw-amplitudes", "raw-matrix"])
+    def test_qubit_cap_stops_the_run_at_parsing(self, tmp_path, monkeypatch, kind):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the over-cap state reached the purity step")
+
+        monkeypatch.setattr(cli, "all_subset_purities", unreachable)
+        out = tmp_path / "x.json"
+        spec = f"statespec v1\n{THREE_SITE_SPECS[kind]}\n"
+        assert run("probe", "--spec-text", spec, "--qubit-cap", "2", "--out", str(out)) == EXIT_CAPACITY
+        assert not out.exists()
+
+    def test_qubit_cap_above_default_is_honoured(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qstate, "DEFAULT_QUBIT_CAP", 2)
+        out = tmp_path / "x.json"
+        assert run("probe", "--spec-text", GHZ_SPEC, "--qubit-cap", "3", "--out", str(out)) == EXIT_OK
+        assert json.loads(out.read_text())["verdict"] == "entangled_detected"
 
     def test_io_error_exit_code(self):
         assert run("probe", "--spec-text", GHZ_SPEC, "--out", "/nonexistent-dir/x.json") == 5
@@ -304,6 +340,14 @@ class TestLatticeValidateCommand:
         code = run("lattice-validate", "--end-to-end-states", "0", "--out", str(tmp_path / "x.json"))
         assert code == EXIT_USAGE
         assert "--end-to-end-states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--j", "--u"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coupling_rejected(self, tmp_path, capsys, flag, bad):
+        out = tmp_path / "x.json"
+        assert run("lattice-validate", f"{flag}={bad}", "--out", str(out)) == EXIT_USAGE
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

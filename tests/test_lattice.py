@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from puritynet.lattice import (
+    INTERNALS,
+    ROWS,
     CapacityError,
     FockState,
     LatticeParams,
-    apply_mode_unitary,
     basis_state,
     build_fock_basis,
     build_hamiltonians,
@@ -15,20 +16,19 @@ from puritynet.lattice import (
     evolve,
     hopping_bs_check,
     ideal_bs_mode_matrix,
-    identical_pair_state,
     interaction_phase_check,
     mode_index,
-    mode_label,
+    mode_unitary_matrix,
     occupancy_probabilities,
     propagator,
     sample_loss,
-    singlet_state,
     standard_test_states,
+    superpose,
 )
 from puritynet.bs_network import pair_projection_probabilities
 from puritynet.qstate import DensityOperator, partial_trace, purity, random_state
 
-from conftest import ref_hamiltonians, ref_propagator
+from conftest import ref_hamiltonians, ref_mode_unitary_matrix, ref_propagator
 
 
 class TestModeIndexing:
@@ -38,8 +38,8 @@ class TestModeIndexing:
             for row in ["I", "II"]:
                 for internal in ["a", "b"]:
                     assert mode_index(site, row, internal) == flat
-                    lab = mode_label(flat)
-                    assert (lab.site, lab.row, lab.internal) == (site, row, internal)
+                    column, rest = divmod(flat, 4)
+                    assert (column + 1, ROWS[rest // 2], INTERNALS[rest % 2]) == (site, row, internal)
                     flat += 1
 
 
@@ -51,20 +51,21 @@ class TestFockBasis:
         basis = build_fock_basis(modes, total)
         assert basis.dim == dim
         # enumeration is a bijection
-        assert len(set(basis.states)) == dim
-        assert all(sum(s) == total for s in basis.states)
+        assert len(set(map(tuple, basis.occupations.tolist()))) == dim
+        assert (basis.occupations.sum(axis=1) == total).all()
 
     def test_deterministic_order(self):
         a = build_fock_basis(4, 2)
         b = build_fock_basis(4, 2)
-        assert a.states == b.states
+        np.testing.assert_array_equal(a.occupations, b.occupations)
 
     @pytest.mark.parametrize("modes,total", [(1, 3), (4, 0), (4, 2), (8, 4), (12, 3)])
     def test_occupations_array(self, modes, total):
         basis = build_fock_basis(modes, total)
         assert basis.occupations.shape == (basis.dim, modes)
-        assert basis.occupations.tolist() == [list(s) for s in basis.states]
-        assert basis.states == tuple(sorted(basis.states))
+        rows = list(map(tuple, basis.occupations.tolist()))
+        assert rows == sorted(set(rows))
+        assert (basis.occupations.sum(axis=1) == total).all()
         np.testing.assert_array_equal(basis.positions(basis.occupations), np.arange(basis.dim))
         with pytest.raises(ValueError):
             basis.occupations[0, 0] = 1
@@ -75,14 +76,39 @@ class TestFockBasis:
         with pytest.raises(CapacityError):
             build_fock_basis(4, 2, cap=5)
 
+    @pytest.mark.parametrize(
+        "occ",
+        [(1, 1, 0), (1, 1, 0, 0, 0), (3, -1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 0), (0.5, 1.5, 0, 0)],
+        ids=["short", "long", "negative", "too-few", "too-many", "fractional"],
+    )
+    def test_occupation_outside_basis_rejected(self, occ):
+        basis = build_fock_basis(4, 2)
+        with pytest.raises(ValueError, match=r"occupation \("):
+            basis_state(basis, occ)
+        with pytest.raises(ValueError, match=r"occupation \("):
+            superpose(basis, {(1, 1, 0, 0): 1, occ: 1})
+
+
+class TestFockState:
+    def test_non_finite_amplitudes_rejected(self):
+        basis = build_fock_basis(4, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            FockState(basis, np.full(basis.dim, np.nan))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_superposition_without_finite_norm_rejected(self, bad):
+        basis = build_fock_basis(4, 2)
+        with pytest.raises(ValueError, match="superposition has norm"):
+            superpose(basis, {(1, 1, 0, 0): bad})
+
 
 class TestHamiltonians:
     def test_hopping_element(self):
         basis = build_fock_basis(4, 1)
         params = LatticeParams(n_sites=1, J=0.7)
         h_bs, h_int = build_hamiltonians(params, basis)
-        src = basis.index[tuple(1 if i == mode_index(1, "I", "a") else 0 for i in range(4))]
-        dst = basis.index[tuple(1 if i == mode_index(1, "II", "a") else 0 for i in range(4))]
+        src = basis.positions([1 if i == mode_index(1, "I", "a") else 0 for i in range(4)])
+        dst = basis.positions([1 if i == mode_index(1, "II", "a") else 0 for i in range(4)])
         assert h_bs[dst, src] == pytest.approx(-0.7, abs=1e-15)
         assert np.count_nonzero(h_int) == 0
 
@@ -92,11 +118,11 @@ class TestHamiltonians:
         _, h_int = build_hamiltonians(params, basis)
         occ_aa = [0] * 4
         occ_aa[mode_index(1, "I", "a")] = 2
-        assert h_int[basis.index[tuple(occ_aa)], basis.index[tuple(occ_aa)]] == pytest.approx(1.3)
+        assert h_int[basis.positions(occ_aa), basis.positions(occ_aa)] == pytest.approx(1.3)
         occ_ab = [0] * 4
         occ_ab[mode_index(1, "I", "a")] = 1
         occ_ab[mode_index(1, "I", "b")] = 1
-        assert h_int[basis.index[tuple(occ_ab)], basis.index[tuple(occ_ab)]] == pytest.approx(0.4)
+        assert h_int[basis.positions(occ_ab), basis.positions(occ_ab)] == pytest.approx(0.4)
 
     @pytest.mark.parametrize("n_sites,total", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4)])
     def test_matches_per_state_oracle(self, n_sites, total):
@@ -119,6 +145,12 @@ class TestHamiltonians:
         with pytest.raises(ValueError):
             LatticeParams(n_sites=1, U_a=1.0, U_b=2.0).theta
         assert LatticeParams(n_sites=1, J=2.0).t_bs * 2.0 == pytest.approx(math.pi / 4)
+
+    @pytest.mark.parametrize("name", ["J", "U_a", "U_b", "U_ab", "tau", "T_bs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_must_be_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            LatticeParams(n_sites=1, **{name: bad})
 
 
 class TestPropagator:
@@ -176,9 +208,9 @@ class TestEvolve:
         h_bs, _ = build_hamiltonians(params, basis)
         occ = tuple(1 if i == mode_index(1, "I", "a") else 0 for i in range(4))
         out = evolve(basis_state(basis, occ), h_bs, params.t_bs)
-        top = abs(out.amplitudes[basis.index[occ]]) ** 2
+        top = abs(out.amplitudes[basis.positions(occ)]) ** 2
         occ_bot = tuple(1 if i == mode_index(1, "II", "a") else 0 for i in range(4))
-        bot = abs(out.amplitudes[basis.index[occ_bot]]) ** 2
+        bot = abs(out.amplitudes[basis.positions(occ_bot)]) ** 2
         assert top == pytest.approx(0.5, abs=1e-12)
         assert bot == pytest.approx(0.5, abs=1e-12)
 
@@ -201,28 +233,41 @@ class TestEvolve:
         for k, amp in enumerate(out.amplitudes):
             if abs(amp) < 1e-12:
                 continue
-            s = out.basis.states[k]
+            s = out.basis.occupations[k]
             col1 = sum(s[mode_index(1, r, i)] for r in ["I", "II"] for i in ["a", "b"])
             assert col1 == 2
 
 
 class TestIdealBSMap:
     def test_hom_bunching_amplitudes(self):
-        out = apply_mode_unitary(identical_pair_state(), ideal_bs_mode_matrix(1))
-        basis = out.basis
+        pair = standard_test_states()[0]
+        basis = pair.basis
+        out = mode_unitary_matrix(ideal_bs_mode_matrix(1), basis) @ pair.amplitudes
         both_top = [0] * 4
         both_top[mode_index(1, "I", "a")] = 2
         both_bot = [0] * 4
         both_bot[mode_index(1, "II", "a")] = 2
-        a_top = out.amplitudes[basis.index[tuple(both_top)]]
-        a_bot = out.amplitudes[basis.index[tuple(both_bot)]]
+        a_top = out[basis.positions(both_top)]
+        a_bot = out[basis.positions(both_bot)]
         assert a_top == pytest.approx(1j / math.sqrt(2), abs=1e-12)
         assert a_bot == pytest.approx(1j / math.sqrt(2), abs=1e-12)
 
     def test_singlet_invariant(self):
-        singlet = singlet_state()
-        out = apply_mode_unitary(singlet, ideal_bs_mode_matrix(1))
+        singlet = standard_test_states()[2]
+        u = mode_unitary_matrix(ideal_bs_mode_matrix(1), singlet.basis)
+        out = FockState(singlet.basis, u @ singlet.amplitudes)
         assert abs(singlet.overlap(out)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_sites,total", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4)])
+    def test_matches_dict_expansion_oracle_and_is_unitary(self, n_sites, total):
+        basis = build_fock_basis(4 * n_sites, total)
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((4 * n_sites,) * 2) + 1j * rng.standard_normal((4 * n_sites,) * 2)
+        random_u, _ = np.linalg.qr(a)
+        for u in (ideal_bs_mode_matrix(n_sites), random_u):
+            got = mode_unitary_matrix(u, basis)
+            np.testing.assert_allclose(got, ref_mode_unitary_matrix(u, total), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.conj().T @ got, np.eye(basis.dim), rtol=0, atol=1e-12)
 
 
 class TestHoppingBSCheck:
@@ -244,10 +289,11 @@ class TestHoppingBSCheck:
 
     def test_hom_probabilities_after_evolution(self):
         params = LatticeParams(n_sites=1)
-        h_bs, _ = build_hamiltonians(params, identical_pair_state().basis)
-        bunched = evolve(identical_pair_state(), h_bs, params.t_bs)
+        states = standard_test_states()
+        h_bs, _ = build_hamiltonians(params, states[0].basis)
+        bunched = evolve(states[0], h_bs, params.t_bs)
         assert occupancy_probabilities([(1.0, bunched)], 1).p_diff_mode == pytest.approx(0.0, abs=1e-10)
-        anti = evolve(singlet_state(), h_bs, params.t_bs)
+        anti = evolve(states[2], h_bs, params.t_bs)
         assert occupancy_probabilities([(1.0, anti)], 1).p_diff_mode == pytest.approx(1.0, abs=1e-10)
 
     def test_interaction_degrades_fidelity(self):
@@ -287,7 +333,7 @@ class TestEmbedTwoCopies:
         occ = [0] * 4
         occ[mode_index(1, "I", "a")] = 1
         occ[mode_index(1, "II", "a")] = 1
-        assert abs(state.amplitudes[basis.index[tuple(occ)]]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(state.amplitudes[basis.positions(occ)]) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_gives_four_members(self):
         _, ensemble = embed_two_copies(DensityOperator.maximally_mixed(1))
