@@ -17,7 +17,6 @@ from .qstate import (
     partial_trace,
     purity,
     random_state,
-    tensor,
     validate,
 )
 from .separability import (
@@ -31,9 +30,7 @@ from .bs_network import (
     JointSignProbabilityTable,
     joint_sign_probabilities,
     pair_projection_probabilities,
-    projector_expectation_oracle,
     purities_from_probabilities,
-    triplet_singlet_weights,
 )
 from .states import (
     CatSpec,

@@ -12,10 +12,6 @@ a sign-weighted subset sum over the reduction purities (empty subset term
 1).  This is a Walsh-Hadamard transform of the purity table, and the
 transform is its own inverse up to 2^{-N}, so the purities are recovered
 exactly from the probabilities.
-
-Two computation paths are kept deliberately: the transform fast path, and
-an explicit two-copy projector construction (dimension 4^N) that validates
-the algebra for small N.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import CapacityError, DensityOperator, check_qubit_capacity, purity, site_mask
+from .qstate import DensityOperator, purity, site_mask
 from .separability import SubsetPurityMap, all_subset_purities
 
 #: Sign convention: "+" is the symmetric projector (I + V)/2, whose
@@ -117,42 +113,6 @@ def pair_projection_probabilities(rho_j: DensityOperator) -> PairProjectionProba
     return PairProjectionProbabilities((1 + p) / 2, (1 - p) / 2)
 
 
-@dataclass(frozen=True)
-class TripletSingletWeights:
-    """Weights of the two-boson internal-state channels after the splitter.
-
-    The triplet channels are labelled by the unordered internal-state pair
-    (aa, ab+ba symmetric, bb) in the computational basis of the two copies,
-    with a = |0> and b = |1>; w_singlet is the antisymmetric (ab-ba) weight
-    and equals the pair's P_- outcome probability.
-    """
-
-    w_aa: float
-    w_ab: float
-    w_bb: float
-    w_singlet: float
-
-    def total(self) -> float:
-        return self.w_aa + self.w_ab + self.w_bb + self.w_singlet
-
-
-_TRIPLET_AB = np.array([0, 1, 1, 0]) / np.sqrt(2)
-_SINGLET = np.array([0, 1, -1, 0]) / np.sqrt(2)
-
-
-def triplet_singlet_weights(rho_j: DensityOperator) -> TripletSingletWeights:
-    """Expectations of the four channel projectors on rho_j x rho_j."""
-    if rho_j.n_qubits != 1:
-        raise ValueError("expected a single-qubit state")
-    two = np.kron(rho_j.matrix, rho_j.matrix)
-    return TripletSingletWeights(
-        w_aa=float(two[0, 0].real),
-        w_ab=float(np.vdot(_TRIPLET_AB, two @ _TRIPLET_AB).real),
-        w_bb=float(two[3, 3].real),
-        w_singlet=float(np.vdot(_SINGLET, two @ _SINGLET).real),
-    )
-
-
 def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProbabilityTable:
     """Forward sign transform: purity table -> joint outcome probabilities.
 
@@ -167,7 +127,6 @@ def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProb
 
 def joint_sign_probabilities(rho: DensityOperator, cap: int | None = None) -> JointSignProbabilityTable:
     """Joint +/- outcome probabilities of the N-splitter network on rho x rho."""
-    check_qubit_capacity(rho.n_qubits, cap)
     return sign_probabilities_from_purities(all_subset_purities(rho, cap=cap))
 
 
@@ -187,42 +146,3 @@ def purities_from_probabilities(table: JointSignProbabilityTable, norm_atol: flo
     back = walsh_hadamard(table.values)
     back[0] = 1.0  # the empty subset is the sentinel, not the measured total
     return SubsetPurityMap(table.n_sites, back)
-
-
-def _swap_operator(site: int, n_sites: int) -> np.ndarray:
-    """Permutation matrix exchanging site ``site`` between the two copies.
-
-    The two-copy basis index is x * 2^N + y with x, y the copy-one and
-    copy-two computational indices.
-    """
-    dim = 4**n_sites
-    bit = 1 << (n_sites - site)
-    op = np.zeros((dim, dim))
-    for x in range(2**n_sites):
-        for y in range(2**n_sites):
-            xs = (x & ~bit) | (y & bit)
-            ys = (y & ~bit) | (x & bit)
-            op[xs * 2**n_sites + ys, x * 2**n_sites + y] = 1.0
-    return op
-
-
-def projector_expectation_oracle(rho: DensityOperator, signs, cap: int = 4) -> float:
-    """Explicit two-copy construction of one joint outcome probability.
-
-    Builds rho x rho and the per-site swap operators V_i, forms
-    prod_i (I + s_i V_i)/2 and returns its expectation.  Kept dense in
-    dimension 4^N, so limited to small N; exists purely to cross-validate
-    the transform fast path.
-    """
-    n = rho.n_qubits
-    signs = tuple(signs)
-    if len(signs) != n:
-        raise ValueError(f"sign vector length {len(signs)} does not match {n} sites")
-    if n > cap:
-        raise CapacityError(f"explicit two-copy oracle limited to {cap} sites, got {n}")
-    two = np.kron(rho.matrix, rho.matrix)
-    dim = 4**n
-    proj = np.eye(dim)
-    for site, s in enumerate(signs, start=1):
-        proj = proj @ (np.eye(dim) + s * _swap_operator(site, n)) / 2
-    return float(np.trace(proj @ two).real)

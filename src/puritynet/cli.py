@@ -57,6 +57,12 @@ EXIT_IO = 5
 
 SPEC_HEADER = "statespec v1"
 
+#: Accepted range of ``lattice-validate --j`` and of ``|--u|``.  Past it
+#: float64 overflows: t_bs = pi/(4J) for J below ~1e-308, the hopping
+#: energies for J near 1e308, and the phase U t_bs as U/J nears 1e308.
+#: Inside it every energy and phase stays below 1e200.
+COUPLING_MIN, COUPLING_MAX = 1e-100, 1e100
+
 #: The fields each state kind takes besides ``kind``; any other is an error.
 SPEC_FIELDS = {
     "cluster_family": {"n", "phi"},
@@ -391,11 +397,15 @@ def run_lattice_validate(args) -> int:
     for flag, value in (("--j", args.j), ("--u", args.u)):
         if not math.isfinite(value):
             raise SpecParseError(f"{flag} must be finite, got {value}")
+    if not COUPLING_MIN <= args.j <= COUPLING_MAX:
+        raise SpecParseError(f"--j must lie in [{COUPLING_MIN:g}, {COUPLING_MAX:g}], got {args.j}")
+    if abs(args.u) > COUPLING_MAX:
+        raise SpecParseError(f"--u must lie in [-{COUPLING_MAX:g}, {COUPLING_MAX:g}], got {args.u}")
     params = LatticeParams(n_sites=1, J=args.j, U_a=args.u, U_b=args.u, U_ab=args.u)
-    basis = build_fock_basis(params.n_modes, 2, cap=args.fock_cap)
+    basis = build_fock_basis(params.n_modes, 2)
     test_states = standard_test_states(seed=args.seed)
 
-    bs_report = hopping_bs_check(params, test_states, include_interactions=args.u != 0.0)
+    bs_report = hopping_bs_check(params, test_states)
 
     h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1, J=args.j), basis)
     bs_prop = propagator(h_bs, params.t_bs)
@@ -432,7 +442,7 @@ def run_lattice_validate(args) -> int:
         sweep_params = LatticeParams(
             n_sites=1, J=args.j, U_a=ratio * args.j, U_b=ratio * args.j, U_ab=ratio * args.j
         )
-        rep = hopping_bs_check(sweep_params, test_states, include_interactions=ratio != 0.0)
+        rep = hopping_bs_check(sweep_params, test_states)
         sweep.append({"u_over_j": ratio, "min_fidelity": rep.min_fidelity})
 
     report = {
@@ -441,7 +451,7 @@ def run_lattice_validate(args) -> int:
         "seed": args.seed,
         "params": {"n_sites": 1, "J": args.j, "U": args.u, "t_bs": params.t_bs},
         "bs_check": {
-            "include_interactions": bs_report.include_interactions,
+            "include_interactions": args.u != 0.0,
             "fidelities": list(bs_report.fidelities),
             "min_fidelity": bs_report.min_fidelity,
         },
@@ -566,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     lat.add_argument("--u", type=float, default=0.0)
     lat.add_argument("--seed", type=int, default=0)
     lat.add_argument("--end-to-end-states", type=int, default=10)
-    lat.add_argument("--fock-cap", type=int, default=None)
     lat.add_argument("--out", required=True)
     lat.set_defaults(handler=run_lattice_validate)
 

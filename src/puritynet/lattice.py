@@ -345,37 +345,31 @@ class BSCheckReport:
 
     t_bs: float
     fidelities: tuple[float, ...]
-    include_interactions: bool
 
     @property
     def min_fidelity(self) -> float:
         return min(self.fidelities)
 
 
-def hopping_bs_check(
-    params: LatticeParams,
-    test_states: list[FockState],
-    include_interactions: bool = False,
-) -> BSCheckReport:
-    """Compare evolve(., H_hop, pi/(4J)) with the ideal mode-level splitter.
+def hopping_bs_check(params: LatticeParams, test_states: list[FockState]) -> BSCheckReport:
+    """Compare evolve(., H_hop + H_int, t_bs) with the ideal mode-level splitter.
 
-    With ``include_interactions`` the evolution runs under H_hop + H_int
-    instead, quantifying how on-site interactions during the hop degrade
-    the splitter (the ideal comparison target stays the same).
+    H_int vanishes when U_a = U_b = U_ab = 0, leaving the bare hopping
+    splitter; nonzero interactions show how much they degrade it (the
+    ideal comparison target stays the same).
     """
     if not test_states:
         raise ValueError("need at least one test state")
     basis = test_states[0].basis
     h_bs, h_int = build_hamiltonians(params, basis)
-    h = h_bs + h_int if include_interactions else h_bs
-    u_prop = propagator(h, params.t_bs)
+    u_prop = propagator(h_bs + h_int, params.t_bs)
     # The target comes from the mode matrix alone, never from H_hop, so a
     # wrong splitter time shows as lost fidelity.
     u_ideal = mode_unitary_matrix(ideal_bs_mode_matrix(params.n_sites), basis)
     fidelities = tuple(
         float(abs(np.vdot(u_ideal @ state.amplitudes, u_prop @ state.amplitudes)) ** 2) for state in test_states
     )
-    return BSCheckReport(params.t_bs, fidelities, include_interactions)
+    return BSCheckReport(params.t_bs, fidelities)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Dense linear algebra for finite-dimensional quantum states.
 
-Construction, composition, reduction and purity of qubit density operators.
+Construction, reduction and purity of qubit density operators.
 Sites are labelled 1..N and map big-endian onto the amplitude index: site 1
 is the most significant bit of the computational-basis index, so |x1 x2 x3>
 has index x1*4 + x2*2 + x3 for three qubits.
@@ -144,31 +144,24 @@ class DensityOperator:
         return 2**self.n_qubits
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        return state.to_density()
-
-    @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityOperator":
         d = 2**n_qubits
         return cls(n_qubits, np.eye(d, dtype=complex) / d)
 
 
-def tensor(parts: list[DensityOperator], cap: int | None = None) -> DensityOperator:
-    """Tensor product of density operators, in the given site order.
+def trace_site(matrix: np.ndarray, position: int) -> np.ndarray:
+    """Trace one site out of a 2^k x 2^k operator on k sites.
 
-    The result acts on the concatenation of the parts' sites; its dimension
-    is the product of the part dimensions.  Raises :class:`CapacityError`
-    when the total qubit count exceeds the cap (default
-    ``DEFAULT_QUBIT_CAP``).
+    ``position`` is the 0-based place of the site in the operator's own
+    big-endian order.  Viewed as an (a, 2, b, a, 2, b) tensor with
+    a = 2^position, the reduced operator is the sum of the two diagonal
+    blocks of the traced axis pair; it acts on the other k - 1 sites in
+    their order.
     """
-    if not parts:
-        raise ValueError("tensor() needs at least one factor")
-    n_total = sum(p.n_qubits for p in parts)
-    check_qubit_capacity(n_total, cap)
-    mat = parts[0].matrix
-    for p in parts[1:]:
-        mat = np.kron(mat, p.matrix)
-    return DensityOperator(n_total, mat)
+    a = 2**position
+    b = matrix.shape[0] // (2 * a)
+    t = matrix.reshape(a, 2, b, a, 2, b)
+    return (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(a * b, a * b)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -181,18 +174,12 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         Nonempty set of 1-based site labels to retain.  The reduced
         operator acts on those sites in ascending label order.
     """
-    n = rho.n_qubits
-    keep = subset_index(keep, n)
-    keep_axes = [k - 1 for k in keep]
-    traced_axes = [i for i in range(n) if i not in keep_axes]
-
-    t = rho.matrix.reshape((2,) * (2 * n))
-    remaining = n
-    for ax in sorted(traced_axes, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    d = 2 ** len(keep)
-    reduced = t.reshape(d, d)
+    keep = subset_index(keep, rho.n_qubits)
+    reduced = rho.matrix
+    # Highest site first: the sites below it keep their positions.
+    for site in range(rho.n_qubits, 0, -1):
+        if site not in keep:
+            reduced = trace_site(reduced, site - 1)
     # Re-symmetrize: tracing can leave ~1e-16 Hermiticity dust.
     reduced = (reduced + reduced.conj().T) / 2
     return DensityOperator(len(keep), reduced)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import DensityOperator, check_qubit_capacity, site_mask, subset_index
+from .qstate import DensityOperator, check_qubit_capacity, site_mask, subset_index, trace_site
 from .states import ClusterFamilySpec, cluster_family_state, collision_phase_state
 
 #: Purity differences below this are numerical noise, not violations.
@@ -97,10 +97,7 @@ def all_subset_purities(rho: DensityOperator, cap: int | None = None) -> SubsetP
         # holds site N - k + j + 1, whose mask bit is 2^(k - 1 - j).
         values[mask] = np.vdot(mat, mat).real
         for j in range(start, k if k > 1 else 0):
-            a, b = 2**j, 2 ** (k - 1 - j)
-            t = mat.reshape(a, 2, b, a, 2, b)
-            child = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(a * b, a * b)
-            visit(child, k - 1, mask & ~b, j)
+            visit(trace_site(mat, j), k - 1, mask & ~(1 << (k - 1 - j)), j)
 
     visit(rho.matrix, n, 2**n - 1, 0)
     return SubsetPurityMap(n, values)

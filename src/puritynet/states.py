@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState, check_qubit_capacity, partial_trace, purity
+from .qstate import PureState, check_qubit_capacity
 
 
 class InversionError(ValueError):
@@ -182,21 +182,6 @@ def cat_purity_closed_form(n: int, m: int, gamma: float) -> float:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     half = gamma ** (n / 2)
     return (1 + gamma**m + gamma**n + 4 * half + gamma ** (n - m)) / (2 * (1 + half) ** 2)
-
-
-def cat_reduced_purity_brute_force(n: int, phi1: PureState, phi2: PureState, m: int) -> float:
-    """Purity of the m-fold reduction by explicit construction and partial trace.
-
-    Complements the closed form; the only route for complex overlaps.
-    Limited to small n by the dense 2^n construction.
-    """
-    psi, _ = cat_state(n, phi1, phi2)
-    rho = psi.to_density()
-    if m == 0:
-        return purity(rho)
-    if m == n:
-        return 1.0
-    return purity(partial_trace(rho, range(1, n - m + 1)))
 
 
 def estimate_epsilon(purity_measured: float, n_sites: int, n_lost: float, gamma_tol: float = 1e-10) -> float:

@@ -2,13 +2,19 @@
 
 These deliberately avoid the library's reshape/transform code paths:
 the reference partial trace walks matrix elements with explicit bit
-arithmetic, and the reference purity multiplies matrices out.
+arithmetic, the reference purity multiplies matrices out, and the
+two-copy oracles build rho x rho and its projectors as dense Kronecker
+products.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from puritynet.qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity
+from puritynet.states import cat_state
 
 
 def ref_partial_trace(mat: np.ndarray, n: int, keep) -> np.ndarray:
@@ -44,6 +50,114 @@ def ref_purity(mat: np.ndarray) -> float:
 
 def ref_subset_purity(mat: np.ndarray, n: int, subset) -> float:
     return ref_purity(ref_partial_trace(mat, n, subset))
+
+
+def tensor(parts: list[DensityOperator], cap: int | None = None) -> DensityOperator:
+    """Tensor product of density operators, in the given site order.
+
+    The result acts on the concatenation of the parts' sites; its dimension
+    is the product of the part dimensions.  Raises :class:`CapacityError`
+    when the total qubit count exceeds the cap (default
+    ``DEFAULT_QUBIT_CAP``).
+    """
+    if not parts:
+        raise ValueError("tensor() needs at least one factor")
+    n_total = sum(p.n_qubits for p in parts)
+    check_qubit_capacity(n_total, cap)
+    mat = parts[0].matrix
+    for p in parts[1:]:
+        mat = np.kron(mat, p.matrix)
+    return DensityOperator(n_total, mat)
+
+
+def cat_reduced_purity_brute_force(n: int, phi1: PureState, phi2: PureState, m: int) -> float:
+    """Purity of the cat state reduced by m of its n subsystems.
+
+    Builds the state, forms its density matrix and reduces it with
+    :func:`ref_subset_purity`; the closed form's independent check, and
+    the only route for complex overlaps.
+    """
+    psi, _ = cat_state(n, phi1, phi2)
+    mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    if m == 0:
+        return ref_purity(mat)
+    if m == n:
+        return 1.0
+    return ref_subset_purity(mat, n, range(1, n - m + 1))
+
+
+def _swap_operator(site: int, n_sites: int) -> np.ndarray:
+    """Permutation matrix exchanging site ``site`` between the two copies.
+
+    The two-copy basis index is x * 2^N + y with x, y the copy-one and
+    copy-two computational indices.
+    """
+    dim = 4**n_sites
+    bit = 1 << (n_sites - site)
+    op = np.zeros((dim, dim))
+    for x in range(2**n_sites):
+        for y in range(2**n_sites):
+            xs = (x & ~bit) | (y & bit)
+            ys = (y & ~bit) | (x & bit)
+            op[xs * 2**n_sites + ys, x * 2**n_sites + y] = 1.0
+    return op
+
+
+def projector_expectation_oracle(rho: DensityOperator, signs, cap: int = 4) -> float:
+    """Explicit two-copy construction of one joint outcome probability.
+
+    Builds rho x rho and the per-site swap operators V_i, forms
+    prod_i (I + s_i V_i)/2 and returns its expectation.  Dense in
+    dimension 4^N, so limited to small N.
+    """
+    n = rho.n_qubits
+    signs = tuple(signs)
+    if len(signs) != n:
+        raise ValueError(f"sign vector length {len(signs)} does not match {n} sites")
+    if n > cap:
+        raise CapacityError(f"explicit two-copy oracle limited to {cap} sites, got {n}")
+    two = np.kron(rho.matrix, rho.matrix)
+    dim = 4**n
+    proj = np.eye(dim)
+    for site, s in enumerate(signs, start=1):
+        proj = proj @ (np.eye(dim) + s * _swap_operator(site, n)) / 2
+    return float(np.trace(proj @ two).real)
+
+
+@dataclass(frozen=True)
+class TripletSingletWeights:
+    """Weights of the two-boson internal-state channels after the splitter.
+
+    The triplet channels are labelled by the unordered internal-state pair
+    (aa, ab+ba symmetric, bb) in the computational basis of the two copies,
+    with a = |0> and b = |1>; w_singlet is the antisymmetric (ab-ba) weight
+    and equals the pair's P_- outcome probability.
+    """
+
+    w_aa: float
+    w_ab: float
+    w_bb: float
+    w_singlet: float
+
+    def total(self) -> float:
+        return self.w_aa + self.w_ab + self.w_bb + self.w_singlet
+
+
+_TRIPLET_AB = np.array([0, 1, 1, 0]) / np.sqrt(2)
+_SINGLET = np.array([0, 1, -1, 0]) / np.sqrt(2)
+
+
+def triplet_singlet_weights(rho_j: DensityOperator) -> TripletSingletWeights:
+    """Expectations of the four channel projectors on rho_j x rho_j."""
+    if rho_j.n_qubits != 1:
+        raise ValueError("expected a single-qubit state")
+    two = np.kron(rho_j.matrix, rho_j.matrix)
+    return TripletSingletWeights(
+        w_aa=float(two[0, 0].real),
+        w_ab=float(np.vdot(_TRIPLET_AB, two @ _TRIPLET_AB).real),
+        w_bb=float(two[3, 3].real),
+        w_singlet=float(np.vdot(_SINGLET, two @ _SINGLET).real),
+    )
 
 
 def ref_chsh_max_pure(amplitudes) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 from puritynet.bs_network import (
     joint_sign_probabilities,
     pair_projection_probabilities,
-    projector_expectation_oracle,
     purities_from_probabilities,
     sign_vectors,
 )
@@ -39,7 +38,7 @@ from puritynet.lattice import (
     standard_test_states,
     hopping_bs_check,
 )
-from puritynet.qstate import DensityOperator, PureState, random_state, tensor
+from puritynet.qstate import DensityOperator, PureState, random_state
 from puritynet.separability import (
     all_subset_purities,
     check_chain,
@@ -51,14 +50,20 @@ from puritynet.separability import (
 from puritynet.states import (
     ClusterFamilySpec,
     cat_purity_closed_form,
-    cat_reduced_purity_brute_force,
     cluster_family_state,
     collision_phase_state,
     estimate_epsilon,
     ghz,
 )
 
-from conftest import ref_chsh_max_pure, ref_epsilon_resolution, ref_subset_purity
+from conftest import (
+    cat_reduced_purity_brute_force,
+    projector_expectation_oracle,
+    ref_chsh_max_pure,
+    ref_epsilon_resolution,
+    ref_subset_purity,
+    tensor,
+)
 
 
 def report(num, title, ok, detail=""):

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from puritynet.bs_network import (
     JointSignProbabilityTable,
     pair_projection_probabilities,
-    projector_expectation_oracle,
     purities_from_probabilities,
     sign_probabilities_from_purities,
     joint_sign_probabilities,
     sign_vectors,
-    triplet_singlet_weights,
     walsh_hadamard,
 )
 from puritynet.qstate import (
@@ -26,6 +24,8 @@ from puritynet.qstate import (
 )
 from puritynet.separability import SubsetPurityMap, all_subset_purities
 from puritynet.states import ghz
+
+from conftest import projector_expectation_oracle, triplet_singlet_weights
 
 SWAP4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 

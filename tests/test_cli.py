@@ -17,7 +17,9 @@ from puritynet.cli import (
     parse_state_spec,
 )
 from puritynet import bs_network, cli, qstate, separability
-from puritynet.qstate import CapacityError, purity, random_state, tensor
+from puritynet.qstate import CapacityError, purity, random_state
+
+from conftest import tensor
 
 GHZ_SPEC = "statespec v1\nkind = ghz\nn = 3\n"
 PRODUCT_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 0,0\n"
@@ -347,6 +349,13 @@ class TestLatticeValidateCommand:
         out = tmp_path / "x.json"
         assert run("lattice-validate", f"{flag}={bad}", "--out", str(out)) == EXIT_USAGE
         assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, bad", [("--j", "1e308"), ("--u", "1e308"), ("--j", "1e-320")])
+    def test_overflowing_coupling_rejected(self, tmp_path, capsys, flag, bad):
+        out = tmp_path / "x.json"
+        assert run("lattice-validate", f"{flag}={bad}", "--out", str(out)) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_identical(self, tmp_path):

@@ -302,7 +302,7 @@ class TestHoppingBSCheck:
         minima = [baseline]
         for ratio in [0.01, 0.1, 1.0]:
             params = LatticeParams(n_sites=1, U_a=ratio, U_b=ratio, U_ab=ratio)
-            minima.append(hopping_bs_check(params, states, include_interactions=True).min_fidelity)
+            minima.append(hopping_bs_check(params, states).min_fidelity)
         assert all(a >= b - 1e-12 for a, b in zip(minima, minima[1:]))
         assert minima[-1] < baseline - 1e-3
 

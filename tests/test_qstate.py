@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,10 @@ from puritynet.qstate import (
     random_pure_state,
     random_state,
     subset_index,
-    tensor,
     validate,
 )
 
-from conftest import ref_partial_trace, ref_purity
+from conftest import ref_partial_trace, ref_purity, tensor
 
 I2 = DensityOperator.maximally_mixed(1)
 KET0 = DensityOperator(1, np.diag([1.0, 0.0]).astype(complex))
@@ -76,11 +77,13 @@ def test_partial_trace_rejects_bad_subsets():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_partial_trace_matches_reference(seed):
-    rho = random_state(3, 4, seed)
-    for keep in [[1], [2], [3], [1, 2], [1, 3], [2, 3]]:
-        got = partial_trace(rho, keep).matrix
-        want = ref_partial_trace(rho.matrix, 3, keep)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    for n in range(1, 6):
+        rho = random_state(n, min(4, 2**n), seed)
+        for k in range(1, n + 1):
+            for keep in itertools.combinations(range(1, n + 1), k):
+                got = partial_trace(rho, keep).matrix
+                want = ref_partial_trace(rho.matrix, n, keep)
+                np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 @given(st.integers(0, 10**6))

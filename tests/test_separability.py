@@ -11,7 +11,6 @@ from puritynet.qstate import (
     purity,
     random_pure_state,
     random_state,
-    tensor,
 )
 from puritynet.separability import (
     SubsetPurityMap,
@@ -26,7 +25,7 @@ from puritynet.separability import (
 )
 from puritynet.states import ClusterFamilySpec, cluster_family_state, ghz, linear_cluster
 
-from conftest import ref_subset_purity
+from conftest import ref_subset_purity, tensor
 
 
 def all_zero(n):

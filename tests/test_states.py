@@ -10,7 +10,6 @@ from puritynet.states import (
     ClusterFamilySpec,
     InversionError,
     cat_purity_closed_form,
-    cat_reduced_purity_brute_force,
     cat_state,
     cluster_family_state,
     collision_phase_state,
@@ -19,7 +18,7 @@ from puritynet.states import (
     linear_cluster,
 )
 
-from conftest import ref_subset_purity
+from conftest import cat_reduced_purity_brute_force, ref_subset_purity
 
 KET0 = PureState.from_amplitudes([1.0, 0.0])
 KET1 = PureState.from_amplitudes([0.0, 1.0])
