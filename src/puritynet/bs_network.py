@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityOperator, purity, site_mask
+from .qstate import DensityOperator, PureState, purity, site_mask
 from .separability import SubsetPurityMap, all_subset_purities
 
 #: Sign convention: "+" is the symmetric projector (I + V)/2, whose
@@ -125,9 +125,12 @@ def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProb
     return JointSignProbabilityTable(n, walsh_hadamard(purities.values) / 2**n)
 
 
-def joint_sign_probabilities(rho: DensityOperator, cap: int | None = None) -> JointSignProbabilityTable:
-    """Joint +/- outcome probabilities of the N-splitter network on rho x rho."""
-    return sign_probabilities_from_purities(all_subset_purities(rho, cap=cap))
+def joint_sign_probabilities(
+    state: PureState | DensityOperator, cap: int | None = None
+) -> JointSignProbabilityTable:
+    """Joint +/- outcome probabilities of the N-splitter network on two copies
+    of ``state``; a pure state is read from its amplitudes alone."""
+    return sign_probabilities_from_purities(all_subset_purities(state, cap=cap))
 
 
 def purities_from_probabilities(table: JointSignProbabilityTable, norm_atol: float = 1e-8) -> SubsetPurityMap:

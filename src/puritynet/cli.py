@@ -26,6 +26,8 @@ import numpy as np
 from . import __version__
 from .bs_network import pair_projection_probabilities, sign_probabilities_from_purities, sign_vectors
 from .lattice import (
+    COUPLING_MAX,
+    COUPLING_MIN,
     FockState,
     LatticeParams,
     build_fock_basis,
@@ -56,12 +58,6 @@ EXIT_INVERSION = 4
 EXIT_IO = 5
 
 SPEC_HEADER = "statespec v1"
-
-#: Accepted range of ``lattice-validate --j`` and of ``|--u|``.  Past it
-#: float64 overflows: t_bs = pi/(4J) for J below ~1e-308, the hopping
-#: energies for J near 1e308, and the phase U t_bs as U/J nears 1e308.
-#: Inside it every energy and phase stays below 1e200.
-COUPLING_MIN, COUPLING_MAX = 1e-100, 1e100
 
 #: The fields each state kind takes besides ``kind``; any other is an error.
 SPEC_FIELDS = {
@@ -173,15 +169,20 @@ def _raw_qubits(dim: int, cap: int | None) -> int:
     return n
 
 
-def parse_state_spec(text: str, source: str = "inline", cap: int | None = None) -> tuple[DensityOperator, dict]:
-    """Parse the key-value state grammar into a density operator.
+def parse_state_spec(
+    text: str, source: str = "inline", cap: int | None = None
+) -> tuple[PureState | DensityOperator, dict]:
+    """Parse the key-value state grammar into a state.
 
     Format: a ``statespec v1`` header line, then ``key = value`` lines;
     ``#`` starts a comment.  Each key may appear once, and only the keys
     of ``SPEC_FIELDS`` for the given kind are accepted.  The site count of
     every kind is checked against the qubit cap (default
     ``DEFAULT_QUBIT_CAP``) before the state is built.  Returns the state
-    and an echo dict for reports.
+    and an echo dict for reports.  Every kind but ``raw`` with ``matrix``
+    describes a pure state and yields a :class:`PureState` (2^N
+    amplitudes); a raw ``matrix`` yields a :class:`DensityOperator`.  No
+    pure kind ever builds the 4^N density matrix.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -215,15 +216,14 @@ def parse_state_spec(text: str, source: str = "inline", cap: int | None = None) 
             raise SpecParseError(f"field {key!r} is not a valid {convert.__name__}: {fields[key]!r}") from exc
 
     if kind == "ghz":
-        state = ghz(need("n", int), cap).to_density()
+        state = ghz(need("n", int), cap)
     elif kind == "cluster_family":
         n, phi = need("n", int), need("phi", float)
-        state = cluster_family_state(ClusterFamilySpec(n, phi), cap).to_density()
+        state = cluster_family_state(ClusterFamilySpec(n, phi), cap)
         echo["phi"] = phi
     elif kind == "cat":
         n = need("n", int)
-        psi, cat = cat_state(n, _parse_bloch(need("phi1")), _parse_bloch(need("phi2")), cap)
-        state = psi.to_density()
+        state, cat = cat_state(n, _parse_bloch(need("phi1")), _parse_bloch(need("phi2")), cap)
         echo["epsilon"] = cat.epsilon
     elif kind == "product":
         qubits = [q.strip() for q in need("qubits").split(";") if q.strip()]
@@ -233,7 +233,7 @@ def parse_state_spec(text: str, source: str = "inline", cap: int | None = None) 
         amps = _parse_bloch(qubits[0]).amplitudes
         for q in qubits[1:]:
             amps = np.kron(amps, _parse_bloch(q).amplitudes)
-        state = PureState.from_amplitudes(amps).to_density()
+        state = PureState.from_amplitudes(amps)
     else:  # raw
         if "amplitudes" in fields and "matrix" in fields:
             raise SpecParseError("kind 'raw' takes 'amplitudes' or 'matrix', not both")
@@ -243,7 +243,7 @@ def parse_state_spec(text: str, source: str = "inline", cap: int | None = None) 
             norm = np.linalg.norm(amps)
             if abs(norm - 1.0) > 1e-6:
                 raise SpecParseError(f"raw amplitudes have norm {norm!r}, more than 1e-6 from 1")
-            state = PureState(n, amps / norm).to_density()
+            state = PureState(n, amps / norm)
         elif "matrix" in fields:
             rows = [_parse_complex_list(r) for r in fields["matrix"].split(";")]
             mat = np.array(rows)
@@ -325,10 +325,10 @@ def run_probe(args) -> int:
         with open(args.spec) as fh:
             text = fh.read()
         source = args.spec
-    rho, echo = parse_state_spec(text, source, cap=args.qubit_cap)
-    n = rho.n_qubits
+    state, echo = parse_state_spec(text, source, cap=args.qubit_cap)
+    n = state.n_qubits
 
-    purities = all_subset_purities(rho, cap=args.qubit_cap)
+    purities = all_subset_purities(state, cap=args.qubit_cap)
     if args.chains:
         chains = parse_chains(args.chains, n)
     elif n == 1:

@@ -45,6 +45,12 @@ from .qstate import CapacityError, DensityOperator
 #: Default bound on the Fock-basis dimension.
 DEFAULT_FOCK_CAP = 200_000
 
+#: Accepted range of the hopping energy J and of |U_a|, |U_b|, |U_ab|.
+#: Past it float64 overflows: t_bs = pi/(4J) for J below ~1e-308, the
+#: hopping energies for J near 1e308, and the phase U t_bs as U/J nears
+#: 1e308.  Inside it every energy and phase stays below 1e200.
+COUPLING_MIN, COUPLING_MAX = 1e-100, 1e100
+
 ROWS = ("I", "II")
 INTERNALS = ("a", "b")
 
@@ -59,8 +65,9 @@ class LatticeParams:
     """Couplings and timings of the two-row lattice.
 
     ``t_bs`` defaults to pi/(4 J), the hold time that realizes the 50/50
-    splitter.  ``theta`` is defined when all three interaction strengths
-    coincide.
+    splitter.  ``J`` and the interaction strengths must lie in the
+    coupling range (``COUPLING_MIN``, ``COUPLING_MAX``).  ``theta`` is
+    defined when all three interaction strengths coincide.
     """
 
     n_sites: int
@@ -78,8 +85,12 @@ class LatticeParams:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.J <= 0:
-            raise ValueError("hopping energy J must be positive")
+        if not COUPLING_MIN <= self.J <= COUPLING_MAX:
+            raise ValueError(f"J must lie in [{COUPLING_MIN:g}, {COUPLING_MAX:g}], got {self.J}")
+        for name in ("U_a", "U_b", "U_ab"):
+            value = getattr(self, name)
+            if abs(value) > COUPLING_MAX:
+                raise ValueError(f"{name} must lie in [-{COUPLING_MAX:g}, {COUPLING_MAX:g}], got {value}")
 
     @property
     def t_bs(self) -> float:

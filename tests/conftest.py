@@ -18,27 +18,33 @@ from puritynet.states import cat_state
 
 
 def ref_partial_trace(mat: np.ndarray, n: int, keep) -> np.ndarray:
-    """Elementwise partial trace.  keep: 1-based site labels, site 1 = MSB."""
+    """Elementwise partial trace.  keep: 1-based site labels, site 1 = MSB.
+
+    A full index is the OR of the bits its kept and its traced sites set,
+    so the index part of every kept and every traced bit pattern is built
+    once, bit by bit, and each output element sums single matrix entries.
+    """
     keep = sorted(keep)
     traced = [s for s in range(1, n + 1) if s not in keep]
-    k = len(keep)
-    out = np.zeros((2**k, 2**k), dtype=complex)
 
-    def full_index(keep_bits, traced_bits):
-        idx = 0
-        kb, tb = dict(zip(keep, keep_bits)), dict(zip(traced, traced_bits))
-        for site in range(1, n + 1):
-            idx = (idx << 1) | (kb[site] if site in kb else tb[site])
-        return idx
+    def index_parts(sites):
+        # pattern bit i (from the most significant) belongs to sites[i]
+        parts = []
+        for pattern in range(2 ** len(sites)):
+            idx = 0
+            for i, site in enumerate(sites):
+                if (pattern >> (len(sites) - 1 - i)) & 1:
+                    idx |= 1 << (n - site)
+            parts.append(idx)
+        return parts
 
-    for a in range(2**k):
-        a_bits = [(a >> (k - 1 - i)) & 1 for i in range(k)]
-        for b in range(2**k):
-            b_bits = [(b >> (k - 1 - i)) & 1 for i in range(k)]
+    kept_parts, traced_parts = index_parts(keep), index_parts(traced)
+    out = np.zeros((len(kept_parts), len(kept_parts)), dtype=complex)
+    for a, row in enumerate(kept_parts):
+        for b, col in enumerate(kept_parts):
             acc = 0.0 + 0.0j
-            for t in range(2 ** len(traced)):
-                t_bits = [(t >> (len(traced) - 1 - i)) & 1 for i in range(len(traced))]
-                acc += mat[full_index(a_bits, t_bits), full_index(b_bits, t_bits)]
+            for t in traced_parts:
+                acc += mat[row | t, col | t]
             out[a, b] = acc
     return out
 

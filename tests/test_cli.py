@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from puritynet.cli import (
     parse_state_spec,
 )
 from puritynet import bs_network, cli, qstate, separability
-from puritynet.qstate import CapacityError, purity, random_state
+from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
 
 from conftest import tensor
 
@@ -41,29 +42,29 @@ def run(*argv):
 
 class TestStateSpecParsing:
     def test_ghz(self):
-        rho, echo = parse_state_spec(GHZ_SPEC)
+        state, echo = parse_state_spec(GHZ_SPEC)
         assert echo["kind"] == "ghz" and echo["n_sites"] == 3
-        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
+        assert purity(state.to_density()) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_bloch_angles(self):
-        rho, _ = parse_state_spec(PRODUCT_SPEC)
-        assert rho.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        state, _ = parse_state_spec(PRODUCT_SPEC)
+        assert state.to_density().matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cluster_family(self):
-        rho, echo = parse_state_spec("statespec v1\nkind = cluster_family\nn = 2\nphi = 3.141592653589793\n")
+        state, echo = parse_state_spec("statespec v1\nkind = cluster_family\nn = 2\nphi = 3.141592653589793\n")
         assert echo["phi"] == pytest.approx(math.pi)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
+        assert purity(state.to_density()) == pytest.approx(1.0, abs=1e-12)
 
     def test_cat_with_bloch_angles(self):
         text = "statespec v1\nkind = cat\nn = 3\nphi1 = 0,0\nphi2 = 3.141592653589793,0\n"
-        rho, echo = parse_state_spec(text)
+        _, echo = parse_state_spec(text)
         assert echo["epsilon"] == pytest.approx(1.0, abs=1e-9)
 
     def test_raw_amplitudes_renormalized_within_tolerance(self):
         amps = np.array([1, 0, 0, 1]) / math.sqrt(2) * (1 + 5e-7)
         text = "statespec v1\nkind = raw\namplitudes = " + " ".join(str(complex(a)) for a in amps)
-        rho, _ = parse_state_spec(text)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-10)
+        state, _ = parse_state_spec(text)
+        assert purity(state.to_density()) == pytest.approx(1.0, abs=1e-10)
 
     def test_raw_amplitudes_rejected_when_norm_off(self):
         with pytest.raises(SpecParseError, match="norm"):
@@ -95,8 +96,8 @@ class TestStateSpecParsing:
             parse_state_spec("statespec v1\nkind = cluster_family\nn = 2\n")
 
     def test_comments_and_blank_lines(self):
-        rho, _ = parse_state_spec("statespec v1\n# a comment\n\nkind = ghz\nn = 2\n")
-        assert rho.n_qubits == 2
+        state, _ = parse_state_spec("statespec v1\n# a comment\n\nkind = ghz\nn = 2\n")
+        assert state.n_qubits == 2
 
     @pytest.mark.parametrize(
         "body, message",
@@ -140,8 +141,14 @@ class TestStateSpecParsing:
             parse_state_spec(f"statespec v1\n{body}\n", cap=2)
         # an explicit cap above the default is honoured too
         monkeypatch.setattr(qstate, "DEFAULT_QUBIT_CAP", 2)
-        rho, _ = parse_state_spec(f"statespec v1\n{body}\n", cap=3)
-        assert rho.n_qubits == 3
+        state, _ = parse_state_spec(f"statespec v1\n{body}\n", cap=3)
+        assert state.n_qubits == 3
+
+    @pytest.mark.parametrize("body", THREE_SITE_SPECS.values(), ids=THREE_SITE_SPECS.keys())
+    def test_only_raw_matrix_parses_to_a_density_operator(self, body):
+        state, _ = parse_state_spec(f"statespec v1\n{body}\n")
+        expected = DensityOperator if "matrix" in body else PureState
+        assert type(state) is expected
 
     def test_parse_chains(self):
         chains = parse_chains("1,2,3>1,2>1;1,2>2", 3)
@@ -253,6 +260,17 @@ class TestProbeCommand:
             monkeypatch.setattr(module, "all_subset_purities", counting)
         assert run("probe", "--spec-text", GHZ_SPEC, "--out", str(tmp_path / "x.json")) == EXIT_OK
         assert len(calls) == 1
+
+    def test_pure_spec_never_builds_the_dense_matrix(self, tmp_path):
+        # the 4^12 density matrix alone would take 256 MiB
+        spec = "statespec v1\nkind = ghz\nn = 12\n"
+        tracemalloc.start()
+        try:
+            assert run("probe", "--spec-text", spec, "--out", str(tmp_path / "x.json")) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_non_finite_threshold_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.json"

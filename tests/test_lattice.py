@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from puritynet.lattice import (
+    COUPLING_MAX,
+    COUPLING_MIN,
     INTERNALS,
     ROWS,
     CapacityError,
@@ -151,6 +154,36 @@ class TestHamiltonians:
     def test_params_must_be_finite(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             LatticeParams(n_sites=1, **{name: bad})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: LatticeParams(n_sites=1, J=1e-320).t_bs,
+            lambda: hopping_bs_check(
+                LatticeParams(n_sites=1, J=1e-307, U_a=1e100, U_b=1e100, U_ab=1e100), standard_test_states()
+            ),
+        ],
+        ids=["t_bs-inf", "propagator-phase-overflow"],
+    )
+    def test_overflowing_coupling_rejected_without_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^J must lie in"):
+                call()
+
+    @pytest.mark.parametrize("name", ["U_a", "U_b", "U_ab"])
+    @pytest.mark.parametrize("bad", [1.1e100, -1e101])
+    def test_interaction_outside_coupling_range(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            LatticeParams(n_sites=1, **{name: bad})
+
+    @pytest.mark.parametrize("J", [COUPLING_MIN, COUPLING_MAX])
+    @pytest.mark.parametrize("U", [-COUPLING_MAX, COUPLING_MAX])
+    def test_coupling_range_edges_run_without_warning(self, J, U):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = hopping_bs_check(LatticeParams(n_sites=1, J=J, U_a=U, U_b=U, U_ab=U), standard_test_states())
+        assert all(math.isfinite(f) for f in report.fidelities)
 
 
 class TestPropagator:

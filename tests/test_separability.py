@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puritynet.cli import parse_state_spec
 from puritynet.qstate import (
+    CapacityError,
     DensityOperator,
     PureState,
     purity,
@@ -87,6 +89,50 @@ class TestAllSubsetPurities:
         pm = SubsetPurityMap(2, {(1,): 0.25, (2,): 0.5, (1, 2): 0.75})
         np.testing.assert_array_equal(pm.values, [1.0, 0.5, 0.25, 0.75])
         assert SubsetPurityMap(2, pm.values).entries == pm.entries
+
+
+def family_states(n):
+    """One pure state of every spec family at n sites, parsed from its spec."""
+    bodies = {
+        "product": "kind = product\nqubits = " + "; ".join(f"{0.3 * k},{1.1 * k}" for k in range(n)),
+        "raw-amplitudes": "kind = raw\namplitudes = "
+        + " ".join(str(complex(a)) for a in random_pure_state(n, n).amplitudes),
+    }
+    if n >= 2:
+        bodies["ghz"] = f"kind = ghz\nn = {n}"
+        bodies["cluster_family"] = f"kind = cluster_family\nn = {n}\nphi = 1.0"
+        bodies["cat"] = f"kind = cat\nn = {n}\nphi1 = 0.4,0.2\nphi2 = 2.1,1.3"
+    return {kind: parse_state_spec(f"statespec v1\n{body}\n")[0] for kind, body in bodies.items()}
+
+
+class TestPureSubsetPurities:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_reference_oracle(self, n):
+        states = [random_pure_state(n, seed) for seed in range(4)] + list(family_states(n).values())
+        for psi in states:
+            assert isinstance(psi, PureState)
+            pm = all_subset_purities(psi)
+            mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
+            for subset in pm.subsets():
+                assert pm.purity(subset) == pytest.approx(ref_subset_purity(mat, n, subset), abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_depth_first_table(self, n):
+        states = {f"random-{seed}": random_pure_state(n, seed) for seed in range(2)} | family_states(n)
+        for name, psi in states.items():
+            pure = all_subset_purities(psi).values
+            dense = all_subset_purities(psi.to_density()).values
+            np.testing.assert_allclose(pure, dense, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_complements_share_one_purity(self):
+        pm = all_subset_purities(random_pure_state(6, 3))
+        full = 2**6 - 1
+        assert pm.values[full] == 1.0
+        np.testing.assert_array_equal(pm.values, pm.values[full ^ np.arange(full + 1)])
+
+    def test_capacity_checked(self):
+        with pytest.raises(CapacityError):
+            all_subset_purities(random_pure_state(3, 0), cap=2)
 
 
 class TestCheckChain:
