@@ -17,14 +17,16 @@ byte-identical.  Exit codes: 0 success, 2 usage or spec parse error,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import itertools
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from . import __version__
-from .bs_network import pair_projection_probabilities, sign_probabilities_from_purities, sign_vectors
+from .bs_network import pair_projection_probabilities, sign_probabilities_from_purities
 from .lattice import (
     COUPLING_MAX,
     COUPLING_MIN,
@@ -83,36 +85,49 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def json_text(obj, indent: int = 0) -> str:
+def json_text(obj) -> str:
     """Minimal JSON writer with 17-significant-digit floats.
 
     The stdlib encoder offers no hook for float formatting, and shortest
     round-trip reprs are not what the byte-identity contract asks for.
+    Everything else is laid out as ``json.dumps(obj, indent=2)`` would.
     Raises ValueError on NaN or infinity, which JSON cannot represent.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {json_text(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    parts: list[str] = []
+    _render(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _render(obj, newline: str, out: list[str]) -> None:
+    """Append the parts of ``obj`` to ``out``; ``newline`` ends in its indent."""
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        out.append(format_float(obj))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        inner, sep = newline + "  ", "{"
+        for key, value in obj.items():
+            out += (sep, inner, _quote(str(key)), ": ")
+            _render(value, inner, out)
+            sep = ","
+        out += (newline, "}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for value in obj:
+            out += (sep, inner)
+            _render(value, inner, out)
+            sep = ","
+        out += (newline, "]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def write_json(path: str, obj) -> None:
@@ -147,14 +162,14 @@ def _parse_bloch(text: str) -> PureState:
     )
 
 
-def _parse_complex_list(text: str) -> np.ndarray:
-    items = text.replace(",", " ").split()
+def _complex_literals(tokens: list[str], field: str) -> np.ndarray:
+    """Convert every literal of a raw field in one pass; all must be finite."""
     try:
-        values = np.array([complex(v) for v in items])
+        values = np.fromiter(map(complex, tokens), complex, len(tokens))
     except ValueError as exc:
-        raise SpecParseError(f"bad complex literal in {text!r}") from exc
-    if not np.all(np.isfinite(values)):
-        raise SpecParseError(f"non-finite complex literal in {text!r}")
+        raise SpecParseError(f"bad complex literal in field {field!r}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise SpecParseError(f"non-finite complex literal in field {field!r}")
     return values
 
 
@@ -238,18 +253,24 @@ def parse_state_spec(
         if "amplitudes" in fields and "matrix" in fields:
             raise SpecParseError("kind 'raw' takes 'amplitudes' or 'matrix', not both")
         if "amplitudes" in fields:
-            amps = _parse_complex_list(fields["amplitudes"])
-            n = _raw_qubits(amps.size, cap)
+            tokens = fields["amplitudes"].replace(",", " ").split()
+            n = _raw_qubits(len(tokens), cap)
+            amps = _complex_literals(tokens, "amplitudes")
             norm = np.linalg.norm(amps)
             if abs(norm - 1.0) > 1e-6:
                 raise SpecParseError(f"raw amplitudes have norm {norm!r}, more than 1e-6 from 1")
             state = PureState(n, amps / norm)
         elif "matrix" in fields:
-            rows = [_parse_complex_list(r) for r in fields["matrix"].split(";")]
-            mat = np.array(rows)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise SpecParseError(f"raw matrix is not square: shape {mat.shape}")
-            n = _raw_qubits(mat.shape[0], cap)
+            rows = fields["matrix"].split(";")
+            check_qubit_capacity(len(rows).bit_length() - 1, cap)  # before any row is read
+            rows = [r.replace(",", " ").split() for r in rows]
+            for i, row in enumerate(rows, start=1):
+                if len(row) != len(rows[0]):
+                    raise SpecParseError(f"raw matrix row {i} has {len(row)} entries, row 1 has {len(rows[0])}")
+            n = _raw_qubits(len(rows), cap)
+            if len(rows[0]) != len(rows):
+                raise SpecParseError(f"raw matrix is not square: {len(rows)} rows of {len(rows[0])} entries")
+            mat = _complex_literals(list(itertools.chain.from_iterable(rows)), "matrix").reshape(len(rows), -1)
             tr = mat.trace()
             if abs(tr - 1.0) > 1e-6:
                 raise SpecParseError(f"raw matrix trace {tr!r} more than 1e-6 from 1")
@@ -289,8 +310,18 @@ def _subset_key(subset) -> str:
     return ",".join(str(s) for s in subset)
 
 
-def _sign_key(signs) -> str:
-    return "".join("+" if s == 1 else "-" for s in signs)
+def _subset_order(n: int) -> tuple[list[str], np.ndarray]:
+    """Keys and bitmasks of the nonempty subsets of 1..n in report order.
+
+    Keys are built in mask order, site s entering as the new top bit.  Site
+    1 is the top bit, so within one size lexicographic order is falling mask
+    order."""
+    keys, size = [""], np.zeros(1, dtype=int)
+    for s in range(n, 0, -1):
+        keys += [f"{s},{k}" if k else str(s) for k in keys]
+        size = np.concatenate([size, size + 1])
+    order = np.lexsort((-np.arange(2**n), size))[1:]
+    return [keys[m] for m in order], order
 
 
 def _chain_report_dict(report) -> dict:
@@ -341,14 +372,16 @@ def run_probe(args) -> int:
     table = sign_probabilities_from_purities(purities)
 
     entangled = any(r.entangled for r in reports)
+    keys, order = _subset_order(n)
     report = {
         "tool": "puritynet",
         "version": __version__,
         "input": {**echo, "text": text},
         "seed": None,
         "threshold": args.threshold,
-        "purities": {_subset_key(s): purities.purity(s) for s in purities.subsets()},
-        "sign_probabilities": {_sign_key(s): p for s, p in zip(sign_vectors(n), table.values.tolist())},
+        "purities": dict(zip(keys, purities.values[order].tolist())),
+        # sign table index = mask of the "-" sites, site 1 the top bit
+        "sign_probabilities": dict(zip(map("".join, itertools.product("+-", repeat=n)), table.values.tolist())),
         "chains": [_chain_report_dict(r) for r in reports],
         "max_violation": max((r.max_violation for r in reports), default=0.0),
         "verdict": "entangled_detected" if entangled else "no_violation",
@@ -550,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--threshold", type=float, default=VIOLATION_THRESHOLD)
     probe.add_argument("--qubit-cap", type=int, default=None)
     probe.add_argument("--out", required=True)
-    probe.set_defaults(handler=run_probe)
+    probe.set_defaults(handler="run_probe")
 
     fig2a = sub.add_parser("fig2a", help="three-site violation curves (CSV)")
     fig2a.add_argument("--n", type=int, default=3)
@@ -562,14 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="interpolating family: controlled-phase dynamics or two-term superposition",
     )
     fig2a.add_argument("--out", required=True)
-    fig2a.set_defaults(handler=run_fig2a)
+    fig2a.set_defaults(handler="run_fig2a")
 
     fig2b = sub.add_parser("fig2b", help="reduced cat-state purity vs epsilon (CSV)")
     fig2b.add_argument("--n", type=int, default=300)
     fig2b.add_argument("--m", default="1,7,14,20", help="comma-separated reduction counts")
     fig2b.add_argument("--points", type=int, default=101)
     fig2b.add_argument("--out", required=True)
-    fig2b.set_defaults(handler=run_fig2b)
+    fig2b.set_defaults(handler="run_fig2b")
 
     lat = sub.add_parser("lattice-validate", help="splitter timing and phase checks")
     lat.add_argument("--j", type=float, default=1.0)
@@ -577,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     lat.add_argument("--seed", type=int, default=0)
     lat.add_argument("--end-to-end-states", type=int, default=10)
     lat.add_argument("--out", required=True)
-    lat.set_defaults(handler=run_lattice_validate)
+    lat.set_defaults(handler="run_lattice_validate")
 
     cat = sub.add_parser("cat-experiment", help="distinctness estimation under loss")
     cat.add_argument("--n", type=int, default=300)
@@ -586,15 +619,19 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--runs", type=int, default=1000)
     cat.add_argument("--seed", type=int, default=0)
     cat.add_argument("--out", required=True)
-    cat.set_defaults(handler=run_cat_experiment)
+    cat.set_defaults(handler="run_cat_experiment")
     return parser
 
 
+#: ``parse_args`` leaves the parser unchanged, so one serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up at call time, so a replaced handler is the one that runs
+        return globals()[args.handler](args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puritynet.cli import (
     EXIT_CAPACITY,
@@ -109,6 +115,8 @@ class TestStateSpecParsing:
             pytest.param("kind = raw\namplitudes = 1 0\nmatrix = 1 0;0 0", "not both", id="raw-both"),
             pytest.param("kind = raw\nmatrix = 1+0j", "at least one site", id="raw-1x1"),
             pytest.param("kind = raw\namplitudes = 1+0j", "at least one site", id="raw-one-amplitude"),
+            pytest.param("kind = raw\nmatrix = 1 0 0 0;0 0 0 0", "not square: 2 rows of 4", id="raw-2x4"),
+            pytest.param("kind = raw\nmatrix = 1 x;0 0", "bad complex literal in field 'matrix'", id="raw-bad-literal"),
         ],
     )
     def test_strict_grammar_names_the_bad_input(self, body, message):
@@ -155,7 +163,37 @@ class TestStateSpecParsing:
         assert chains == [((1, 2, 3), (1, 2), (1,)), ((1, 2), (2,))]
 
 
+#: Strings that need escaping: quotes, backslashes, control and non-ASCII characters.
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u2028\u2603\U0001f600') | st.characters())
+_SCALARS = st.none() | st.booleans() | st.integers() | _TEXT
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4))
+
+
+def _seventeen_digits(obj):
+    """``obj`` with every float rounded to the 17 significant digits written."""
+    if isinstance(obj, float):
+        return float(format(obj, ".17g"))
+    if isinstance(obj, list):
+        return [_seventeen_digits(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _seventeen_digits(v) for k, v in obj.items()}
+    return obj
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(_trees(_SCALARS))
+    def test_float_free_text_matches_the_stdlib(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_trees(_SCALARS | st.floats(allow_nan=False, allow_infinity=False)))
+    def test_floats_parse_back_at_17_digits(self, obj):
+        assert json.loads(json_text(obj)) == _seventeen_digits(obj)
+
     def test_float_17_digits(self):
         assert format_float(1 / 3) == "0.33333333333333331"
         assert format_float(0.5) == "0.5"
@@ -290,6 +328,31 @@ class TestProbeCommand:
         assert run("probe", "--spec-text", spec, "--out", str(tmp_path / "x.json")) == EXIT_USAGE
         assert "at least one site" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("matrix", ";".join([" ".join(["bad"] * 32)] * 32)), ("amplitudes", " ".join(["bad"] * 32))],
+        ids=["matrix", "amplitudes"],
+    )
+    def test_qubit_cap_is_checked_before_the_literals(self, tmp_path, capsys, field, value):
+        # five sites of literals that do not parse: the cap decides first
+        out = tmp_path / "x.json"
+        spec = f"statespec v1\nkind = raw\n{field} = {value}\n"
+        assert run("probe", "--spec-text", spec, "--qubit-cap", "4", "--out", str(out)) == EXIT_CAPACITY
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [("0.5 0; 0", "row 2 has 1 entries"), ("0.5 0;0 0.5;", "row 3 has 0 entries")],
+        ids=["short-row", "trailing-semicolon"],
+    )
+    def test_ragged_matrix_names_the_row(self, tmp_path, capsys, matrix, message):
+        out = tmp_path / "x.json"
+        spec = f"statespec v1\nkind = raw\nmatrix = {matrix}\n"
+        assert run("probe", "--spec-text", spec, "--out", str(out)) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("probe", "--spec-text", GHZ_SPEC, "--out", str(a))
@@ -418,3 +481,37 @@ class TestCatExperimentCommand:
         assert (
             run("cat-experiment", "--epsilon", "1.5", "--out", str(tmp_path / "x.json")) == EXIT_USAGE
         )
+
+
+class TestOneParserPerProcess:
+    """``main`` reuses one argument parser, so no call may see another's
+    options or defaults."""
+
+    def test_in_process_calls_match_fresh_interpreters(self, tmp_path, capsys):
+        commands = [
+            ["probe", "--spec-text", GHZ_SPEC, "--chains", "1,2,3>2,3>3", "--out", "{out}.json"],
+            ["probe", "--spec-text", GHZ_SPEC, "--chains", "1,2>1", "--threshold", "0.5", "--out"],
+            ["probe", "--spec-text", GHZ_SPEC, "--out", "{out}.json"],
+            ["fig2a", "--points", "5", "--out", "{out}.csv"],
+            ["lattice-validate", "--end-to-end-states", "2", "--out", "{out}.json"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for k, argv in enumerate(commands):
+            here = [a.format(out=tmp_path / f"in{k}") for a in argv]
+            alone = [a.format(out=tmp_path / f"alone{k}") for a in argv]
+            try:
+                code = main(here)
+            except SystemExit as exc:  # the argparse usage error
+                code = exc.code
+            err = capsys.readouterr().err
+            fresh = subprocess.run(
+                [sys.executable, "-m", "puritynet", *alone], env=env, capture_output=True, text=True
+            )
+            assert (code, err) == (fresh.returncode, fresh.stderr)
+            if code == EXIT_OK:
+                assert Path(here[-1]).read_bytes() == Path(alone[-1]).read_bytes()
+
+    def test_a_replaced_handler_is_the_one_that_runs(self, tmp_path, monkeypatch):
+        assert run("fig2a", "--points", "3", "--out", str(tmp_path / "x.csv")) == EXIT_OK
+        monkeypatch.setattr(cli, "run_fig2a", lambda args: 42)
+        assert run("fig2a", "--points", "3", "--out", str(tmp_path / "x.csv")) == 42
