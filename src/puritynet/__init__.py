@@ -51,7 +51,6 @@ from .lattice import (
     build_fock_basis,
     build_hamiltonians,
     embed_two_copies,
-    evolve,
     hopping_bs_check,
     interaction_phase_check,
     occupancy_probabilities,

@@ -25,6 +25,9 @@ import numpy as np
 from .qstate import DensityOperator, PureState, purity, site_mask
 from .separability import SubsetPurityMap, all_subset_purities
 
+#: How far from 1 a probability table may sum and still be inverted.
+NORM_ATOL = 1e-8
+
 #: Sign convention: "+" is the symmetric projector (I + V)/2, whose
 #: expectation on rho x rho is (1 + tr rho^2)/2.
 
@@ -125,26 +128,24 @@ def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProb
     return JointSignProbabilityTable(n, walsh_hadamard(purities.values) / 2**n)
 
 
-def joint_sign_probabilities(
-    state: PureState | DensityOperator, cap: int | None = None
-) -> JointSignProbabilityTable:
+def joint_sign_probabilities(state: PureState | DensityOperator) -> JointSignProbabilityTable:
     """Joint +/- outcome probabilities of the N-splitter network on two copies
     of ``state``; a pure state is read from its amplitudes alone."""
-    return sign_probabilities_from_purities(all_subset_purities(state, cap=cap))
+    return sign_probabilities_from_purities(all_subset_purities(state))
 
 
-def purities_from_probabilities(table: JointSignProbabilityTable, norm_atol: float = 1e-8) -> SubsetPurityMap:
+def purities_from_probabilities(table: JointSignProbabilityTable) -> SubsetPurityMap:
     """Invert the joint probability table back to subset purities.
 
     purity(rho_T) = sum_s (prod_{i in T} s_i) P_s; the transform is its own
     inverse up to normalization.  Rejects tables whose entries do not sum
-    to 1 within ``norm_atol``, reporting the deficit.
+    to 1 within ``NORM_ATOL``, reporting the deficit.
     """
     total = table.total()
-    if abs(total - 1.0) > norm_atol:
+    if abs(total - 1.0) > NORM_ATOL:
         raise ValueError(
             f"probability table sums to {total!r}, deficit {1.0 - total:+.3e} "
-            f"exceeds tolerance {norm_atol}"
+            f"exceeds tolerance {NORM_ATOL}"
         )
     back = walsh_hadamard(table.values)
     back[0] = 1.0  # the empty subset is the sentinel, not the measured total

@@ -44,6 +44,7 @@ from .lattice import (
 )
 from .qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity, random_state, validate
 from .separability import (
+    PURITY_ERROR,
     VIOLATION_THRESHOLD,
     all_subset_purities,
     check_chain,
@@ -60,6 +61,10 @@ EXIT_INVERSION = 4
 EXIT_IO = 5
 
 SPEC_HEADER = "statespec v1"
+
+#: Most grid points ``fig2a`` and ``fig2b`` accept; README "Command line"
+#: gives the time and memory each command takes at this bound.
+MAX_POINTS = 100_000
 
 #: The fields each state kind takes besides ``kind``; any other is an error.
 SPEC_FIELDS = {
@@ -350,6 +355,11 @@ def _chain_report_dict(report) -> dict:
 def run_probe(args) -> int:
     if not math.isfinite(args.threshold):
         raise SpecParseError(f"--threshold must be finite, got {args.threshold}")
+    if args.threshold < PURITY_ERROR:
+        # below the purities' own rounding error, separable states would read as entangled
+        raise SpecParseError(
+            f"--threshold must be at least {PURITY_ERROR:g}, the arithmetic error of a purity, got {args.threshold}"
+        )
     if args.spec_text is not None:
         text, source = args.spec_text, "inline"
     else:
@@ -393,6 +403,8 @@ def run_probe(args) -> int:
 def _require_points(args) -> None:
     if args.points < 1:
         raise SpecParseError(f"--points must be at least 1, got {args.points}")
+    if args.points > MAX_POINTS:
+        raise CapacityError(f"--points {args.points} is beyond the cap of {MAX_POINTS}")
 
 
 def run_fig2a(args) -> int:

@@ -62,12 +62,11 @@ def mode_index(site: int, row: str, internal: str) -> int:
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Couplings and timings of the two-row lattice.
+    """Couplings of the two-row lattice.
 
-    ``t_bs`` defaults to pi/(4 J), the hold time that realizes the 50/50
-    splitter.  ``J`` and the interaction strengths must lie in the
-    coupling range (``COUPLING_MIN``, ``COUPLING_MAX``).  ``theta`` is
-    defined when all three interaction strengths coincide.
+    ``t_bs`` is pi/(4 J), the hold time that realizes the 50/50 splitter.
+    ``J`` and the interaction strengths must lie in the coupling range
+    (``COUPLING_MIN``, ``COUPLING_MAX``).
     """
 
     n_sites: int
@@ -75,15 +74,13 @@ class LatticeParams:
     U_a: float = 0.0
     U_b: float = 0.0
     U_ab: float = 0.0
-    tau: float = 0.0
-    T_bs: float | None = None
 
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("need at least one site column")
-        for name in ("J", "U_a", "U_b", "U_ab", "tau", "T_bs"):
+        for name in ("J", "U_a", "U_b", "U_ab"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not COUPLING_MIN <= self.J <= COUPLING_MAX:
             raise ValueError(f"J must lie in [{COUPLING_MIN:g}, {COUPLING_MAX:g}], got {self.J}")
@@ -94,17 +91,11 @@ class LatticeParams:
 
     @property
     def t_bs(self) -> float:
-        return math.pi / (4 * self.J) if self.T_bs is None else self.T_bs
+        return math.pi / (4 * self.J)
 
     @property
     def n_modes(self) -> int:
         return 4 * self.n_sites
-
-    @property
-    def theta(self) -> float:
-        if not (self.U_a == self.U_b == self.U_ab):
-            raise ValueError("theta = U*tau is defined only for equal interaction strengths")
-        return self.U_a * self.tau
 
 
 @dataclass(frozen=True)
@@ -143,19 +134,18 @@ class FockBasis:
         return (table[k, after + occ] - table[k, after]).sum(axis=-1)
 
 
-def build_fock_basis(n_modes: int, total_bosons: int, cap: int | None = None) -> FockBasis:
+def build_fock_basis(n_modes: int, total_bosons: int) -> FockBasis:
     """All occupation vectors of ``total_bosons`` over ``n_modes`` modes.
 
     Enumeration is lexicographic in the occupation tuple, so indices are
     stable across runs.  Raises :class:`CapacityError` before enumerating
-    when the stars-and-bars dimension exceeds the cap.
+    when the stars-and-bars dimension exceeds ``DEFAULT_FOCK_CAP``.
     """
-    cap = DEFAULT_FOCK_CAP if cap is None else cap
     dim = math.comb(total_bosons + n_modes - 1, total_bosons)
-    if dim > cap:
+    if dim > DEFAULT_FOCK_CAP:
         raise CapacityError(
             f"Fock basis of {n_modes} modes with {total_bosons} bosons has "
-            f"dimension {dim}, beyond the cap of {cap}"
+            f"dimension {dim}, beyond the cap of {DEFAULT_FOCK_CAP}"
         )
 
     # Stars and bars: the n_modes - 1 bar positions among
@@ -187,9 +177,6 @@ class FockState:
             raise ValueError(f"Fock state not normalized: |norm-1| = {abs(norm-1):.3e}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    def overlap(self, other: "FockState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def _position(basis: FockBasis, occupation) -> int:
@@ -301,15 +288,6 @@ def propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
-def evolve(state: FockState, hamiltonian: np.ndarray, t: float) -> FockState:
-    """Apply exp(-i H t) to the state.
-
-    No renormalization: unitarity must hold on its own, and the FockState
-    invariant rejects the result if the eigendecomposition drifted.
-    """
-    return FockState(state.basis, propagator(hamiltonian, t) @ state.amplitudes)
-
-
 def ideal_bs_mode_matrix(n_sites: int) -> np.ndarray:
     """Single-particle matrix of the pairwise 50/50 splitters.
 
@@ -354,7 +332,6 @@ def mode_unitary_matrix(u: np.ndarray, basis: FockBasis) -> np.ndarray:
 class BSCheckReport:
     """Fidelities of the hopping evolution against the ideal splitter map."""
 
-    t_bs: float
     fidelities: tuple[float, ...]
 
     @property
@@ -363,7 +340,7 @@ class BSCheckReport:
 
 
 def hopping_bs_check(params: LatticeParams, test_states: list[FockState]) -> BSCheckReport:
-    """Compare evolve(., H_hop + H_int, t_bs) with the ideal mode-level splitter.
+    """Compare exp(-i (H_hop + H_int) t_bs) with the ideal mode-level splitter.
 
     H_int vanishes when U_a = U_b = U_ab = 0, leaving the bare hopping
     splitter; nonzero interactions show how much they degrade it (the
@@ -380,7 +357,7 @@ def hopping_bs_check(params: LatticeParams, test_states: list[FockState]) -> BSC
     fidelities = tuple(
         float(abs(np.vdot(u_ideal @ state.amplitudes, u_prop @ state.amplitudes)) ** 2) for state in test_states
     )
-    return BSCheckReport(params.t_bs, fidelities)
+    return BSCheckReport(fidelities)
 
 
 @dataclass(frozen=True)
@@ -406,20 +383,18 @@ def interaction_phase_check(U: float, tau: float, basis: FockBasis) -> PhaseChec
     Configurations with a site-row beyond double occupancy fall outside the
     rule and are counted as skipped.
     """
-    n_sites = basis.n_modes // 4
-    params = LatticeParams(n_sites=n_sites, U_a=U, U_b=U, U_ab=U, tau=tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    params = LatticeParams(n_sites=basis.n_modes // 4, U_a=U, U_b=U, U_ab=U)
     _, h_int = build_hamiltonians(params, basis)
-    theta = params.theta
-
-    # H_int is diagonal: evolve the uniform superposition once and read the
-    # per-configuration phases from the amplitude rotation.
-    uniform = FockState(basis, np.full(basis.dim, 1 / math.sqrt(basis.dim), dtype=complex))
-    evolved = evolve(uniform, h_int, tau)
+    theta = U * tau
 
     pair_counts = _site_row_counts(basis).sum(axis=3).reshape(basis.dim, -1)
     ruled = ~(pair_counts > 2).any(axis=1)
     doubles = (pair_counts[ruled] == 2).sum(axis=1)
-    measured = evolved.amplitudes[ruled] / uniform.amplitudes[ruled]
+    # H_int is diagonal, so each configuration's phase is its own entry of
+    # the propagator's diagonal.
+    measured = np.diag(propagator(h_int, tau))[ruled]
     predicted = np.exp(-1j * theta * doubles)
     max_dev = float(np.max(np.abs(measured - predicted), initial=0.0))
     checked = int(ruled.sum())
@@ -464,13 +439,10 @@ def embed_two_copies(
     ensemble = []
     for i, lam_i in enumerate(eigenvalues):
         for j, lam_j in enumerate(eigenvalues):
+            # unit eigenvectors give a unit product; FockState checks the norm
             amps = np.zeros(basis.dim, dtype=complex)
-            v_i = eigenvectors[:, i]
-            v_j = eigenvectors[:, j]
-            xs = np.flatnonzero(np.abs(v_i) > 1e-15)
-            ys = np.flatnonzero(np.abs(v_j) > 1e-15)
-            amps[position[np.ix_(xs, ys)]] = np.outer(v_i[xs], v_j[ys])
-            ensemble.append((float(lam_i * lam_j), FockState(basis, amps / np.linalg.norm(amps))))
+            amps[position] = np.outer(eigenvectors[:, i], eigenvectors[:, j])
+            ensemble.append((float(lam_i * lam_j), FockState(basis, amps)))
     return basis, ensemble
 
 
@@ -537,14 +509,14 @@ def sample_loss(n_atoms: int, survival_prob: float, seed: int) -> LossOutcome:
     return LossOutcome(m, m_prime)
 
 
-def standard_test_states(seed: int = 0, n_random: int = 4) -> list[FockState]:
+def standard_test_states(seed: int = 0) -> list[FockState]:
     """Canonical one-column two-boson test set for splitter checks.
 
     Six structured states, in this order: the identical a-pair
     aI^dag aII^dag |vac> (entry 0), the identical b-pair, the singlet
     (aI^dag bII^dag - aII^dag bI^dag)|vac>/sqrt(2) (entry 2), the matching
-    triplet, both bosons in row I, and a doubly occupied mode; then
-    ``n_random`` seeded random superpositions.  Ten states by default.
+    triplet, both bosons in row I, and a doubly occupied mode; then four
+    seeded random superpositions.  Ten states in all.
     """
     basis = build_fock_basis(4, 2)
     ia, ib, iia, iib = (mode_index(1, row, internal) for row in ROWS for internal in INTERNALS)
@@ -562,7 +534,7 @@ def standard_test_states(seed: int = 0, n_random: int = 4) -> list[FockState]:
         basis_state(basis, occ(ia, ia)),  # doubly occupied single mode
     ]
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(4):
         amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         states.append(FockState(basis, amps / np.linalg.norm(amps)))
     return states

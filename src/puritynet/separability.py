@@ -20,8 +20,12 @@ import numpy as np
 from .qstate import DensityOperator, PureState, check_qubit_capacity, site_mask, subset_index, trace_site
 from .states import ClusterFamilySpec, cluster_family_state, collision_phase_state
 
-#: Purity differences below this are numerical noise, not violations.
-#: Purities carry ~1e-12 arithmetic error; a factor-1000 margin.
+#: Arithmetic error a computed purity carries: a difference of two
+#: purities this small says nothing about the state.
+PURITY_ERROR = 1e-12
+
+#: Purity differences below this are numerical noise, not violations: a
+#: factor-1000 margin over ``PURITY_ERROR``.
 VIOLATION_THRESHOLD = 1e-9
 
 
@@ -205,7 +209,7 @@ class ViolationCurvePoint:
     v3: float  # purity(12)  - purity(2)
 
 
-def fig2a_violations(phi: float, n_sites: int = 3, family: str = "collision") -> ViolationCurvePoint:
+def fig2a_violations(phi: float, family: str = "collision") -> ViolationCurvePoint:
     """V1, V2, V3 of the three-site product-to-cluster family at phase phi.
 
     ``family`` selects the interpolating state: "collision" (default) uses
@@ -215,8 +219,6 @@ def fig2a_violations(phi: float, n_sites: int = 3, family: str = "collision") ->
     proper reductions all share one purity, leaving V2 = V3 = 0
     identically.  Both give V1 = 0 at phi = 0 and V1 = 1/2 at phi = pi.
     """
-    if n_sites != 3:
-        raise ValueError("the three-curve layout is defined for exactly 3 sites")
     if family == "collision":
         psi = collision_phase_state(3, phi)
     elif family == "superposition":

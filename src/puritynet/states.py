@@ -73,7 +73,7 @@ def cluster_family_state(spec: ClusterFamilySpec, cap: int | None = None) -> Pur
     return PureState(n, amps / np.linalg.norm(amps))
 
 
-def collision_phase_state(n: int, phi: float, cap: int | None = None) -> PureState:
+def collision_phase_state(n: int, phi: float) -> PureState:
     """State generated by nearest-neighbour controlled-phase dynamics.
 
     Applies the diagonal phase e^{i phi * (number of adjacent 11 pairs)} to
@@ -90,7 +90,7 @@ def collision_phase_state(n: int, phi: float, cap: int | None = None) -> PureSta
     """
     if n < 2:
         raise ValueError("need at least 2 sites")
-    check_qubit_capacity(n, cap)
+    check_qubit_capacity(n)
     amps = np.exp(1j * phi * _adjacent_pairs(n))
     return PureState(n, amps / math.sqrt(2**n))
 
@@ -128,9 +128,8 @@ def cat_state(n: int, phi1: PureState, phi2: PureState, cap: int | None = None) 
     """Superposition (|phi1>^n + |phi2>^n)/sqrt(K) of two product branches.
 
     K = 2 + 2 Re(<phi1|phi2>^n) is exactly the squared norm of the branch
-    sum, so dividing by sqrt(K) normalizes.  Raises
-    :class:`InversionError`-unrelated ValueError when the branches cancel
-    (K ~ 0, e.g. antipodal branches at odd n).
+    sum, so dividing by sqrt(K) normalizes.  Raises ValueError when the
+    branches cancel (K ~ 0, e.g. antipodal branches at odd n).
     """
     if n < 2:
         raise ValueError("cat states need at least 2 sites")
@@ -184,16 +183,16 @@ def cat_purity_closed_form(n: int, m: int, gamma: float) -> float:
     return (1 + gamma**m + gamma**n + 4 * half + gamma ** (n - m)) / (2 * (1 + half) ** 2)
 
 
-def estimate_epsilon(purity_measured: float, n_sites: int, n_lost: float, gamma_tol: float = 1e-10) -> float:
+def estimate_epsilon(purity_measured: float, n_sites: int, n_lost: float) -> float:
     """Invert the closed-form purity to the distinctness parameter epsilon.
 
     Finds the gamma in [0, 1] with cat_purity_closed_form(n_sites, n_lost,
-    gamma) = purity_measured by bisection (the purity is strictly
-    increasing in gamma for 0 < n_lost < n_sites) and returns
+    gamma) = purity_measured by bisection to 1e-10 in gamma (the purity is
+    strictly increasing in gamma for 0 < n_lost < n_sites) and returns
     sqrt(1 - gamma).  n_lost may be fractional, e.g. a mean over runs.
 
     A float64 purity determines epsilon only to spacing(Pi) / |dPi/deps|,
-    however fine ``gamma_tol``: that is below 1e-6 while gamma^n >= 1e-12
+    however fine the bisection: that is below 1e-6 while gamma^n >= 1e-12
     (README bound) and grows to ~3e-4 at epsilon = 0.9, n = 20, where Pi
     sits within ~2e-15 of 1/2.
 
@@ -217,7 +216,7 @@ def estimate_epsilon(purity_measured: float, n_sites: int, n_lost: float, gamma_
         )
 
     lo, hi = 0.0, 1.0
-    while hi - lo > gamma_tol:
+    while hi - lo > 1e-10:
         mid = (lo + hi) / 2
         if cat_purity_closed_form(n_sites, n_lost, mid) < purity_measured:
             lo = mid

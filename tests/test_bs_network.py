@@ -174,9 +174,9 @@ class TestInversion:
         subsets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
         pm = SubsetPurityMap(3, dict(zip(subsets, values)))
         table = sign_probabilities_from_purities(pm)
-        # bypass the normalization gate: the transform preserves the sentinel
+        # the transform preserves the sentinel, so the table passes the normalization gate
         assert table.total() == pytest.approx(1.0, abs=1e-9)
-        back = purities_from_probabilities(table, norm_atol=1e-6)
+        back = purities_from_probabilities(table)
         for subset in subsets:
             assert back.purity(subset) == pytest.approx(pm.purity(subset), abs=1e-12)
 

@@ -16,6 +16,7 @@ from puritynet.cli import (
     EXIT_INVERSION,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_POINTS,
     SpecParseError,
     format_float,
     json_text,
@@ -317,6 +318,17 @@ class TestProbeCommand:
             assert "--threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_threshold_below_purity_error_rejected(self, tmp_path, capsys):
+        # this separable state's largest link is rounding error, ~2e-16
+        spec = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 1.5708,0\n"
+        out = tmp_path / "x.json"
+        for bad in ("0", "-1"):
+            assert run("probe", "--spec-text", spec, f"--threshold={bad}", "--out", str(out)) == EXIT_USAGE
+            assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("probe", "--spec-text", spec, "--threshold=1e-12", "--out", str(out)) == EXIT_OK
+        assert json.loads(out.read_text())["verdict"] == "no_violation"
+
     def test_nan_phi_exits_usage_without_output(self, tmp_path):
         out = tmp_path / "x.json"
         spec = "statespec v1\nkind = cluster_family\nn = 3\nphi = nan\n"
@@ -401,6 +413,14 @@ class TestFigureCommands:
     def test_zero_points_rejected(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
         assert run(command, "--points", "0", "--out", str(out)) == EXIT_USAGE
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fig2a", "fig2b"])
+    @pytest.mark.parametrize("points", [MAX_POINTS + 1, 10**10])
+    def test_points_beyond_cap_rejected(self, tmp_path, capsys, command, points):
+        out = tmp_path / "x.csv"
+        assert run(command, "--points", str(points), "--out", str(out)) == EXIT_CAPACITY
         assert "--points" in capsys.readouterr().err
         assert not out.exists()
 

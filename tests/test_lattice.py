@@ -16,7 +16,6 @@ from puritynet.lattice import (
     build_fock_basis,
     build_hamiltonians,
     embed_two_copies,
-    evolve,
     hopping_bs_check,
     ideal_bs_mode_matrix,
     interaction_phase_check,
@@ -76,8 +75,6 @@ class TestFockBasis:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_fock_basis(30, 15)
-        with pytest.raises(CapacityError):
-            build_fock_basis(4, 2, cap=5)
 
     @pytest.mark.parametrize(
         "occ",
@@ -145,11 +142,9 @@ class TestHamiltonians:
             LatticeParams(n_sites=0)
         with pytest.raises(ValueError):
             LatticeParams(n_sites=1, J=0.0)
-        with pytest.raises(ValueError):
-            LatticeParams(n_sites=1, U_a=1.0, U_b=2.0).theta
         assert LatticeParams(n_sites=1, J=2.0).t_bs * 2.0 == pytest.approx(math.pi / 4)
 
-    @pytest.mark.parametrize("name", ["J", "U_a", "U_b", "U_ab", "tau", "T_bs"])
+    @pytest.mark.parametrize("name", ["J", "U_a", "U_b", "U_ab"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_params_must_be_finite(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -225,22 +220,22 @@ class TestEvolve:
         state = standard_test_states()[2]
         basis = state.basis
         h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1), basis)
-        out = evolve(state, h_bs, 0.0)
+        out = FockState(basis, propagator(h_bs, 0.0) @ state.amplitudes)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_group_property(self):
         state = standard_test_states(seed=3)[7]
         h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1), state.basis)
-        once = evolve(state, h_bs, 0.8)
-        twice = evolve(evolve(state, h_bs, 0.4), h_bs, 0.4)
-        np.testing.assert_allclose(once.amplitudes, twice.amplitudes, atol=1e-10)
+        half = propagator(h_bs, 0.4)
+        once = propagator(h_bs, 0.8) @ state.amplitudes
+        np.testing.assert_allclose(once, half @ (half @ state.amplitudes), atol=1e-10)
 
     def test_single_boson_half_half(self):
         basis = build_fock_basis(4, 1)
         params = LatticeParams(n_sites=1, J=1.3)
         h_bs, _ = build_hamiltonians(params, basis)
         occ = tuple(1 if i == mode_index(1, "I", "a") else 0 for i in range(4))
-        out = evolve(basis_state(basis, occ), h_bs, params.t_bs)
+        out = FockState(basis, propagator(h_bs, params.t_bs) @ basis_state(basis, occ).amplitudes)
         top = abs(out.amplitudes[basis.positions(occ)]) ** 2
         occ_bot = tuple(1 if i == mode_index(1, "II", "a") else 0 for i in range(4))
         bot = abs(out.amplitudes[basis.positions(occ_bot)]) ** 2
@@ -250,8 +245,8 @@ class TestEvolve:
     def test_norm_preserved(self):
         state = standard_test_states(seed=1)[9]
         h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1), state.basis)
-        out = evolve(state, h_bs, 2.31)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
+        out = propagator(h_bs, 2.31) @ state.amplitudes
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_site_totals_conserved(self):
         # vertical hopping never changes how many bosons live in a column
@@ -262,11 +257,11 @@ class TestEvolve:
         occ[mode_index(1, "I", "a")] = 2
         occ[mode_index(2, "I", "b")] = 1
         occ[mode_index(2, "II", "a")] = 1
-        out = evolve(basis_state(basis, tuple(occ)), h_bs, 0.37)
+        out = FockState(basis, propagator(h_bs, 0.37) @ basis_state(basis, tuple(occ)).amplitudes)
         for k, amp in enumerate(out.amplitudes):
             if abs(amp) < 1e-12:
                 continue
-            s = out.basis.occupations[k]
+            s = basis.occupations[k]
             col1 = sum(s[mode_index(1, r, i)] for r in ["I", "II"] for i in ["a", "b"])
             assert col1 == 2
 
@@ -289,7 +284,7 @@ class TestIdealBSMap:
         singlet = standard_test_states()[2]
         u = mode_unitary_matrix(ideal_bs_mode_matrix(1), singlet.basis)
         out = FockState(singlet.basis, u @ singlet.amplitudes)
-        assert abs(singlet.overlap(out)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(singlet.amplitudes, out.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_sites,total", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4)])
     def test_matches_dict_expansion_oracle_and_is_unitary(self, n_sites, total):
@@ -323,10 +318,12 @@ class TestHoppingBSCheck:
     def test_hom_probabilities_after_evolution(self):
         params = LatticeParams(n_sites=1)
         states = standard_test_states()
-        h_bs, _ = build_hamiltonians(params, states[0].basis)
-        bunched = evolve(states[0], h_bs, params.t_bs)
+        basis = states[0].basis
+        h_bs, _ = build_hamiltonians(params, basis)
+        u = propagator(h_bs, params.t_bs)
+        bunched = FockState(basis, u @ states[0].amplitudes)
         assert occupancy_probabilities([(1.0, bunched)], 1).p_diff_mode == pytest.approx(0.0, abs=1e-10)
-        anti = evolve(states[2], h_bs, params.t_bs)
+        anti = FockState(basis, u @ states[2].amplitudes)
         assert occupancy_probabilities([(1.0, anti)], 1).p_diff_mode == pytest.approx(1.0, abs=1e-10)
 
     def test_interaction_degrades_fidelity(self):
@@ -354,6 +351,11 @@ class TestInteractionPhase:
         report = interaction_phase_check(U=0.9, tau=1.1, basis=basis)
         assert report.skipped_configs > 0
         assert report.passed
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, bad):
+        with pytest.raises(ValueError, match="^tau must be finite"):
+            interaction_phase_check(U=0.9, tau=bad, basis=build_fock_basis(4, 2))
 
 
 class TestEmbedTwoCopies:
@@ -387,9 +389,11 @@ class TestEmbedTwoCopies:
         assert out.p_diff_mode == pytest.approx(expected.p_minus, abs=1e-9)
         assert out.p_same_mode == pytest.approx(expected.p_plus, abs=1e-9)
 
+    # the ranks the lattice_two_column benchmark feeds the 2-column pipeline
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_end_to_end_two_sites(self, seed):
-        rho = random_state(2, 2, seed)
+    def test_end_to_end_two_sites(self, seed, rank):
+        rho = random_state(2, rank, seed)
         basis, ensemble = embed_two_copies(rho)
         params = LatticeParams(n_sites=2)
         h_bs, _ = build_hamiltonians(params, basis)

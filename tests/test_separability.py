@@ -202,10 +202,6 @@ class TestFig2aViolations:
             assert abs(pt.v3) <= 1e-12
             assert abs(pt.v2) <= 1e-12
 
-    def test_only_three_sites(self):
-        with pytest.raises(ValueError):
-            fig2a_violations(0.3, n_sites=4)
-
 
 class TestChshMax:
     def test_product_state_classical_bound(self):
