@@ -522,6 +522,9 @@ def run_cat_experiment(args) -> int:
 
     n_values, purities, per_run_estimates = [], [], []
     uninformative = 0
+    # A run's purity and its inversion depend only on its loss count, and
+    # runs share a few dozen counts, so each count is inverted once.
+    by_count: dict[int, tuple[float, float]] = {}
     for run in range(args.runs):
         outcome = sample_loss(args.n, args.survival, seed=args.seed + run)
         n_values.append(outcome.n)
@@ -529,9 +532,12 @@ def run_cat_experiment(args) -> int:
             # a run that lost nothing (or everything) carries no purity signal
             uninformative += 1
             continue
-        pi = cat_purity_closed_form(args.n, outcome.n, gamma)
+        if outcome.n not in by_count:
+            pi = cat_purity_closed_form(args.n, outcome.n, gamma)
+            by_count[outcome.n] = (pi, estimate_epsilon(pi, args.n, outcome.n))
+        pi, estimate = by_count[outcome.n]
         purities.append(pi)
-        per_run_estimates.append(estimate_epsilon(pi, args.n, outcome.n))
+        per_run_estimates.append(estimate)
 
     if not per_run_estimates:
         raise InversionError(

@@ -388,6 +388,10 @@ def interaction_phase_check(U: float, tau: float, basis: FockBasis) -> PhaseChec
     params = LatticeParams(n_sites=basis.n_modes // 4, U_a=U, U_b=U, U_ab=U)
     _, h_int = build_hamiltonians(params, basis)
     theta = U * tau
+    # Python floats overflow to inf silently; numpy would warn mid-evolution.
+    largest_phase = float(np.max(np.abs(np.diag(h_int)), initial=0.0)) * abs(tau)
+    if not (math.isfinite(theta) and math.isfinite(largest_phase)):
+        raise ValueError(f"theta = U * tau and every phase E * tau must be finite, got U={U}, tau={tau}")
 
     pair_counts = _site_row_counts(basis).sum(axis=3).reshape(basis.dim, -1)
     ruled = ~(pair_counts > 2).any(axis=1)

@@ -146,6 +146,12 @@ class ChainReport:
     violations: tuple[ChainLink, ...] = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.threshold) and self.threshold >= PURITY_ERROR):
+            # below the purities' own rounding error, separable states would read as entangled
+            raise ValueError(
+                f"threshold must be finite and at least {PURITY_ERROR:g}, the arithmetic "
+                f"error of a purity, got {self.threshold}"
+            )
         object.__setattr__(
             self, "violations", tuple(l for l in self.links if l.violation > self.threshold)
         )
@@ -165,7 +171,8 @@ def check_chain(purities: SubsetPurityMap, chain, threshold: float = VIOLATION_T
     ``chain`` lists subsets from largest to smallest; each must be a strict
     subset of its predecessor.  A separable state never produces a link
     with purity(larger) > purity(smaller) beyond numerical noise, so any
-    link above ``threshold`` flags entanglement.
+    link above ``threshold`` flags entanglement.  ``threshold`` must be
+    finite and at least ``PURITY_ERROR`` (``ValueError`` otherwise).
     """
     norm_chain = [subset_index(s, purities.n_sites) for s in chain]
     if len(norm_chain) < 2:

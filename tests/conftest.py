@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from puritynet.lattice import sample_loss
 from puritynet.qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity
-from puritynet.states import cat_state
+from puritynet.states import InversionError, cat_purity_closed_form, cat_state, estimate_epsilon
 
 
 def ref_partial_trace(mat: np.ndarray, n: int, keep) -> np.ndarray:
@@ -197,6 +198,40 @@ def ref_epsilon_resolution(n_sites: int, n_lost: int, eps: float) -> float:
     dpi_dgamma = (dnum * den - num * dden) / den**2
     dpi_deps = dpi_dgamma * (-2 * eps)
     return float(np.spacing(num / den) / abs(dpi_deps))
+
+
+def ref_cat_experiment(n: int, epsilon: float, survival: float, runs: int, seed: int) -> dict:
+    """The ``cat-experiment`` report fields from a literal per-run loop.
+
+    Each run draws its loss with ``sample_loss(seed=seed + run)``, then
+    computes its closed-form purity and inverts it, with no sharing
+    between runs.  The means and the mean-purity inversion follow.
+    """
+    gamma = 1.0 - epsilon**2
+    n_values, purities, estimates = [], [], []
+    for run in range(runs):
+        lost = sample_loss(n, survival, seed=seed + run).n
+        n_values.append(lost)
+        if 0 < lost < n:
+            purity = cat_purity_closed_form(n, lost, gamma)
+            purities.append(purity)
+            estimates.append(estimate_epsilon(purity, n, lost))
+    mean_n, mean_purity = float(np.mean(n_values)), float(np.mean(purities))
+    estimated = float(np.mean(estimates))
+    try:
+        from_mean = estimate_epsilon(mean_purity, n, mean_n)
+    except InversionError:
+        from_mean = None
+    return {
+        "informative_runs": len(estimates),
+        "uninformative_runs": runs - len(estimates),
+        "mean_n": mean_n,
+        "mean_purity": mean_purity,
+        "epsilon_estimated": estimated,
+        "abs_error": abs(estimated - epsilon),
+        "epsilon_from_mean_purity": from_mean,
+        "abs_error_from_mean_purity": None if from_mean is None else abs(from_mean - epsilon),
+    }
 
 
 def ref_occupations(n_modes: int, total: int) -> list[tuple[int, ...]]:

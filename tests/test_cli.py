@@ -25,9 +25,11 @@ from puritynet.cli import (
     parse_state_spec,
 )
 from puritynet import bs_network, cli, qstate, separability
+from puritynet.lattice import sample_loss
 from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
+from puritynet.states import estimate_epsilon
 
-from conftest import tensor
+from conftest import ref_cat_experiment, tensor
 
 GHZ_SPEC = "statespec v1\nkind = ghz\nn = 3\n"
 PRODUCT_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 0,0\n"
@@ -501,6 +503,35 @@ class TestCatExperimentCommand:
         assert (
             run("cat-experiment", "--epsilon", "1.5", "--out", str(tmp_path / "x.json")) == EXIT_USAGE
         )
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("survival", [0.90, 0.99])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 0.9, 1.0])
+    def test_matches_per_run_oracle(self, tmp_path, epsilon, survival, seed):
+        out = tmp_path / "cat.json"
+        argv = ["--n", "300", "--epsilon", str(epsilon), "--survival", str(survival), "--runs", "300"]
+        assert run("cat-experiment", *argv, "--seed", str(seed), "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        expected = ref_cat_experiment(300, epsilon, survival, 300, seed)
+        assert {key: report[key] for key in expected} == expected
+        assert report["params"] == {
+            "n_atoms": 300, "epsilon_true": epsilon, "survival_prob": survival, "runs": 300,
+        }
+        assert report["seed"] == seed
+
+    def test_each_loss_count_inverted_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return estimate_epsilon(*args)
+
+        monkeypatch.setattr(cli, "estimate_epsilon", counted)
+        argv = ["--n", "300", "--epsilon", "0.6", "--survival", "0.95", "--runs", "1000", "--seed", "0"]
+        assert run("cat-experiment", *argv, "--out", str(tmp_path / "cat.json")) == EXIT_OK
+        counts = {sample_loss(300, 0.95, seed=run).n for run in range(1000)} - {0, 300}
+        # one inversion per distinct informative count, plus the mean-purity diagnostic
+        assert len(calls) <= len(counts) + 1
 
 
 class TestOneParserPerProcess:

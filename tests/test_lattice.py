@@ -357,6 +357,24 @@ class TestInteractionPhase:
         with pytest.raises(ValueError, match="^tau must be finite"):
             interaction_phase_check(U=0.9, tau=bad, basis=build_fock_basis(4, 2))
 
+    @pytest.mark.parametrize(
+        "U, tau, n_modes, bosons",
+        [(1e100, 1e300, 4, 2), (-1e100, 1e300, 4, 2), (1e100, -1e300, 4, 2), (1e100, 1.5e208, 8, 4)],
+    )
+    def test_overflowing_phase_rejected(self, U, tau, n_modes, bosons):
+        # theta = U tau, or the largest phase E tau of a 2-column basis, exceeds float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="U=.*tau="):
+                interaction_phase_check(U=U, tau=tau, basis=build_fock_basis(n_modes, bosons))
+
+    def test_largest_finite_theta_runs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = interaction_phase_check(U=1e100, tau=1e207, basis=build_fock_basis(4, 2))
+        assert report.theta == 1e100 * 1e207
+        assert report.passed
+
 
 class TestEmbedTwoCopies:
     def test_pure_zero_state(self):

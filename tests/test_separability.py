@@ -15,6 +15,8 @@ from puritynet.qstate import (
     random_state,
 )
 from puritynet.separability import (
+    PURITY_ERROR,
+    ChainReport,
     SubsetPurityMap,
     all_subset_purities,
     check_chain,
@@ -28,6 +30,10 @@ from puritynet.separability import (
 from puritynet.states import ClusterFamilySpec, cluster_family_state, ghz, linear_cluster
 
 from conftest import ref_subset_purity, tensor
+
+
+#: A product state whose computed purities differ by rounding (~1e-16).
+SEPARABLE_ROUNDING_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 1.5708,0\n"
 
 
 def all_zero(n):
@@ -160,6 +166,21 @@ class TestCheckChain:
             check_chain(pm, [(1, 2), (1, 3)])
         with pytest.raises(ValueError):
             check_chain(pm, [(1, 2)])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_below_purity_error_or_non_finite_rejected(self, bad):
+        # at threshold 0 the rounding of this separable state's purities reads as entangled
+        pm = all_subset_purities(parse_state_spec(SEPARABLE_ROUNDING_SPEC)[0])
+        with pytest.raises(ValueError, match="threshold"):
+            check_chain(pm, ((1, 2, 3), (1, 2), (1,)), threshold=bad)
+        with pytest.raises(ValueError, match="threshold"):
+            ChainReport(((1, 2), (1,)), (), bad)
+
+    def test_threshold_at_purity_error_accepted(self):
+        pm = all_subset_purities(parse_state_spec(SEPARABLE_ROUNDING_SPEC)[0])
+        report = check_chain(pm, ((1, 2, 3), (1, 2), (1,)), threshold=PURITY_ERROR)
+        assert report.threshold == PURITY_ERROR
+        assert not report.entangled
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
