@@ -20,6 +20,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -42,7 +43,15 @@ from .lattice import (
     sample_loss,
     standard_test_states,
 )
-from .qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity, random_state, validate
+from .qstate import (
+    DEFAULT_QUBIT_CAP,
+    CapacityError,
+    DensityOperator,
+    PureState,
+    check_qubit_capacity,
+    random_state,
+    validate,
+)
 from .separability import (
     PURITY_ERROR,
     VIOLATION_THRESHOLD,
@@ -62,9 +71,19 @@ EXIT_IO = 5
 
 SPEC_HEADER = "statespec v1"
 
-#: Most grid points ``fig2a`` and ``fig2b`` accept; README "Command line"
-#: gives the time and memory each command takes at this bound.
+#: Most grid points ``fig2a`` and ``fig2b`` accept, Monte-Carlo runs
+#: ``cat-experiment`` accepts and random states ``lattice-validate`` checks
+#: end to end; README "Command line" gives the time each command takes at
+#: its bound.
 MAX_POINTS = 100_000
+MAX_RUNS = 1_000_000
+MAX_END_TO_END_STATES = 100_000
+
+#: Characters a spec may spend per density-matrix entry at the qubit cap
+#: (4^cap entries), plus a fixed allowance for the header, keys and
+#: comments.  A 17-digit complex literal and its separator take under 50.
+SPEC_CHARS_PER_ENTRY = 64
+SPEC_HEADER_CHARS = 4096
 
 #: The fields each state kind takes besides ``kind``; any other is an error.
 SPEC_FIELDS = {
@@ -189,6 +208,15 @@ def _raw_qubits(dim: int, cap: int | None) -> int:
     return n
 
 
+def _check_spec_length(length: int, cap: int | None) -> None:
+    """Raise :class:`CapacityError` for a spec longer than the cap allows."""
+    cap = DEFAULT_QUBIT_CAP if cap is None else cap
+    # no text reaches the bound at 30 qubits, and 4^cap beyond it only costs time
+    limit = SPEC_HEADER_CHARS + SPEC_CHARS_PER_ENTRY * 4 ** max(0, min(cap, 30))
+    if length > limit:
+        raise CapacityError(f"spec is longer than the {limit} characters allowed at the qubit cap of {cap}")
+
+
 def parse_state_spec(
     text: str, source: str = "inline", cap: int | None = None
 ) -> tuple[PureState | DensityOperator, dict]:
@@ -202,8 +230,11 @@ def parse_state_spec(
     and an echo dict for reports.  Every kind but ``raw`` with ``matrix``
     describes a pure state and yields a :class:`PureState` (2^N
     amplitudes); a raw ``matrix`` yields a :class:`DensityOperator`.  No
-    pure kind ever builds the 4^N density matrix.
+    pure kind ever builds the 4^N density matrix.  Text longer than
+    ``SPEC_HEADER_CHARS + SPEC_CHARS_PER_ENTRY * 4^cap`` characters raises
+    :class:`CapacityError` before it is split.
     """
+    _check_spec_length(len(text), cap)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != SPEC_HEADER:
@@ -364,6 +395,7 @@ def run_probe(args) -> int:
         text, source = args.spec_text, "inline"
     else:
         with open(args.spec) as fh:
+            _check_spec_length(os.fstat(fh.fileno()).st_size, args.qubit_cap)  # before reading it
             text = fh.read()
         source = args.spec
     state, echo = parse_state_spec(text, source, cap=args.qubit_cap)
@@ -400,17 +432,23 @@ def run_probe(args) -> int:
     return EXIT_OK
 
 
-def _require_points(args) -> None:
-    if args.points < 1:
-        raise SpecParseError(f"--points must be at least 1, got {args.points}")
-    if args.points > MAX_POINTS:
-        raise CapacityError(f"--points {args.points} is beyond the cap of {MAX_POINTS}")
+def _require_count(flag: str, value: int, cap: int) -> None:
+    """A count flag is at least 1 (exit 2) and at most ``cap`` (exit 3)."""
+    if value < 1:
+        raise SpecParseError(f"{flag} must be at least 1, got {value}")
+    if value > cap:
+        raise CapacityError(f"{flag} {value} is beyond the cap of {cap}")
+
+
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise SpecParseError(f"--seed must be non-negative, got {seed}")
 
 
 def run_fig2a(args) -> int:
     if args.n != 3:
         raise SpecParseError("the three-curve violation sweep is defined for --n 3")
-    _require_points(args)
+    _require_count("--points", args.points, MAX_POINTS)
     rows = []
     for phi in np.linspace(0.0, 2 * math.pi, args.points):
         pt = fig2a_violations(float(phi), family=args.family)
@@ -420,7 +458,7 @@ def run_fig2a(args) -> int:
 
 
 def run_fig2b(args) -> int:
-    _require_points(args)
+    _require_count("--points", args.points, MAX_POINTS)
     try:
         m_list = [int(m) for m in args.m.split(",")]
     except ValueError as exc:
@@ -437,8 +475,8 @@ def run_fig2b(args) -> int:
 
 
 def run_lattice_validate(args) -> int:
-    if args.end_to_end_states < 1:
-        raise SpecParseError(f"--end-to-end-states must be at least 1, got {args.end_to_end_states}")
+    _require_count("--end-to-end-states", args.end_to_end_states, MAX_END_TO_END_STATES)
+    _require_seed(args.seed)
     for flag, value in (("--j", args.j), ("--u", args.u)):
         if not math.isfinite(value):
             raise SpecParseError(f"{flag} must be finite, got {value}")
@@ -512,9 +550,11 @@ def run_lattice_validate(args) -> int:
 
 def run_cat_experiment(args) -> int:
     if not 0.0 <= args.epsilon <= 1.0:
-        raise SpecParseError(f"epsilon must lie in [0, 1], got {args.epsilon}")
-    if args.runs < 1:
-        raise SpecParseError(f"--runs must be at least 1, got {args.runs}")
+        raise SpecParseError(f"--epsilon must lie in [0, 1], got {args.epsilon}")
+    if not 0.0 <= args.survival <= 1.0:  # NaN fails this too
+        raise SpecParseError(f"--survival must be a finite probability in [0, 1], got {args.survival}")
+    _require_count("--runs", args.runs, MAX_RUNS)
+    _require_seed(args.seed)
     if args.n < 2:
         # an informative run keeps 0 < n < N atoms, which needs N >= 2
         raise SpecParseError(f"--n must be at least 2, got {args.n}")

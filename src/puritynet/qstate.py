@@ -20,7 +20,7 @@ import numpy as np
 #: (~4 GiB), which only mixed input (a raw matrix) ever builds; beyond that
 #: dense storage stops being sensible.  A pure state keeps its 2^N
 #: amplitudes (256 KiB at 14 qubits), and there the cap bounds run time:
-#: its subset-purity table grows 4-5x per qubit, to about 2 s at 14.
+#: its subset-purity table grows about 3.5x per qubit, to about 1 s at 14.
 DEFAULT_QUBIT_CAP = 14
 
 #: Tolerances for the structural invariants of a density operator.

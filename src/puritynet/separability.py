@@ -85,48 +85,48 @@ class SubsetPurityMap:
 def all_subset_purities(state: PureState | DensityOperator, cap: int | None = None) -> SubsetPurityMap:
     """Purity of every reduction of ``state``, including the full set.
 
-    A :class:`PureState` never becomes a density matrix.  Its reductions
-    to T and to the complement of T share one purity (Schmidt), and with
-    M the amplitudes transposed to shape (2^|T|, 2^(N - |T|)), rho_T is
-    the Gram matrix M M^dag.  So one Gram product per subset of at most
-    N/2 sites fills the table: sum over k <= N/2 of C(N, k) 2^(N + k)
-    operations in O(2^N) memory.
-
-    A :class:`DensityOperator` is traced depth first: each reduced
-    operator is traced from its parent's by one more site, taken only at
-    or after the position of the site its parent removed, so every subset
-    is reached exactly once.  That costs about 4 * 5^N operations in all,
-    against 8^N for tracing each subset from the full matrix, and keeps
-    O(4^N) memory live.
+    One depth-first recursion serves both types; the type only chooses the
+    roots.  Each reduced operator is traced from its parent's by one more
+    site (``qstate.trace_site``), at or after the position its parent
+    removed and before the root's ``stop``, so every subset is reached once.
+    A :class:`DensityOperator` has one root, its matrix, with ``stop = N``:
+    2^N - 2 ``trace_site`` calls, about 4 * 5^N operations, O(4^N) memory.
+    A :class:`PureState` never becomes a density matrix.  Its roots are the
+    Gram matrices M M^dag of the h = floor(N/2)-site subsets (at even N only
+    those holding site 1), M the amplitudes with the subset's axes first,
+    and ``stop`` is the position of the first site a root lacks: a smaller
+    subset S is reached only from S plus the smallest sites not in S.  That
+    is C(N, h) Gram products (half at even N) and sum_{1 <= j < h} C(N, j)
+    ``trace_site`` calls in O(2^N) memory; Schmidt symmetry (T and its
+    complement share one purity) fills the rest.
     """
     n = state.n_qubits
     check_qubit_capacity(n, cap)
-    values = np.ones(2**n)
-    if isinstance(state, PureState):
-        full = 2**n - 1
-        psi = state.amplitudes.reshape((2,) * n)
-        for k in range(1, n // 2 + 1):
-            for kept in itertools.combinations(range(n), k):
-                if 2 * k == n and kept[0] != 0:
-                    continue  # the complement, which holds site 1, was done
-                # axis a is site a + 1, at mask bit N - 1 - a
-                mask = sum(1 << (n - 1 - a) for a in kept)
-                rest = tuple(a for a in range(n) if a not in kept)
-                m = psi.transpose(kept + rest).reshape(2**k, -1)
-                gram = m @ m.conj().T
-                values[mask] = values[full ^ mask] = np.vdot(gram, gram).real
-        return SubsetPurityMap(n, values)
+    values = np.zeros(2**n)
+    values[0] = 1.0
 
-    def visit(mat: np.ndarray, k: int, mask: int, start: int) -> None:
-        # mat is the reduced operator on the k sites of ``mask``.  Every site
-        # removed so far precedes position ``start``, so position j >= start
-        # holds site N - k + j + 1, whose mask bit is 2^(k - 1 - j).
+    def visit(mat: np.ndarray, mask: int, start: int, stop: int, depth: int) -> None:
+        # mat is its root less ``depth`` sites, all traced at root positions below
+        # start + depth, so position j in [start, stop) holds axis j + depth
         values[mask] = np.vdot(mat, mat).real
-        for j in range(start, k if k > 1 else 0):
-            visit(trace_site(mat, j), k - 1, mask & ~(1 << (k - 1 - j)), j)
+        for j in range(start, stop if len(mat) > 2 else 0):
+            visit(trace_site(mat, j), mask ^ (1 << (n - 1 - depth - j)), j, stop - 1, depth + 1)
 
-    visit(state.matrix, n, 2**n - 1, 0)
-    return SubsetPurityMap(n, values)
+    if isinstance(state, PureState):
+        h, psi = n // 2, state.amplitudes.reshape((2,) * n)
+        roots = (  # m holds the amplitudes with the root's axes first
+            (m @ m.conj().T, sum(1 << (n - 1 - a) for a in kept))
+            for kept in itertools.combinations(range(n), h)
+            if h and not (2 * h == n and kept[0])
+            for m in [psi.transpose(kept + tuple(a for a in range(n) if a not in kept)).reshape(2**h, -1)]
+        )
+    else:
+        roots = [(state.matrix, 2**n - 1)]
+    for mat, mask in roots:
+        # stop: the position of the root's first missing site, the top bit of its missing mask
+        visit(mat, mask, 0, n - (mask ^ (2**n - 1)).bit_length(), 0)
+    # entries still 0 are pure-state complements of set ones; values[::-1][m] is values[full ^ m]
+    return SubsetPurityMap(n, np.where(values, values, values[::-1]))
 
 
 @dataclass(frozen=True)

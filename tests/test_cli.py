@@ -16,7 +16,11 @@ from puritynet.cli import (
     EXIT_INVERSION,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_END_TO_END_STATES,
     MAX_POINTS,
+    MAX_RUNS,
+    SPEC_CHARS_PER_ENTRY,
+    SPEC_HEADER_CHARS,
     SpecParseError,
     format_float,
     json_text,
@@ -355,6 +359,28 @@ class TestProbeCommand:
         assert "exceeds the cap" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["--spec-text", "--spec"])
+    def test_over_long_spec_rejected_before_splitting(self, tmp_path, capsys, source):
+        # a 64-row matrix of short literals is longer than a cap of 2 allows
+        spec = "statespec v1\nkind = raw\nmatrix = " + ";".join([" ".join("0" * 64)] * 64) + "\n"
+        assert len(spec) > SPEC_HEADER_CHARS + SPEC_CHARS_PER_ENTRY * 4**2
+        path = tmp_path / "big.spec"
+        path.write_text(spec)
+        out = tmp_path / "x.json"
+        value = spec if source == "--spec-text" else str(path)
+        assert run("probe", source, value, "--qubit-cap", "2", "--out", str(out)) == EXIT_CAPACITY
+        assert "allowed at the qubit cap of 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_at_the_cap_with_long_literals_parses(self, tmp_path):
+        # 16 x 16 entries of 60 characters each (zero-padded) under a cap of 4
+        entries = [[f"{1 / 16 if i == j else 0.0:+040.17f}{0.0:+019.15f}j" for j in range(16)] for i in range(16)]
+        assert {len(e) for row in entries for e in row} == {60}
+        spec = "statespec v1\nkind = raw\nmatrix = " + "; ".join(map(" ".join, entries)) + "\n"
+        out = tmp_path / "x.json"
+        assert run("probe", "--spec-text", spec, "--qubit-cap", "4", "--out", str(out)) == EXIT_OK
+        assert json.loads(out.read_text())["verdict"] == "no_violation"
+
     @pytest.mark.parametrize(
         "matrix, message",
         [("0.5 0; 0", "row 2 has 1 entries"), ("0.5 0;0 0.5;", "row 3 has 0 entries")],
@@ -532,6 +558,44 @@ class TestCatExperimentCommand:
         counts = {sample_loss(300, 0.95, seed=run).n for run in range(1000)} - {0, 300}
         # one inversion per distinct informative count, plus the mean-purity diagnostic
         assert len(calls) <= len(counts) + 1
+
+
+CAT_ARGV = ["cat-experiment", "--epsilon", "0.6"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (CAT_ARGV + ["--seed", "-5"], "--seed"),
+        (["lattice-validate", "--seed", "-2000"], "--seed"),
+        (CAT_ARGV + ["--survival", "1.5"], "--survival"),
+        (CAT_ARGV + ["--survival", "nan"], "--survival"),
+        (["cat-experiment", "--epsilon", "1.5"], "--epsilon"),
+    ],
+    ids=["cat-seed", "lattice-seed", "survival-above-1", "survival-nan", "epsilon-above-1"],
+)
+def test_seed_survival_and_epsilon_name_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.json"
+    assert run(*argv, "--out", str(out)) == EXIT_USAGE
+    assert f"error: {flag} must " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (CAT_ARGV + ["--runs"], MAX_RUNS + 1),
+        (CAT_ARGV + ["--runs"], 10**10),
+        (["lattice-validate", "--end-to-end-states"], MAX_END_TO_END_STATES + 1),
+        (["lattice-validate", "--end-to-end-states"], 10**10),
+    ],
+    ids=["runs-cap+1", "runs-1e10", "states-cap+1", "states-1e10"],
+)
+def test_run_counts_beyond_cap_rejected(tmp_path, capsys, argv, count):
+    out = tmp_path / "x.json"
+    assert run(*argv, str(count), "--out", str(out)) == EXIT_CAPACITY
+    assert f"{argv[-1]} {count} is beyond the cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestOneParserPerProcess:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puritynet import separability
 from puritynet.cli import parse_state_spec
 from puritynet.qstate import (
     CapacityError,
@@ -89,6 +90,30 @@ class TestAllSubsetPurities:
             SubsetPurityMap(2, np.ones(3))
         with pytest.raises(ValueError):  # values[0] is the empty-subset sentinel
             SubsetPurityMap(2, np.array([0.5, 1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_subset_reached_once(self, n, monkeypatch):
+        # one trace_site call per subset below the roots: the subsets under
+        # half size for a pure state, all proper nonempty ones for a mixed one
+        calls = []
+        trace = separability.trace_site
+        monkeypatch.setattr(separability, "trace_site", lambda mat, j: calls.append(j) or trace(mat, j))
+        psi, rho = random_pure_state(n, n), random_state(n, 2, n)
+        dense = psi.to_density()
+        cases = [
+            (psi, dense.matrix, sum(math.comb(n, j) for j in range(1, n // 2))),
+            (dense, dense.matrix, 2**n - 2),
+            (rho, rho.matrix, 2**n - 2),
+        ]
+        tables = []
+        for state, mat, count in cases:
+            calls.clear()
+            pm = all_subset_purities(state)
+            assert len(calls) == count
+            tables.append(pm.values)
+            for subset in pm.subsets() if n <= 5 else ():
+                assert pm.purity(subset) == pytest.approx(ref_subset_purity(mat, n, subset), abs=1e-12)
+        np.testing.assert_allclose(tables[0], tables[1], rtol=0, atol=1e-12)
 
     def test_mapping_and_array_forms_agree(self):
         # site 1 is the most significant bit of the subset mask
