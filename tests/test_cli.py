@@ -374,7 +374,9 @@ class TestProbeCommand:
 
     def test_spec_at_the_cap_with_long_literals_parses(self, tmp_path):
         # 16 x 16 entries of 60 characters each (zero-padded) under a cap of 4
-        entries = [[f"{1 / 16 if i == j else 0.0:+040.17f}{0.0:+019.15f}j" for j in range(16)] for i in range(16)]
+        entries = [
+            [f"{1 / 16 if i == j else 0.0:+040.17f}{0.0:+019.15f}j" for j in range(16)] for i in range(16)
+        ]
         assert {len(e) for row in entries for e in row} == {60}
         spec = "statespec v1\nkind = raw\nmatrix = " + "; ".join(map(" ".join, entries)) + "\n"
         out = tmp_path / "x.json"
