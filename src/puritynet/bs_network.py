@@ -16,7 +16,6 @@ exactly from the probabilities.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -30,11 +29,6 @@ NORM_ATOL = 1e-8
 
 #: Sign convention: "+" is the symmetric projector (I + V)/2, whose
 #: expectation on rho x rho is (1 + tr rho^2)/2.
-
-
-def sign_vectors(n_sites: int) -> list[tuple[int, ...]]:
-    """All sign vectors in a fixed order: site N varies fastest, + before -."""
-    return list(itertools.product((+1, -1), repeat=n_sites))
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
@@ -60,7 +54,7 @@ class JointSignProbabilityTable:
 
     ``values[mask]`` is the probability of the sign vector whose "-" sites
     are the set bits of ``mask``, site i at bit N - i (site 1 is the most
-    significant bit), so the array runs in :func:`sign_vectors` order.
+    significant bit), so site N varies fastest and "+" comes before "-".
     The constructor also accepts a mapping from sign tuples to
     probabilities over all 2^N sign vectors and converts it once.
     """
@@ -89,9 +83,6 @@ class JointSignProbabilityTable:
             raise ValueError(f"bad sign vector {signs}")
         minus = [i for i, s in enumerate(signs, start=1) if s == -1]
         return site_mask(minus, self.n_sites) if minus else 0
-
-    def probability(self, signs) -> float:
-        return float(self.values[self._mask(signs)])
 
     def total(self) -> float:
         return float(self.values.sum())

@@ -71,13 +71,13 @@ EXIT_IO = 5
 
 SPEC_HEADER = "statespec v1"
 
-#: Most grid points ``fig2a`` and ``fig2b`` accept, Monte-Carlo runs
-#: ``cat-experiment`` accepts and random states ``lattice-validate`` checks
-#: end to end; README "Command line" gives the time each command takes at
-#: its bound.
+#: Caps of the count flags, of ``--n`` atoms and of the ``fig2b --m`` list;
+#: README "Command line" gives the time each command takes at its bound.
 MAX_POINTS = 100_000
+MAX_M_VALUES = 20
 MAX_RUNS = 1_000_000
 MAX_END_TO_END_STATES = 100_000
+MAX_ATOMS = 10**9
 
 #: Characters a spec may spend per density-matrix entry at the qubit cap
 #: (4^cap entries), plus a fixed allowance for the header, keys and
@@ -97,6 +97,58 @@ SPEC_FIELDS = {
 
 class SpecParseError(ValueError):
     """A state spec file or string could not be parsed."""
+
+
+class Domain:
+    """The values a numeric flag accepts: ``low <= value <= high`` and, for a
+    float, finite (exit 2 otherwise); above ``cap`` the command exits 3."""
+
+    def __init__(self, low, high=math.inf, cap=math.inf):
+        self.low, self.high, self.cap = low, high, cap
+
+    def check(self, flag: str, value) -> None:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SpecParseError(f"{flag} must be finite, got {value}")
+        if not self.low <= value <= self.high:
+            bounds = f"be at least {self.low}" if self.high == math.inf else f"lie in [{self.low}, {self.high}]"
+            raise SpecParseError(f"{flag} must {bounds}, got {value}")
+        if value > self.cap:
+            raise CapacityError(f"{flag} {value} is beyond the cap of {self.cap}")
+
+
+#: The domain of every ``int`` and ``float`` flag, by command, checked in
+#: this order before the command's handler runs.
+FLAG_DOMAINS = {
+    # below the purities' own rounding error, separable states would read as entangled
+    "probe": {"--threshold": Domain(PURITY_ERROR), "--qubit-cap": Domain(1)},
+    "fig2a": {"--n": Domain(3, 3), "--points": Domain(1, cap=MAX_POINTS)},
+    "fig2b": {"--points": Domain(1, cap=MAX_POINTS), "--n": Domain(2, cap=MAX_ATOMS)},
+    "lattice-validate": {
+        "--end-to-end-states": Domain(1, cap=MAX_END_TO_END_STATES),
+        "--seed": Domain(0),
+        # past these, float64 overflows in the splitter time pi/(4J) or the evolution
+        "--j": Domain(COUPLING_MIN, COUPLING_MAX),
+        "--u": Domain(-COUPLING_MAX, COUPLING_MAX),
+    },
+    "cat-experiment": {
+        "--epsilon": Domain(0, 1),
+        "--survival": Domain(0, 1),
+        "--runs": Domain(1, cap=MAX_RUNS),
+        "--seed": Domain(0),
+        # an informative run keeps 0 < n < N atoms, which needs N >= 2
+        "--n": Domain(2, cap=MAX_ATOMS),
+    },
+}
+
+#: Exit code of each exception ``main`` reports, the first match winning.
+EXIT_CODES = {
+    SpecParseError: EXIT_USAGE,
+    CapacityError: EXIT_CAPACITY,
+    MemoryError: EXIT_CAPACITY,
+    InversionError: EXIT_INVERSION,
+    OSError: EXIT_IO,
+    ValueError: EXIT_USAGE,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +376,7 @@ def parse_state_spec(
     return state, echo
 
 
-def parse_chains(text: str, n_sites: int) -> list[tuple[tuple[int, ...], ...]]:
+def parse_chains(text: str) -> list[tuple[tuple[int, ...], ...]]:
     """Chains like '1,2,3>1,2>1;1,2>2': ';' chains, '>' subsets, ',' sites."""
     chains = []
     for chain_text in text.split(";"):
@@ -384,13 +436,6 @@ def _chain_report_dict(report) -> dict:
 
 
 def run_probe(args) -> int:
-    if not math.isfinite(args.threshold):
-        raise SpecParseError(f"--threshold must be finite, got {args.threshold}")
-    if args.threshold < PURITY_ERROR:
-        # below the purities' own rounding error, separable states would read as entangled
-        raise SpecParseError(
-            f"--threshold must be at least {PURITY_ERROR:g}, the arithmetic error of a purity, got {args.threshold}"
-        )
     if args.spec_text is not None:
         text, source = args.spec_text, "inline"
     else:
@@ -403,7 +448,7 @@ def run_probe(args) -> int:
 
     purities = all_subset_purities(state, cap=args.qubit_cap)
     if args.chains:
-        chains = parse_chains(args.chains, n)
+        chains = parse_chains(args.chains)
     elif n == 1:
         chains = []
     elif n <= 4:
@@ -432,23 +477,7 @@ def run_probe(args) -> int:
     return EXIT_OK
 
 
-def _require_count(flag: str, value: int, cap: int) -> None:
-    """A count flag is at least 1 (exit 2) and at most ``cap`` (exit 3)."""
-    if value < 1:
-        raise SpecParseError(f"{flag} must be at least 1, got {value}")
-    if value > cap:
-        raise CapacityError(f"{flag} {value} is beyond the cap of {cap}")
-
-
-def _require_seed(seed: int) -> None:
-    if seed < 0:
-        raise SpecParseError(f"--seed must be non-negative, got {seed}")
-
-
 def run_fig2a(args) -> int:
-    if args.n != 3:
-        raise SpecParseError("the three-curve violation sweep is defined for --n 3")
-    _require_count("--points", args.points, MAX_POINTS)
     rows = []
     for phi in np.linspace(0.0, 2 * math.pi, args.points):
         pt = fig2a_violations(float(phi), family=args.family)
@@ -458,9 +487,11 @@ def run_fig2a(args) -> int:
 
 
 def run_fig2b(args) -> int:
-    _require_count("--points", args.points, MAX_POINTS)
+    m_texts = args.m.split(",")
+    if len(m_texts) > MAX_M_VALUES:
+        raise CapacityError(f"--m lists {len(m_texts)} values, beyond the cap of {MAX_M_VALUES}")
     try:
-        m_list = [int(m) for m in args.m.split(",")]
+        m_list = [int(m) for m in m_texts]
     except ValueError as exc:
         raise SpecParseError(f"--m must be comma-separated integers, got {args.m!r}") from exc
     for m in m_list:
@@ -475,15 +506,6 @@ def run_fig2b(args) -> int:
 
 
 def run_lattice_validate(args) -> int:
-    _require_count("--end-to-end-states", args.end_to_end_states, MAX_END_TO_END_STATES)
-    _require_seed(args.seed)
-    for flag, value in (("--j", args.j), ("--u", args.u)):
-        if not math.isfinite(value):
-            raise SpecParseError(f"{flag} must be finite, got {value}")
-    if not COUPLING_MIN <= args.j <= COUPLING_MAX:
-        raise SpecParseError(f"--j must lie in [{COUPLING_MIN:g}, {COUPLING_MAX:g}], got {args.j}")
-    if abs(args.u) > COUPLING_MAX:
-        raise SpecParseError(f"--u must lie in [-{COUPLING_MAX:g}, {COUPLING_MAX:g}], got {args.u}")
     params = LatticeParams(n_sites=1, J=args.j, U_a=args.u, U_b=args.u, U_ab=args.u)
     basis = build_fock_basis(params.n_modes, 2)
     test_states = standard_test_states(seed=args.seed)
@@ -549,15 +571,6 @@ def run_lattice_validate(args) -> int:
 
 
 def run_cat_experiment(args) -> int:
-    if not 0.0 <= args.epsilon <= 1.0:
-        raise SpecParseError(f"--epsilon must lie in [0, 1], got {args.epsilon}")
-    if not 0.0 <= args.survival <= 1.0:  # NaN fails this too
-        raise SpecParseError(f"--survival must be a finite probability in [0, 1], got {args.survival}")
-    _require_count("--runs", args.runs, MAX_RUNS)
-    _require_seed(args.seed)
-    if args.n < 2:
-        # an informative run keeps 0 < n < N atoms, which needs N >= 2
-        raise SpecParseError(f"--n must be at least 2, got {args.n}")
     gamma = 1.0 - args.epsilon**2
 
     n_values, purities, per_run_estimates = [], [], []
@@ -639,9 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec-text", help="inline statespec text")
     probe.add_argument("--chains", help="chain spec, e.g. '1,2,3>1,2>1;1,2>2'")
     probe.add_argument("--threshold", type=float, default=VIOLATION_THRESHOLD)
-    probe.add_argument("--qubit-cap", type=int, default=None)
+    probe.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
     probe.add_argument("--out", required=True)
-    probe.set_defaults(handler="run_probe")
 
     fig2a = sub.add_parser("fig2a", help="three-site violation curves (CSV)")
     fig2a.add_argument("--n", type=int, default=3)
@@ -653,14 +665,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="interpolating family: controlled-phase dynamics or two-term superposition",
     )
     fig2a.add_argument("--out", required=True)
-    fig2a.set_defaults(handler="run_fig2a")
 
     fig2b = sub.add_parser("fig2b", help="reduced cat-state purity vs epsilon (CSV)")
     fig2b.add_argument("--n", type=int, default=300)
     fig2b.add_argument("--m", default="1,7,14,20", help="comma-separated reduction counts")
     fig2b.add_argument("--points", type=int, default=101)
     fig2b.add_argument("--out", required=True)
-    fig2b.set_defaults(handler="run_fig2b")
 
     lat = sub.add_parser("lattice-validate", help="splitter timing and phase checks")
     lat.add_argument("--j", type=float, default=1.0)
@@ -668,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     lat.add_argument("--seed", type=int, default=0)
     lat.add_argument("--end-to-end-states", type=int, default=10)
     lat.add_argument("--out", required=True)
-    lat.set_defaults(handler="run_lattice_validate")
 
     cat = sub.add_parser("cat-experiment", help="distinctness estimation under loss")
     cat.add_argument("--n", type=int, default=300)
@@ -677,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--runs", type=int, default=1000)
     cat.add_argument("--seed", type=int, default=0)
     cat.add_argument("--out", required=True)
-    cat.set_defaults(handler="run_cat_experiment")
     return parser
 
 
@@ -688,23 +696,13 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag, domain in FLAG_DOMAINS[args.command].items():
+            domain.check(flag, getattr(args, flag[2:].replace("-", "_")))
         # looked up at call time, so a replaced handler is the one that runs
-        return globals()[args.handler](args)
-    except SpecParseError as exc:
+        return globals()["run_" + args.command.replace("-", "_")](args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except InversionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVERSION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

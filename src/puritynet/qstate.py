@@ -249,10 +249,3 @@ def random_state(n_qubits: int, rank: int, seed: int) -> DensityOperator:
     mat = (mat + mat.conj().T) / 2
     mat /= mat.trace().real
     return DensityOperator(n_qubits, mat)
-
-
-def random_pure_state(n_qubits: int, seed: int) -> PureState:
-    """Seeded Haar-random pure state vector."""
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
-    return PureState(n_qubits, amps / np.linalg.norm(amps))

@@ -59,6 +59,27 @@ def ref_subset_purity(mat: np.ndarray, n: int, subset) -> float:
     return ref_purity(ref_partial_trace(mat, n, subset))
 
 
+def random_pure_state(n_qubits: int, seed: int) -> PureState:
+    """Seeded Haar-random pure state vector."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
+    return PureState(n_qubits, amps / np.linalg.norm(amps))
+
+
+def sign_vectors(n_sites: int) -> list[tuple[int, ...]]:
+    """All sign vectors in a fixed order: site N varies fastest, + before -."""
+    return list(itertools.product((+1, -1), repeat=n_sites))
+
+
+def sign_probability(table, signs) -> float:
+    """The entry of a sign table for one sign vector, indexed by the mask of
+    its "-" sites with site i at bit N - i."""
+    n = table.n_sites
+    if len(signs) != n or any(s not in (-1, +1) for s in signs):
+        raise ValueError(f"bad sign vector {signs}")
+    return float(table.values[sum(1 << (n - i) for i, s in enumerate(signs, start=1) if s == -1)])
+
+
 def tensor(parts: list[DensityOperator], cap: int | None = None) -> DensityOperator:
     """Tensor product of density operators, in the given site order.
 

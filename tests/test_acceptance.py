@@ -24,7 +24,6 @@ from puritynet.bs_network import (
     joint_sign_probabilities,
     pair_projection_probabilities,
     purities_from_probabilities,
-    sign_vectors,
 )
 from puritynet.cli import main as cli_main
 from puritynet.lattice import (
@@ -62,6 +61,8 @@ from conftest import (
     ref_chsh_max_pure,
     ref_epsilon_resolution,
     ref_subset_purity,
+    sign_probability,
+    sign_vectors,
     tensor,
 )
 
@@ -103,7 +104,7 @@ def test_criterion_02_projector_oracle_equivalence():
             table = joint_sign_probabilities(rho)
             for signs in sign_vectors(n):
                 worst = max(
-                    worst, abs(table.probability(signs) - projector_expectation_oracle(rho, signs))
+                    worst, abs(sign_probability(table, signs) - projector_expectation_oracle(rho, signs))
                 )
     ok = worst <= 1e-10
     assert report(2, "explicit two-copy projector oracle vs fast path", ok, f"worst {worst:.2e}")

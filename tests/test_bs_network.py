@@ -11,7 +11,6 @@ from puritynet.bs_network import (
     purities_from_probabilities,
     sign_probabilities_from_purities,
     joint_sign_probabilities,
-    sign_vectors,
     walsh_hadamard,
 )
 from puritynet.qstate import (
@@ -25,7 +24,13 @@ from puritynet.qstate import (
 from puritynet.separability import SubsetPurityMap, all_subset_purities
 from puritynet.states import ghz
 
-from conftest import projector_expectation_oracle, triplet_singlet_weights
+from conftest import (
+    projector_expectation_oracle,
+    random_pure_state,
+    sign_probability,
+    sign_vectors,
+    triplet_singlet_weights,
+)
 
 SWAP4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -88,14 +93,14 @@ class TestTripletSingletWeights:
 class TestJointSignProbabilities:
     def test_pure_product_concentrates_on_all_plus(self):
         table = joint_sign_probabilities(all_zero(3))
-        assert table.probability((1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert sign_probability(table, (1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
         for signs in sign_vectors(3)[1:]:
-            assert table.probability(signs) == pytest.approx(0.0, abs=1e-12)
+            assert sign_probability(table, signs) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_site_maximally_mixed(self):
         table = joint_sign_probabilities(DensityOperator.maximally_mixed(1))
-        assert table.probability((1,)) == pytest.approx(0.75, abs=1e-12)
-        assert table.probability((-1,)) == pytest.approx(0.25, abs=1e-12)
+        assert sign_probability(table, (1,)) == pytest.approx(0.75, abs=1e-12)
+        assert sign_probability(table, (-1,)) == pytest.approx(0.25, abs=1e-12)
 
     @given(st.integers(0, 10**6), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
@@ -111,7 +116,7 @@ class TestJointSignProbabilities:
         rho = random_state(n, 2, seed)
         table = joint_sign_probabilities(rho)
         for signs in sign_vectors(n):
-            assert table.probability(signs) == pytest.approx(
+            assert sign_probability(table, signs) == pytest.approx(
                 projector_expectation_oracle(rho, signs), abs=1e-10
             )
 
@@ -123,8 +128,8 @@ class TestJointSignProbabilities:
         table3 = joint_sign_probabilities(rho)
         table2 = joint_sign_probabilities(partial_trace(rho, [1, 2]))
         for signs in sign_vectors(2):
-            marginal = sum(table3.probability(signs + (s,)) for s in (1, -1))
-            assert marginal == pytest.approx(table2.probability(signs), abs=1e-10)
+            marginal = sum(sign_probability(table3, signs + (s,)) for s in (1, -1))
+            assert marginal == pytest.approx(sign_probability(table2, signs), abs=1e-10)
 
 
 class TestProjectorOracle:
@@ -187,8 +192,6 @@ class TestInversion:
             purities_from_probabilities(JointSignProbabilityTable(2, values))
 
     def test_pure_state_full_purity_recovered(self):
-        from puritynet.qstate import random_pure_state
-
         rho = random_pure_state(3, 9).to_density()
         pm = purities_from_probabilities(joint_sign_probabilities(rho))
         assert pm.purity((1, 2, 3)) == pytest.approx(1.0, abs=1e-10)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,7 +19,10 @@ from puritynet.cli import (
     EXIT_INVERSION,
     EXIT_OK,
     EXIT_USAGE,
+    FLAG_DOMAINS,
+    MAX_ATOMS,
     MAX_END_TO_END_STATES,
+    MAX_M_VALUES,
     MAX_POINTS,
     MAX_RUNS,
     SPEC_CHARS_PER_ENTRY,
@@ -166,7 +172,7 @@ class TestStateSpecParsing:
         assert type(state) is expected
 
     def test_parse_chains(self):
-        chains = parse_chains("1,2,3>1,2>1;1,2>2", 3)
+        chains = parse_chains("1,2,3>1,2>1;1,2>2")
         assert chains == [((1, 2, 3), (1, 2), (1,)), ((1, 2), (2,))]
 
 
@@ -290,6 +296,17 @@ class TestProbeCommand:
         out = tmp_path / "x.json"
         assert run("probe", "--spec-text", GHZ_SPEC, "--qubit-cap", "3", "--out", str(out)) == EXIT_OK
         assert json.loads(out.read_text())["verdict"] == "entangled_detected"
+
+    def test_memory_error_exits_capacity(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 TiB")
+
+        monkeypatch.setattr(cli, "all_subset_purities", out_of_memory)
+        out = tmp_path / "x.json"
+        assert run("probe", "--spec-text", GHZ_SPEC, "--out", str(out)) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_io_error_exit_code(self):
         assert run("probe", "--spec-text", GHZ_SPEC, "--out", "/nonexistent-dir/x.json") == 5
@@ -439,6 +456,19 @@ class TestFigureCommands:
         assert "--m" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_m_count_beyond_cap_rejected_before_any_row(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        out = tmp_path / "x.csv"
+        at_cap = ",".join(map(str, range(1, MAX_M_VALUES + 1)))
+        assert run("fig2b", "--m", at_cap, "--points", "3", "--out", str(out)) == EXIT_OK
+        monkeypatch.setattr(cli, "cat_purity_closed_form", unreachable)
+        out.unlink()
+        assert run("fig2b", "--m", at_cap + ",1", "--out", str(out)) == EXIT_CAPACITY
+        assert f"--m lists {MAX_M_VALUES + 1} values, beyond the cap" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fig2a", "fig2b"])
     def test_zero_points_rejected(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
@@ -573,8 +603,13 @@ CAT_ARGV = ["cat-experiment", "--epsilon", "0.6"]
         (CAT_ARGV + ["--survival", "1.5"], "--survival"),
         (CAT_ARGV + ["--survival", "nan"], "--survival"),
         (["cat-experiment", "--epsilon", "1.5"], "--epsilon"),
+        (["probe", "--spec-text", GHZ_SPEC, "--qubit-cap", "0"], "--qubit-cap"),
+        (["probe", "--spec-text", GHZ_SPEC, "--qubit-cap", "-3"], "--qubit-cap"),
     ],
-    ids=["cat-seed", "lattice-seed", "survival-above-1", "survival-nan", "epsilon-above-1"],
+    ids=[
+        "cat-seed", "lattice-seed", "survival-above-1", "survival-nan", "epsilon-above-1",
+        "qubit-cap-0", "qubit-cap-neg",
+    ],
 )
 def test_seed_survival_and_epsilon_name_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.json"
@@ -590,14 +625,95 @@ def test_seed_survival_and_epsilon_name_the_flag(tmp_path, capsys, argv, flag):
         (CAT_ARGV + ["--runs"], 10**10),
         (["lattice-validate", "--end-to-end-states"], MAX_END_TO_END_STATES + 1),
         (["lattice-validate", "--end-to-end-states"], 10**10),
+        # at 10**400 fig2b's closed form overflows a float; at 10**20 numpy's binomial draw does
+        (["fig2b", "--m", "1", "--n"], MAX_ATOMS + 1),
+        (["fig2b", "--m", "1", "--n"], 10**20),
+        (["fig2b", "--m", "1", "--n"], 10**400),
+        (CAT_ARGV + ["--n"], MAX_ATOMS + 1),
+        (CAT_ARGV + ["--n"], 10**20),
+        (CAT_ARGV + ["--n"], 10**400),
     ],
-    ids=["runs-cap+1", "runs-1e10", "states-cap+1", "states-1e10"],
+    ids=[
+        "runs-cap+1", "runs-1e10", "states-cap+1", "states-1e10",
+        "fig2b-atoms-cap+1", "fig2b-atoms-1e20", "fig2b-atoms-1e400",
+        "cat-atoms-cap+1", "cat-atoms-1e20", "cat-atoms-1e400",
+    ],
 )
 def test_run_counts_beyond_cap_rejected(tmp_path, capsys, argv, count):
     out = tmp_path / "x.json"
     assert run(*argv, str(count), "--out", str(out)) == EXIT_CAPACITY
     assert f"{argv[-1]} {count} is beyond the cap" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _numeric_flags() -> list[tuple[str, str, type, str]]:
+    """(command, flag, type, dest) of every int or float option of every subcommand."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return [
+        (command, option, action.type, action.dest)
+        for command, sub in commands.items()
+        for action in sub._actions
+        if action.type in (int, float)
+        for option in action.option_strings
+    ]
+
+
+NUMERIC_FLAGS = _numeric_flags()
+
+
+def test_every_numeric_flag_has_one_domain():
+    flags = [(command, flag) for command, flag, _, _ in NUMERIC_FLAGS]
+    assert len(flags) == len(set(flags))
+    assert sorted(flags) == sorted((command, flag) for command in FLAG_DOMAINS for flag in FLAG_DOMAINS[command])
+
+
+#: What each command requires besides ``--out`` and the flag under test.
+REQUIRED_ARGV = {"probe": ["--spec-text", GHZ_SPEC], "cat-experiment": ["--epsilon", "0.5"]}
+
+
+def _flag_texts(kind: type, domain) -> st.SearchStrategy[str]:
+    """Texts of values inside, at and just past each bound of ``domain``,
+    non-finite floats and integers of 10**20 and more."""
+    edges = [b for b in (domain.low, domain.high, domain.cap) if math.isfinite(b)]
+    if kind is int:
+        near = [b + step for b in edges for step in (-1, 0, 1)]
+        inside = st.integers(domain.low, min(domain.high, domain.cap, 10**30))
+    else:
+        near = [x for b in edges for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+        near += [math.nan, math.inf, -math.inf]
+        high = min(domain.high, domain.cap)
+        inside = st.floats(domain.low, high if math.isfinite(high) else None, allow_infinity=False)
+    huge = [10**20, 10**400, -(10**20)]
+    return st.sampled_from(near + huge).map(repr) | inside.map(repr)
+
+
+def _expected_exit(domain, value) -> int:
+    finite = not isinstance(value, float) or math.isfinite(value)
+    if not (finite and domain.low <= value <= domain.high):
+        return EXIT_USAGE
+    return EXIT_CAPACITY if value > domain.cap else EXIT_OK
+
+
+@pytest.mark.parametrize("command, flag, kind, dest", NUMERIC_FLAGS, ids=[f"{c}{f}" for c, f, _, _ in NUMERIC_FLAGS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flag_domains_at_their_bounds(command, flag, kind, dest, data):
+    domain = FLAG_DOMAINS[command][flag]
+    text = data.draw(_flag_texts(kind, domain))
+    value = kind(text)
+    calls, err = [], io.StringIO()
+    # handlers are looked up at call time, so a recording stub stands in for the work
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(cli, "run_" + command.replace("-", "_"), lambda args: calls.append(args) or EXIT_OK)
+        code = main([command, *REQUIRED_ARGV.get(command, []), f"{flag}={text}", "--out", os.devnull])
+    expected = _expected_exit(domain, value)
+    assert code == expected
+    if expected == EXIT_OK:
+        assert len(calls) == 1 and getattr(calls[0], dest) == value
+    else:
+        assert calls == []
+        assert err.getvalue().startswith(f"error: {flag} ") and "Traceback" not in err.getvalue()
 
 
 class TestOneParserPerProcess:

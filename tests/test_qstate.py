@@ -11,13 +11,12 @@ from puritynet.qstate import (
     PureState,
     partial_trace,
     purity,
-    random_pure_state,
     random_state,
     subset_index,
     validate,
 )
 
-from conftest import ref_partial_trace, ref_purity, tensor
+from conftest import random_pure_state, ref_partial_trace, ref_purity, tensor
 
 I2 = DensityOperator.maximally_mixed(1)
 KET0 = DensityOperator(1, np.diag([1.0, 0.0]).astype(complex))

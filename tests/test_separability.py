@@ -12,7 +12,6 @@ from puritynet.qstate import (
     DensityOperator,
     PureState,
     purity,
-    random_pure_state,
     random_state,
 )
 from puritynet.separability import (
@@ -30,7 +29,7 @@ from puritynet.separability import (
 )
 from puritynet.states import ClusterFamilySpec, cluster_family_state, ghz, linear_cluster
 
-from conftest import ref_subset_purity, tensor
+from conftest import random_pure_state, ref_subset_purity, tensor
 
 
 #: A product state whose computed purities differ by rounding (~1e-16).
