@@ -255,6 +255,19 @@ def ref_cat_experiment(n: int, epsilon: float, survival: float, runs: int, seed:
     }
 
 
+def ref_loss_count_distribution(n: int, survival: float) -> list[float]:
+    """Exact P(n = k), k = 0..N, of a cat-experiment run's loss count.
+
+    The two copies lose m and m' atoms, independent Bin(N, 1 - s) draws,
+    and the run is reduced by n = max(m, m'), so P(n <= k) = F(k)^2 with
+    F the Bin(N, 1 - s) CDF, summed term by term with ``math.comb``.
+    """
+    q = 1.0 - survival
+    cdf = list(itertools.accumulate(math.comb(n, k) * q**k * survival ** (n - k) for k in range(n + 1)))
+    cdf_n = [c * c for c in cdf]
+    return [cdf_n[0]] + [hi - lo for lo, hi in zip(cdf_n, cdf_n[1:])]
+
+
 def ref_occupations(n_modes: int, total: int) -> list[tuple[int, ...]]:
     """Occupation tuples of ``total`` bosons over ``n_modes`` modes.
 

@@ -37,9 +37,9 @@ from puritynet.cli import (
 from puritynet import bs_network, cli, qstate, separability
 from puritynet.lattice import sample_loss
 from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
-from puritynet.states import estimate_epsilon
+from puritynet.states import cat_purity_closed_form, estimate_epsilon
 
-from conftest import ref_cat_experiment, tensor
+from conftest import ref_cat_experiment, ref_loss_count_distribution, tensor
 
 GHZ_SPEC = "statespec v1\nkind = ghz\nn = 3\n"
 PRODUCT_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 0,0\n"
@@ -576,6 +576,35 @@ class TestCatExperimentCommand:
             "n_atoms": 300, "epsilon_true": epsilon, "survival_prob": survival, "runs": 300,
         }
         assert report["seed"] == seed
+
+    @pytest.mark.parametrize(
+        "atoms, epsilon, survival, seed",
+        [(300, 0.6, 0.95, 0), (50, 0.5, 0.6, 8), (20, 0.3, 0.97, 3), (5, 0.9, 0.2, 11)],
+    )
+    def test_matches_exact_loss_distribution(self, tmp_path, atoms, epsilon, survival, seed):
+        # Each run draws its loss count afresh, so every run mean lies within
+        # z sigma / sqrt(sample size) of its exact expectation.
+        runs, z = 2000, 5.0
+        out = tmp_path / "cat.json"
+        argv = ["--n", str(atoms), "--epsilon", str(epsilon), "--survival", str(survival), "--runs", str(runs)]
+        assert run("cat-experiment", *argv, "--seed", str(seed), "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+
+        def assert_within(got, values, weights, size):
+            mean = float(np.dot(weights, values))
+            sigma = math.sqrt(max(0.0, float(np.dot(weights, values**2)) - mean**2))
+            assert abs(got - mean) <= z * sigma / math.sqrt(size) + 1e-12
+
+        p = np.array(ref_loss_count_distribution(atoms, survival))
+        counts = np.arange(atoms + 1.0)
+        uninformative = np.zeros(atoms + 1)
+        uninformative[[0, -1]] = 1.0
+        assert_within(report["mean_n"], counts, p, runs)
+        assert_within(report["uninformative_runs"] / runs, uninformative, p, runs)
+        # the mean purity is over the informative runs, 0 < n < N
+        purities = np.array([cat_purity_closed_form(atoms, k, 1.0 - epsilon**2) for k in range(1, atoms)])
+        p_informative = p[1:-1] / p[1:-1].sum()
+        assert_within(report["mean_purity"], purities, p_informative, report["informative_runs"])
 
     def test_each_loss_count_inverted_once(self, tmp_path, monkeypatch):
         calls = []
