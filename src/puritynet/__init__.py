@@ -47,7 +47,6 @@ from .states import (
 from .lattice import (
     FockState,
     LatticeParams,
-    LossOutcome,
     build_fock_basis,
     build_hamiltonians,
     embed_two_copies,

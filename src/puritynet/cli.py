@@ -215,11 +215,13 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Write a CSV table, rendered in full before the file is opened."""
-    lines = [",".join(header)]
-    lines += [",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    """Write a CSV table.  Each row of the iterable ``rows`` becomes its
+    line as it arrives, and the text is joined before the file is opened,
+    so a value that cannot be written leaves no file behind."""
+    lines = (",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    text = "\n".join(itertools.chain([",".join(header)], lines)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +480,8 @@ def run_probe(args) -> int:
 
 
 def run_fig2a(args) -> int:
-    rows = []
-    for phi in np.linspace(0.0, 2 * math.pi, args.points):
-        pt = fig2a_violations(float(phi), family=args.family)
-        rows.append((pt.phi, pt.v1, pt.v2, pt.v3))
-    write_csv(args.out, ["phi", "V1", "V2", "V3"], rows)
+    points = (fig2a_violations(float(phi), family=args.family) for phi in np.linspace(0.0, 2 * math.pi, args.points))
+    write_csv(args.out, ["phi", "V1", "V2", "V3"], ((pt.phi, pt.v1, pt.v2, pt.v3) for pt in points))
     return EXIT_OK
 
 
@@ -497,10 +496,10 @@ def run_fig2b(args) -> int:
     for m in m_list:
         if not 0 < m < args.n:
             raise SpecParseError(f"m values must lie strictly between 0 and N={args.n}, got {m}")
-    rows = []
-    for eps in np.linspace(0.0, 1.0, args.points):
-        gamma = 1.0 - float(eps) ** 2
-        rows.append((float(eps), *(cat_purity_closed_form(args.n, m, gamma) for m in m_list)))
+    rows = (
+        (eps, *(cat_purity_closed_form(args.n, m, 1.0 - eps**2) for m in m_list))
+        for eps in np.linspace(0.0, 1.0, args.points).tolist()
+    )
     write_csv(args.out, ["epsilon"] + [f"Pi_m{m}" for m in m_list], rows)
     return EXIT_OK
 
@@ -572,35 +571,26 @@ def run_lattice_validate(args) -> int:
 
 def run_cat_experiment(args) -> int:
     gamma = 1.0 - args.epsilon**2
-
-    n_values, purities, per_run_estimates = [], [], []
-    uninformative = 0
-    # A run's purity and its inversion depend only on its loss count, and
-    # runs share a few dozen counts, so each count is inverted once.
-    by_count: dict[int, tuple[float, float]] = {}
-    for run in range(args.runs):
-        outcome = sample_loss(args.n, args.survival, seed=args.seed + run)
-        n_values.append(outcome.n)
-        if not 0 < outcome.n < args.n:
-            # a run that lost nothing (or everything) carries no purity signal
-            uninformative += 1
-            continue
-        if outcome.n not in by_count:
-            pi = cat_purity_closed_form(args.n, outcome.n, gamma)
-            by_count[outcome.n] = (pi, estimate_epsilon(pi, args.n, outcome.n))
-        pi, estimate = by_count[outcome.n]
-        purities.append(pi)
-        per_run_estimates.append(estimate)
-
-    if not per_run_estimates:
+    # a run keeps N - max(m, m') usable site pairs: it is reduced by max(m, m')
+    n_values = sample_loss(args.n, args.survival, args.runs, args.seed).max(axis=1)
+    # a run that lost nothing (or everything) carries no purity signal
+    informative = n_values[(0 < n_values) & (n_values < args.n)]
+    if not informative.size:
         raise InversionError(
             "no informative runs: every sampled loss count was 0 or N, and the "
             "reduced purity at those counts is 1 regardless of epsilon"
         )
+    # A run's purity and its inversion depend only on its loss count, and
+    # runs share a few dozen counts, so each count is inverted once and the
+    # per-run values are gathered back in run order.
+    counts, run_count = np.unique(informative, return_inverse=True)
+    counts = counts.tolist()
+    purity_of = [cat_purity_closed_form(args.n, k, gamma) for k in counts]
+    estimate_of = [estimate_epsilon(pi, args.n, k) for pi, k in zip(purity_of, counts)]
 
     mean_n = float(np.mean(n_values))
-    mean_purity = float(np.mean(purities))
-    epsilon_estimated = float(np.mean(per_run_estimates))
+    mean_purity = float(np.mean(np.array(purity_of)[run_count]))
+    epsilon_estimated = float(np.mean(np.array(estimate_of)[run_count]))
     # Diagnostic alternative: invert the run-averaged purity at the mean
     # loss count.  gamma^n is convex in n, so this estimator carries a
     # Jensen bias that grows with epsilon; reported for comparison only.
@@ -619,8 +609,8 @@ def run_cat_experiment(args) -> int:
             "survival_prob": args.survival,
             "runs": args.runs,
         },
-        "informative_runs": args.runs - uninformative,
-        "uninformative_runs": uninformative,
+        "informative_runs": informative.size,
+        "uninformative_runs": args.runs - informative.size,
         "mean_n": mean_n,
         "mean_purity": mean_purity,
         "epsilon_estimated": epsilon_estimated,

@@ -485,32 +485,18 @@ def occupancy_probabilities(ensemble, site: int) -> OccupancyProbabilities:
     return OccupancyProbabilities(p_same_mode=1.0 - p_diff, p_diff_mode=p_diff)
 
 
-@dataclass(frozen=True)
-class LossOutcome:
-    """Per-copy single-particle loss counts and the pair minimum survivor."""
+def sample_loss(n_atoms: int, survival_prob: float, runs: int, seed: int) -> np.ndarray:
+    """Independent binomial single-particle loss in both copies of each run.
 
-    m: int
-    m_prime: int
-
-    @property
-    def n(self) -> int:
-        return max(self.m, self.m_prime)
-
-
-def sample_loss(n_atoms: int, survival_prob: float, seed: int) -> LossOutcome:
-    """Independent binomial single-particle loss in each of the two copies.
-
-    Each atom survives with ``survival_prob``; the loss counts m, m' of the
-    two copies are drawn independently.  Only min(N-m, N-m') = N - max(m, m')
-    site pairs remain usable downstream, hence the ``n`` attribute.
-    Deterministic for a fixed seed.
+    Each atom survives with ``survival_prob``.  Returns the ``(runs, 2)``
+    loss counts m, m' of the two copies, every one drawn independently
+    from one ``default_rng(seed)``, so a seed names one stream.  Only
+    min(N-m, N-m') = N - max(m, m') site pairs of a run remain usable
+    downstream.
     """
     if not 0.0 <= survival_prob <= 1.0:
         raise ValueError("survival probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    m = int(rng.binomial(n_atoms, 1.0 - survival_prob))
-    m_prime = int(rng.binomial(n_atoms, 1.0 - survival_prob))
-    return LossOutcome(m, m_prime)
+    return np.random.default_rng(seed).binomial(n_atoms, 1.0 - survival_prob, size=(runs, 2))
 
 
 def standard_test_states(seed: int = 0) -> list[FockState]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from puritynet.lattice import sample_loss
 from puritynet.qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity
 from puritynet.states import InversionError, cat_purity_closed_form, cat_state, estimate_epsilon
 
@@ -224,14 +223,17 @@ def ref_epsilon_resolution(n_sites: int, n_lost: int, eps: float) -> float:
 def ref_cat_experiment(n: int, epsilon: float, survival: float, runs: int, seed: int) -> dict:
     """The ``cat-experiment`` report fields from a literal per-run loop.
 
-    Each run draws its loss with ``sample_loss(seed=seed + run)``, then
-    computes its closed-form purity and inverts it, with no sharing
-    between runs.  The means and the mean-purity inversion follow.
+    All runs' loss counts (m, m') are drawn from one ``default_rng(seed)``
+    as a (runs, 2) binomial array.  Each run is then reduced by
+    max(m, m'), and its closed-form purity is computed and inverted, with
+    no sharing between runs.  The means and the mean-purity inversion
+    follow.
     """
     gamma = 1.0 - epsilon**2
+    losses = np.random.default_rng(seed).binomial(n, 1.0 - survival, size=(runs, 2))
     n_values, purities, estimates = [], [], []
-    for run in range(runs):
-        lost = sample_loss(n, survival, seed=seed + run).n
+    for m, m_prime in losses.tolist():
+        lost = max(m, m_prime)
         n_values.append(lost)
         if 0 < lost < n:
             purity = cat_purity_closed_form(n, lost, gamma)

@@ -35,7 +35,6 @@ from puritynet.cli import (
     parse_state_spec,
 )
 from puritynet import bs_network, cli, qstate, separability
-from puritynet.lattice import sample_loss
 from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
 from puritynet.states import cat_purity_closed_form, estimate_epsilon
 
@@ -543,6 +542,12 @@ class TestCatExperimentCommand:
         )
         assert code == EXIT_INVERSION
 
+    def test_total_loss_is_rejected(self, tmp_path):
+        # every run loses all N atoms, the other uninformative edge
+        out = tmp_path / "x.json"
+        assert run("cat-experiment", "--epsilon", "0.6", "--survival", "0", "--out", str(out)) == EXIT_INVERSION
+        assert not out.exists()
+
     def test_zero_runs_is_a_usage_error(self, tmp_path, capsys):
         # not an inversion failure: no run was sampled at all
         code = run("cat-experiment", "--epsilon", "0.6", "--runs", "0", "--out", str(tmp_path / "x.json"))
@@ -616,9 +621,10 @@ class TestCatExperimentCommand:
         monkeypatch.setattr(cli, "estimate_epsilon", counted)
         argv = ["--n", "300", "--epsilon", "0.6", "--survival", "0.95", "--runs", "1000", "--seed", "0"]
         assert run("cat-experiment", *argv, "--out", str(tmp_path / "cat.json")) == EXIT_OK
-        counts = {sample_loss(300, 0.95, seed=run).n for run in range(1000)} - {0, 300}
+        losses = np.random.default_rng(0).binomial(300, 1.0 - 0.95, size=(1000, 2))
+        counts = set(losses.max(axis=1).tolist()) - {0, 300}
         # one inversion per distinct informative count, plus the mean-purity diagnostic
-        assert len(calls) <= len(counts) + 1
+        assert len(calls) == len(counts) + 1
 
 
 CAT_ARGV = ["cat-experiment", "--epsilon", "0.6"]

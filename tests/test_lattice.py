@@ -434,25 +434,24 @@ class TestEmbedTwoCopies:
 
 class TestSampleLoss:
     def test_survival_one(self):
-        out = sample_loss(300, 1.0, seed=5)
-        assert (out.m, out.m_prime, out.n) == (0, 0, 0)
+        assert (sample_loss(300, 1.0, runs=4, seed=5) == 0).all()
 
     def test_survival_zero(self):
-        out = sample_loss(12, 0.0, seed=5)
-        assert (out.m, out.m_prime, out.n) == (12, 12, 12)
+        assert (sample_loss(12, 0.0, runs=4, seed=5) == 12).all()
 
     def test_deterministic(self):
-        a = sample_loss(300, 0.95, seed=77)
-        b = sample_loss(300, 0.95, seed=77)
-        assert (a.m, a.m_prime) == (b.m, b.m_prime)
+        a = sample_loss(300, 0.95, runs=50, seed=77)
+        b = sample_loss(300, 0.95, runs=50, seed=77)
+        assert a.shape == (50, 2)
+        assert (a == b).all()
 
     def test_binomial_statistics(self):
-        # mean of m over many seeds within 3 sigma of N * (1 - survival)
+        # mean of each copy's loss count within 3 sigma of N * (1 - survival)
         n_samples = 10_000
-        mean = np.mean([sample_loss(300, 0.95, seed=s).m for s in range(n_samples)])
+        losses = sample_loss(300, 0.95, runs=n_samples, seed=0)
         sigma_mean = math.sqrt(300 * 0.05 * 0.95 / n_samples)
-        assert abs(mean - 15.0) <= 3 * sigma_mean
+        assert np.abs(losses.mean(axis=0) - 15.0).max() <= 3 * sigma_mean
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            sample_loss(10, 1.5, seed=0)
+            sample_loss(10, 1.5, runs=1, seed=0)
