@@ -480,8 +480,9 @@ def run_probe(args) -> int:
 
 
 def run_fig2a(args) -> int:
-    points = (fig2a_violations(float(phi), family=args.family) for phi in np.linspace(0.0, 2 * math.pi, args.points))
-    write_csv(args.out, ["phi", "V1", "V2", "V3"], ((pt.phi, pt.v1, pt.v2, pt.v3) for pt in points))
+    phi = np.linspace(0.0, 2 * math.pi, args.points)
+    columns = (c.tolist() for c in (phi, *fig2a_violations(phi, family=args.family)))
+    write_csv(args.out, ["phi", "V1", "V2", "V3"], zip(*columns))
     return EXIT_OK
 
 

@@ -71,6 +71,17 @@ def site_mask(members, n_sites: int) -> int:
     return sum(1 << (n_sites - s) for s in subset_index(members, n_sites))
 
 
+def check_normalized(amplitudes: np.ndarray) -> None:
+    """Raise ValueError unless every amplitude vector (last axis) is finite
+    and has unit norm to 1e-12: a :class:`PureState`'s conditions, for one
+    vector or a stack of them."""
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("state vector has non-finite amplitudes")
+    deviation = abs(np.linalg.norm(amplitudes, axis=-1) - 1.0)
+    if (deviation > 1e-12).any():
+        raise ValueError(f"state vector not normalized: |norm-1| = {deviation.max():.3e}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of ``n_qubits`` qubits.
@@ -93,11 +104,7 @@ class PureState:
                 f"amplitude vector of shape {amps.shape} does not match "
                 f"{self.n_qubits} qubits"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("state vector has non-finite amplitudes")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state vector not normalized: |norm-1| = {abs(norm-1):.3e}")
+        check_normalized(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import DensityOperator, PureState, check_qubit_capacity, site_mask, subset_index, trace_site
-from .states import ClusterFamilySpec, cluster_family_state, collision_phase_state
+from .qstate import DensityOperator, PureState, check_normalized, check_qubit_capacity, site_mask, subset_index, trace_site
+from .states import ClusterFamilySpec, cluster_family_amplitudes, cluster_family_state, collision_phase_amplitudes, collision_phase_state
 
 #: Arithmetic error a computed purity carries: a difference of two
 #: purities this small says nothing about the state.
@@ -206,41 +206,40 @@ def left_to_right_chain(n_sites: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(1, k + 1)) for k in range(n_sites, 0, -1))
 
 
-@dataclass(frozen=True)
-class ViolationCurvePoint:
-    """The three purity differences plotted for the three-site family."""
+def fig2a_violations(phi, family: str = "collision") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns V1, V2, V3 of the three-site product-to-cluster family.
 
-    phi: float
-    v1: float  # purity(123) - purity(12)
-    v2: float  # purity(12)  - purity(1)
-    v3: float  # purity(12)  - purity(2)
-
-
-def fig2a_violations(phi: float, family: str = "collision") -> ViolationCurvePoint:
-    """V1, V2, V3 of the three-site product-to-cluster family at phase phi.
-
+    V1 = tr rho_123^2 - tr rho_12^2, V2 = tr rho_12^2 - tr rho_1^2 and
+    V3 = tr rho_12^2 - tr rho_2^2, each an array of ``phi``'s shape.
     ``family`` selects the interpolating state: "collision" (default) uses
     the state generated by nearest-neighbour controlled-phase dynamics,
     which separates the edge and middle reductions (V3 > 0 away from the
     endpoints); "superposition" uses the idealized two-term formula, whose
     proper reductions all share one purity, leaving V2 = V3 = 0
     identically.  Both give V1 = 0 at phi = 0 and V1 = 1/2 at phi = pi.
+
+    All phases are one array pass, without a state object or purity table
+    per phase.  The site purities come from the Gram matrices M M^dag, M the
+    amplitudes with the site's axis first, as in :func:`all_subset_purities`;
+    every state is pure, so tr rho_123^2 = 1 and tr rho_12^2 = tr rho_3^2.
     """
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi must be finite")
     if family == "collision":
-        psi = collision_phase_state(3, phi)
+        amps = collision_phase_amplitudes(3, phi)
     elif family == "superposition":
-        psi = cluster_family_state(ClusterFamilySpec(3, phi))
+        amps = cluster_family_amplitudes(3, phi)
     else:
         raise ValueError(f"unknown family {family!r}; use 'collision' or 'superposition'")
-    purities = all_subset_purities(psi)
-    p123 = purities.purity((1, 2, 3))
-    p12 = purities.purity((1, 2))
-    return ViolationCurvePoint(
-        phi=phi,
-        v1=p123 - p12,
-        v2=p12 - purities.purity((1,)),
-        v3=p12 - purities.purity((2,)),
+    check_normalized(amps)
+    psi = amps.reshape(phi.shape + (2, 2, 2))
+    p1, p2, p3 = (
+        np.sum(np.abs(m @ m.conj().swapaxes(-1, -2)) ** 2, axis=(-2, -1))
+        for site in range(3)
+        for m in [np.moveaxis(psi, site - 3, -3).reshape(phi.shape + (2, 4))]
     )
+    return 1 - p3, p3 - p1, p3 - p2
 
 
 _PAULI = (

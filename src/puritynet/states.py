@@ -55,44 +55,53 @@ class ClusterFamilySpec:
             raise ValueError(f"phi must be finite, got {self.phi}")
 
 
-def cluster_family_state(spec: ClusterFamilySpec, cap: int | None = None) -> PureState:
+def cluster_family_amplitudes(n: int, phi, cap: int | None = None) -> np.ndarray:
     """Two-term superposition (1+e^{i phi})/2 |0..0> + (1-e^{i phi})/2 |cluster>.
 
-    phi = 0 gives exactly |0..0>, phi = pi exactly the cluster state.  The
-    result is renormalized, although the two-term form is already exactly
-    normalized for every (n, phi): the cross term (1+e^{-i phi})(1-e^{i phi})/4
-    is purely imaginary while <0..0|cluster> is real, so the overlap
-    contributes nothing to the norm.  The site count is checked against the
-    qubit cap before anything is built.
+    ``phi`` may be an array: the result has shape ``phi.shape + (2**n,)``,
+    one amplitude vector per phase.  phi = 0 gives exactly |0..0>, phi = pi
+    exactly the cluster state.  Each vector is renormalized, although the
+    two-term form is already exactly normalized for every (n, phi): the
+    cross term (1+e^{-i phi})(1-e^{i phi})/4 is purely imaginary while
+    <0..0|cluster> is real, so the overlap contributes nothing to the norm.
+    The site count is checked against the qubit cap before anything is built.
     """
-    n, phi = spec.n_sites, spec.phi
-    u = (1 + np.exp(1j * phi)) / 2
-    v = (1 - np.exp(1j * phi)) / 2
-    amps = v * linear_cluster(n, cap).amplitudes.copy()
-    amps[0] += u
-    return PureState(n, amps / np.linalg.norm(amps))
+    e = np.exp(1j * np.asarray(phi, dtype=float))[..., None]
+    amps = (1 - e) / 2 * linear_cluster(n, cap).amplitudes
+    amps[..., 0] += (1 + e[..., 0]) / 2
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
 
 
-def collision_phase_state(n: int, phi: float) -> PureState:
+def cluster_family_state(spec: ClusterFamilySpec, cap: int | None = None) -> PureState:
+    """The state of :func:`cluster_family_amplitudes` at one checked phase."""
+    return PureState(spec.n_sites, cluster_family_amplitudes(spec.n_sites, spec.phi, cap))
+
+
+def collision_phase_amplitudes(n: int, phi) -> np.ndarray:
     """State generated by nearest-neighbour controlled-phase dynamics.
 
     Applies the diagonal phase e^{i phi * (number of adjacent 11 pairs)} to
     the uniform superposition |+>^n.  At phi = 0 this is the product state
     |+>^n, at phi = pi exactly the linear cluster state; in between it is
     the partially entangled state that controlled-interaction dynamics
-    produce on a chain.
+    produce on a chain.  ``phi`` may be an array: the result has shape
+    ``phi.shape + (2**n,)``, one amplitude vector per phase.
 
-    This differs from :func:`cluster_family_state` for n >= 3: the two-term
-    superposition keeps only the parity of the adjacent-pair count, which
-    changes the purity profile of its reductions (all proper-subset
+    This differs from :func:`cluster_family_amplitudes` for n >= 3: the
+    two-term superposition keeps only the parity of the adjacent-pair count,
+    which changes the purity profile of its reductions (all proper-subset
     purities of the superposition family coincide, so only the full-vs-pair
     violation is visible there).
     """
     if n < 2:
         raise ValueError("need at least 2 sites")
     check_qubit_capacity(n)
-    amps = np.exp(1j * phi * _adjacent_pairs(n))
-    return PureState(n, amps / math.sqrt(2**n))
+    return np.exp(1j * np.asarray(phi, dtype=float)[..., None] * _adjacent_pairs(n)) / math.sqrt(2**n)
+
+
+def collision_phase_state(n: int, phi: float) -> PureState:
+    """The state of :func:`collision_phase_amplitudes` at one phase."""
+    return PureState(n, collision_phase_amplitudes(n, phi))
 
 
 def ghz(n: int, cap: int | None = None) -> PureState:

@@ -113,11 +113,11 @@ def test_criterion_02_projector_oracle_equivalence():
 def test_criterion_03_fig2a_regression():
     start = time.perf_counter()
     grid = np.linspace(0.0, 2 * math.pi, 101)
-    points = [fig2a_violations(float(phi)) for phi in grid]
-    v1_0, v1_2pi = points[0].v1, points[-1].v1
-    v1_pi = fig2a_violations(math.pi).v1
-    max_v2 = max(p.v2 for p in points)
-    max_v3 = max(p.v3 for p in points)
+    v1, v2, v3 = fig2a_violations(grid)
+    v1_0, v1_2pi = v1[0], v1[-1]
+    v1_pi = fig2a_violations(np.array([math.pi]))[0][0]
+    max_v2 = max(v2)
+    max_v3 = max(v3)
     elapsed = time.perf_counter() - start
     checks = [
         abs(v1_0) <= 1e-12,

@@ -427,6 +427,16 @@ class TestFigureCommands:
         first = [float(v) for v in lines[1].split(",")]
         assert first == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["collision", "superposition"])
+    def test_fig2a_builds_no_purity_table(self, tmp_path, monkeypatch, family):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("fig2a built a subset-purity table")
+
+        monkeypatch.setattr(separability, "all_subset_purities", unreachable)
+        out = tmp_path / "fig2a.csv"
+        assert run("fig2a", "--points", "11", "--family", family, "--out", str(out)) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 12
+
     def test_fig2a_requires_three_sites(self, tmp_path):
         assert run("fig2a", "--n", "4", "--out", str(tmp_path / "x.csv")) == EXIT_USAGE
 

@@ -224,28 +224,59 @@ class TestCheckChain:
         assert rep.links[0].violation == pytest.approx(1.0 - pm.purity((1, 2)), abs=1e-10)
 
 
+def fig2a_oracle_row(family: str, phi: float) -> tuple[float, float, float]:
+    """(V1, V2, V3) from explicit density matrices of amplitudes built here."""
+    pairs = np.array([bin(x & (x >> 1)).count("1") for x in range(8)])
+    if family == "collision":
+        amps = np.exp(1j * phi * pairs) / math.sqrt(8)
+    else:
+        amps = (1 - np.exp(1j * phi)) / 2 * (-1.0) ** pairs / math.sqrt(8)
+        amps[0] += (1 + np.exp(1j * phi)) / 2
+        amps /= np.linalg.norm(amps)
+    mat = np.outer(amps, amps.conj())
+    p123, p12, p1, p2 = (ref_subset_purity(mat, 3, s) for s in ((1, 2, 3), (1, 2), (1,), (2,)))
+    return p123 - p12, p12 - p1, p12 - p2
+
+
 class TestFig2aViolations:
     def test_phi_zero_all_zero(self):
-        pt = fig2a_violations(0.0)
-        assert (pt.v1, pt.v2, pt.v3) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
+        v1, v2, v3 = fig2a_violations(np.array([0.0]))
+        assert (v1[0], v2[0], v3[0]) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
 
     def test_phi_pi_first_violation_half(self):
-        assert fig2a_violations(math.pi).v1 == pytest.approx(0.5, abs=1e-12)
+        v1, _, _ = fig2a_violations(np.array([math.pi]))
+        assert v1[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_v2_vanishes_on_grid(self):
-        for phi in np.linspace(0, 2 * math.pi, 101):
-            assert fig2a_violations(phi).v2 <= 1e-12
+        _, v2, _ = fig2a_violations(np.linspace(0, 2 * math.pi, 101))
+        assert np.all(v2 <= 1e-12)
 
     def test_v3_positive_for_collision_family(self):
-        vals = [fig2a_violations(phi).v3 for phi in np.linspace(0, 2 * math.pi, 101)]
-        assert max(vals) > 0.1
+        _, _, v3 = fig2a_violations(np.linspace(0, 2 * math.pi, 101))
+        assert max(v3) > 0.1
 
     def test_v3_vanishes_for_superposition_family(self):
         # the two-term formula cannot separate edge from middle reductions
-        for phi in np.linspace(0, 2 * math.pi, 21):
-            pt = fig2a_violations(phi, family="superposition")
-            assert abs(pt.v3) <= 1e-12
-            assert abs(pt.v2) <= 1e-12
+        _, v2, v3 = fig2a_violations(np.linspace(0, 2 * math.pi, 21), family="superposition")
+        assert np.all(np.abs(v3) <= 1e-12)
+        assert np.all(np.abs(v2) <= 1e-12)
+
+    @pytest.mark.parametrize("family", ["collision", "superposition"])
+    def test_every_row_matches_density_matrix_oracle(self, family):
+        grid = np.linspace(0, 2 * math.pi, 101)
+        got = np.column_stack(fig2a_violations(grid, family=family))
+        want = np.array([fig2a_oracle_row(family, float(phi)) for phi in grid])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["collision", "superposition"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, family, bad):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            fig2a_violations(np.array([0.0, bad]), family=family)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            fig2a_violations(np.array([0.0]), family="ring")
 
 
 class TestChshMax:
