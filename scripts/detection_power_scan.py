@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from puritynet.qstate import partial_trace, purity
-from puritynet.separability import chsh_max
-from puritynet.states import ClusterFamilySpec, cluster_family_state
+from puritynet.separability import all_subset_purities, chsh_max
+from puritynet.states import cluster_family_state
 
 
 def main():
@@ -27,8 +26,9 @@ def main():
 
     print(f"{'phi':>8}  {'purity V':>12}  {'chsh_max':>10}  {'purity flags':>12}  {'chsh beats 2+res':>16}")
     for phi in np.linspace(0.0, math.pi, args.points):
-        rho = cluster_family_state(ClusterFamilySpec(2, float(phi))).to_density()
-        violation = purity(rho) - purity(partial_trace(rho, [1]))
+        rho = cluster_family_state(2, float(phi)).to_density()
+        purities = all_subset_purities(rho)
+        violation = purities.purity([1, 2]) - purities.purity([1])
         chsh = chsh_max(rho)
         print(
             f"{phi:8.4f}  {violation:12.6f}  {chsh:10.6f}  "

@@ -14,7 +14,6 @@ from .qstate import (
     CapacityError,
     DensityOperator,
     PureState,
-    partial_trace,
     purity,
     random_state,
     validate,
@@ -34,7 +33,6 @@ from .bs_network import (
 )
 from .states import (
     CatSpec,
-    ClusterFamilySpec,
     InversionError,
     cat_purity_closed_form,
     cat_state,

@@ -61,7 +61,7 @@ from .separability import (
     left_to_right_chain,
     maximal_chains,
 )
-from .states import InversionError, ClusterFamilySpec, cat_purity_closed_form, cat_state, cluster_family_state, estimate_epsilon, ghz
+from .states import InversionError, cat_purity_closed_form, cat_state, cluster_family_state, estimate_epsilon, ghz
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -241,13 +241,19 @@ def _parse_bloch(text: str) -> PureState:
 
 
 def _complex_literals(tokens: list[str], field: str) -> np.ndarray:
-    """Convert every literal of a raw field in one pass; all must be finite."""
+    """Convert every literal of a raw field in one pass; all must be finite
+    and of modulus at most 2.  No entry of a state the parser accepts comes
+    near 2, and the bound keeps every later sum, norm and trace from
+    overflowing."""
     try:
         values = np.fromiter(map(complex, tokens), complex, len(tokens))
     except ValueError as exc:
         raise SpecParseError(f"bad complex literal in field {field!r}: {exc}") from exc
     if not np.isfinite(values).all():
         raise SpecParseError(f"non-finite complex literal in field {field!r}")
+    large = np.flatnonzero(np.abs(values) > 2)
+    if large.size:
+        raise SpecParseError(f"complex literal {tokens[large[0]]} in field {field!r} has modulus above 2")
     return values
 
 
@@ -324,7 +330,7 @@ def parse_state_spec(
         state = ghz(need("n", int), cap)
     elif kind == "cluster_family":
         n, phi = need("n", int), need("phi", float)
-        state = cluster_family_state(ClusterFamilySpec(n, phi), cap)
+        state = cluster_family_state(n, phi, cap)
         echo["phi"] = phi
     elif kind == "cat":
         n = need("n", int)
@@ -346,7 +352,7 @@ def parse_state_spec(
             tokens = fields["amplitudes"].replace(",", " ").split()
             n = _raw_qubits(len(tokens), cap)
             amps = _complex_literals(tokens, "amplitudes")
-            norm = np.linalg.norm(amps)
+            norm = float(np.linalg.norm(amps))
             if abs(norm - 1.0) > 1e-6:
                 raise SpecParseError(f"raw amplitudes have norm {norm!r}, more than 1e-6 from 1")
             state = PureState(n, amps / norm)
@@ -361,10 +367,14 @@ def parse_state_spec(
             if len(rows[0]) != len(rows):
                 raise SpecParseError(f"raw matrix is not square: {len(rows)} rows of {len(rows[0])} entries")
             mat = _complex_literals(list(itertools.chain.from_iterable(rows)), "matrix").reshape(len(rows), -1)
-            tr = mat.trace()
+            herm = float(np.abs(mat - mat.conj().T).max())
+            if herm > 1e-6:
+                raise SpecParseError(f"raw matrix is not Hermitian: max |rho - rho^dag| = {herm!r}, more than 1e-6")
+            tr = complex(mat.trace())
             if abs(tr - 1.0) > 1e-6:
                 raise SpecParseError(f"raw matrix trace {tr!r} more than 1e-6 from 1")
             mat = mat / tr
+            # symmetrize away rounding dust below the tolerance
             mat = (mat + mat.conj().T) / 2
             report = validate(mat)
             if report.min_eigenvalue < -1e-8:
@@ -506,13 +516,13 @@ def run_fig2b(args) -> int:
 
 
 def run_lattice_validate(args) -> int:
-    params = LatticeParams(n_sites=1, J=args.j, U_a=args.u, U_b=args.u, U_ab=args.u)
+    params = LatticeParams(n_sites=1, J=args.j, U=args.u)
     basis = build_fock_basis(params.n_modes, 2)
     test_states = standard_test_states(seed=args.seed)
 
     bs_report = hopping_bs_check(params, test_states)
 
-    h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1, J=args.j), basis)
+    h_bs, _ = build_hamiltonians(params, basis)
     bs_prop = propagator(h_bs, params.t_bs)
     hom_bunched = FockState(basis, bs_prop @ test_states[0].amplitudes)
     hom_singlet = FockState(basis, bs_prop @ test_states[2].amplitudes)
@@ -523,7 +533,7 @@ def run_lattice_validate(args) -> int:
 
     phase_checks = []
     for theta in (0.1, math.pi / 2, math.pi):
-        rep = interaction_phase_check(U=theta, tau=1.0, basis=basis)
+        rep = interaction_phase_check(U=theta, basis=basis)
         phase_checks.append(
             {
                 "theta": rep.theta,
@@ -544,10 +554,7 @@ def run_lattice_validate(args) -> int:
 
     sweep = []
     for ratio in (0.0, 0.01, 0.1, 1.0):
-        sweep_params = LatticeParams(
-            n_sites=1, J=args.j, U_a=ratio * args.j, U_b=ratio * args.j, U_ab=ratio * args.j
-        )
-        rep = hopping_bs_check(sweep_params, test_states)
+        rep = hopping_bs_check(LatticeParams(n_sites=1, J=args.j, U=ratio * args.j), test_states)
         sweep.append({"u_over_j": ratio, "min_fidelity": rep.min_fidelity})
 
     report = {

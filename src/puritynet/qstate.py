@@ -149,15 +149,6 @@ class DensityOperator:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityOperator":
-        d = 2**n_qubits
-        return cls(n_qubits, np.eye(d, dtype=complex) / d)
-
 
 def trace_site(matrix: np.ndarray, position: int) -> np.ndarray:
     """Trace one site out of a 2^k x 2^k operator on k sites.
@@ -172,27 +163,6 @@ def trace_site(matrix: np.ndarray, position: int) -> np.ndarray:
     b = matrix.shape[0] // (2 * a)
     t = matrix.reshape(a, 2, b, a, 2, b)
     return (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(a * b, a * b)
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduce ``rho`` to the sites in ``keep``, tracing out the rest.
-
-    Parameters
-    ----------
-    rho : DensityOperator
-    keep : collection of int
-        Nonempty set of 1-based site labels to retain.  The reduced
-        operator acts on those sites in ascending label order.
-    """
-    keep = subset_index(keep, rho.n_qubits)
-    reduced = rho.matrix
-    # Highest site first: the sites below it keep their positions.
-    for site in range(rho.n_qubits, 0, -1):
-        if site not in keep:
-            reduced = trace_site(reduced, site - 1)
-    # Re-symmetrize: tracing can leave ~1e-16 Hermiticity dust.
-    reduced = (reduced + reduced.conj().T) / 2
-    return DensityOperator(len(keep), reduced)
 
 
 def purity(rho: DensityOperator) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qstate import DensityOperator, PureState, check_normalized, check_qubit_capacity, site_mask, subset_index, trace_site
-from .states import ClusterFamilySpec, cluster_family_amplitudes, cluster_family_state, collision_phase_amplitudes, collision_phase_state
+from .states import cluster_family_amplitudes, cluster_family_state, collision_phase_amplitudes, collision_phase_state
 
 #: Arithmetic error a computed purity carries: a difference of two
 #: purities this small says nothing about the state.
@@ -286,7 +286,7 @@ def chsh_threshold_phi(family: str = "superposition", lo: float = 1e-4, hi: floa
 
     def gap(phi: float) -> float:
         if family == "superposition":
-            psi = cluster_family_state(ClusterFamilySpec(2, phi))
+            psi = cluster_family_state(2, phi)
         elif family == "collision":
             psi = collision_phase_state(2, phi)
         else:

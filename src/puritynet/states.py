@@ -41,20 +41,6 @@ def linear_cluster(n: int, cap: int | None = None) -> PureState:
     return PureState(n, amps / math.sqrt(2**n))
 
 
-@dataclass(frozen=True)
-class ClusterFamilySpec:
-    """Parameters of the product-to-cluster interpolation."""
-
-    n_sites: int
-    phi: float
-
-    def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError("family needs at least 2 sites")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-
-
 def cluster_family_amplitudes(n: int, phi, cap: int | None = None) -> np.ndarray:
     """Two-term superposition (1+e^{i phi})/2 |0..0> + (1-e^{i phi})/2 |cluster>.
 
@@ -72,9 +58,12 @@ def cluster_family_amplitudes(n: int, phi, cap: int | None = None) -> np.ndarray
     return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
 
 
-def cluster_family_state(spec: ClusterFamilySpec, cap: int | None = None) -> PureState:
-    """The state of :func:`cluster_family_amplitudes` at one checked phase."""
-    return PureState(spec.n_sites, cluster_family_amplitudes(spec.n_sites, spec.phi, cap))
+def cluster_family_state(n: int, phi: float, cap: int | None = None) -> PureState:
+    """The state of :func:`cluster_family_amplitudes` at one phase, which
+    must be finite."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
+    return PureState(n, cluster_family_amplitudes(n, phi, cap))
 
 
 def collision_phase_amplitudes(n: int, phi) -> np.ndarray:

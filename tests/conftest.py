@@ -49,6 +49,17 @@ def ref_partial_trace(mat: np.ndarray, n: int, keep) -> np.ndarray:
     return out
 
 
+def ref_reduced(rho: DensityOperator, keep) -> DensityOperator:
+    """``rho`` reduced to the sites in ``keep`` by :func:`ref_partial_trace`."""
+    return DensityOperator(len(keep), ref_partial_trace(rho.matrix, rho.n_qubits, keep))
+
+
+def maximally_mixed(n_qubits: int) -> DensityOperator:
+    """I / 2^n on ``n_qubits`` qubits."""
+    dim = 2**n_qubits
+    return DensityOperator(n_qubits, np.eye(dim, dtype=complex) / dim)
+
+
 def ref_purity(mat: np.ndarray) -> float:
     """tr(m @ m) by explicit matrix multiplication."""
     return float(np.trace(mat @ mat).real)
@@ -297,8 +308,9 @@ def ref_hamiltonians(params, basis) -> tuple[np.ndarray, np.ndarray]:
         energy = 0.0
         for site in range(params.n_sites):
             for row in range(2):
+                # one strength U for each species and for the a-b pair
                 na, nb = occ[4 * site + 2 * row], occ[4 * site + 2 * row + 1]
-                energy += params.U_a / 2 * na * (na - 1) + params.U_b / 2 * nb * (nb - 1) + params.U_ab * na * nb
+                energy += params.U / 2 * na * (na - 1) + params.U / 2 * nb * (nb - 1) + params.U * na * nb
             for internal in range(2):
                 top, bottom = 4 * site + internal, 4 * site + 2 + internal
                 for src, dst in ((bottom, top), (top, bottom)):

@@ -47,7 +47,6 @@ from puritynet.separability import (
     maximal_chains,
 )
 from puritynet.states import (
-    ClusterFamilySpec,
     cat_purity_closed_form,
     cluster_family_state,
     collision_phase_state,
@@ -141,7 +140,7 @@ def test_criterion_04_chsh_threshold():
     # independent purity oracle sees a violation while CHSH is also checked
     purity_covers = True
     for phi in grid:
-        rho = cluster_family_state(ClusterFamilySpec(2, float(phi))).to_density()
+        rho = cluster_family_state(2, float(phi)).to_density()
         oracle_v = ref_subset_purity(rho.matrix, 2, [1, 2]) - ref_subset_purity(rho.matrix, 2, [1])
         if oracle_v > 1e-9:
             detected = check_chain(all_subset_purities(rho), [(1, 2), (1,)]).entangled
@@ -153,7 +152,7 @@ def test_criterion_04_chsh_threshold():
     # have concurrence C = |sin(phi/2)|, so every phi in (0, 2 pi) already
     # violates (Gisin's theorem).  README, "Acceptance criteria 04 and 11".
     families = {
-        "superposition": lambda phi: cluster_family_state(ClusterFamilySpec(2, phi)),
+        "superposition": lambda phi: cluster_family_state(2, phi),
         "collision": lambda phi: collision_phase_state(2, phi),
     }
     worst_dev = 0.0  # (a) chsh_max against the concurrence oracle
@@ -277,11 +276,11 @@ def test_criterion_09_interaction_phase():
     basis = standard_test_states()[0].basis
     worst = 0.0
     for theta in (0.1, math.pi / 2, math.pi):
-        rep = interaction_phase_check(U=theta, tau=1.0, basis=basis)
+        rep = interaction_phase_check(U=theta, basis=basis)
         worst = max(worst, rep.max_deviation)
     ok = worst <= 1e-12
     assert report(
-        9, "doubly occupied site-rows acquire exactly U*tau", ok, f"worst deviation {worst:.2e}"
+        9, "doubly occupied site-rows acquire exactly U per unit time", ok, f"worst deviation {worst:.2e}"
     )
 
 

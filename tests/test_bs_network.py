@@ -15,9 +15,7 @@ from puritynet.bs_network import (
 )
 from puritynet.qstate import (
     CapacityError,
-    DensityOperator,
     PureState,
-    partial_trace,
     purity,
     random_state,
 )
@@ -25,8 +23,10 @@ from puritynet.separability import SubsetPurityMap, all_subset_purities
 from puritynet.states import ghz
 
 from conftest import (
+    maximally_mixed,
     projector_expectation_oracle,
     random_pure_state,
+    ref_reduced,
     sign_probability,
     sign_vectors,
     triplet_singlet_weights,
@@ -48,7 +48,7 @@ class TestPairProjection:
         assert out.p_minus == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        out = pair_projection_probabilities(DensityOperator.maximally_mixed(1))
+        out = pair_projection_probabilities(maximally_mixed(1))
         assert (out.p_plus, out.p_minus) == pytest.approx((0.75, 0.25), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -69,7 +69,7 @@ class TestTripletSingletWeights:
         assert (w.w_ab, w.w_bb, w.w_singlet) == pytest.approx((0, 0, 0), abs=1e-12)
 
     def test_maximally_mixed_singlet_quarter(self):
-        w = triplet_singlet_weights(DensityOperator.maximally_mixed(1))
+        w = triplet_singlet_weights(maximally_mixed(1))
         assert w.w_singlet == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -98,7 +98,7 @@ class TestJointSignProbabilities:
             assert sign_probability(table, signs) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_site_maximally_mixed(self):
-        table = joint_sign_probabilities(DensityOperator.maximally_mixed(1))
+        table = joint_sign_probabilities(maximally_mixed(1))
         assert sign_probability(table, (1,)) == pytest.approx(0.75, abs=1e-12)
         assert sign_probability(table, (-1,)) == pytest.approx(0.25, abs=1e-12)
 
@@ -126,7 +126,7 @@ class TestJointSignProbabilities:
         # 2-site reduction
         rho = random_state(3, 2, seed)
         table3 = joint_sign_probabilities(rho)
-        table2 = joint_sign_probabilities(partial_trace(rho, [1, 2]))
+        table2 = joint_sign_probabilities(ref_reduced(rho, [1, 2]))
         for signs in sign_vectors(2):
             marginal = sum(sign_probability(table3, signs + (s,)) for s in (1, -1))
             assert marginal == pytest.approx(sign_probability(table2, signs), abs=1e-10)
@@ -137,7 +137,7 @@ class TestProjectorOracle:
         assert projector_expectation_oracle(all_zero(2), (1, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_single_site_minus(self):
-        val = projector_expectation_oracle(DensityOperator.maximally_mixed(1), (-1,))
+        val = projector_expectation_oracle(maximally_mixed(1), (-1,))
         assert val == pytest.approx(0.25, abs=1e-12)
 
     def test_capacity_limit(self):

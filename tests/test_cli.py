@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +413,46 @@ class TestProbeCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "chains, message",
+        [
+            pytest.param("1,1>1", "duplicate site labels", id="duplicate"),
+            pytest.param("1,4>1", "outside 1..3", id="out-of-range"),
+            pytest.param("0,1>1", "outside 1..3", id="zero"),
+            pytest.param("1,>1", "bad subset '1,'", id="empty-label"),
+        ],
+    )
+    def test_bad_chain_labels_exit_usage_without_output(self, tmp_path, capsys, chains, message):
+        out = tmp_path / "x.json"
+        assert run("probe", "--spec-text", GHZ_SPEC, "--chains", chains, "--out", str(out)) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            # the anti-Hermitian part would be dropped, leaving I/2
+            pytest.param("matrix = 0.5 1; -1 0.5", "not Hermitian: max |rho - rho^dag| = 2.0,", id="non-hermitian"),
+            pytest.param("amplitudes = 1e308 1e308", "literal 1e308 in field 'amplitudes'", id="huge-amplitudes"),
+            pytest.param("matrix = 1e308 0; 0 1e308", "literal 1e308 in field 'matrix'", id="huge-diagonal"),
+            pytest.param("matrix = 0.5 1e308; 1e308 0.5", "literal 1e308 in field 'matrix'", id="huge-off-diagonal"),
+            pytest.param("amplitudes = 0.6 0.9j", "norm 1.0816653826391966,", id="norm-off"),
+            pytest.param("matrix = 0.6 0; 0 0.6", "trace (1.2+0j) more", id="trace-off"),
+        ],
+    )
+    def test_raw_input_it_cannot_mean_exits_usage(self, tmp_path, capsys, field, message):
+        out = tmp_path / "x.json"
+        spec = f"statespec v1\nkind = raw\n{field}\n"
+        assert run("probe", "--spec-text", spec, "--out", str(out)) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_raw_matrix_rounding_dust_symmetrized(self, tmp_path):
+        out = tmp_path / "x.json"
+        spec = "statespec v1\nkind = raw\nmatrix = 0.5 1e-9; -1e-9 0.5\n"
+        assert run("probe", "--spec-text", spec, "--out", str(out)) == EXIT_OK
+        assert json.loads(out.read_text())["purities"]["1"] == 0.5
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("probe", "--spec-text", GHZ_SPEC, "--out", str(a))
@@ -759,6 +801,85 @@ def test_flag_domains_at_their_bounds(command, flag, kind, dest, data):
     else:
         assert calls == []
         assert err.getvalue().startswith(f"error: {flag} ") and "Traceback" not in err.getvalue()
+
+
+#: Literals the spec fuzz draws from: well-formed, malformed, huge, tiny and non-finite.
+_SPEC_TOKENS = ["0", "1", "-1", "0.5", "0.8j", "1+0j", "2", "3", "15", "1e308", "-1e308", "1e400", "1e-320",
+                "nan", "inf", "-inf", "x", "", "1,0", "1,inf", "10**20"]
+_LITERALS = st.sampled_from(_SPEC_TOKENS) | st.floats().map(repr) | st.integers(-5, 20).map(str)
+
+
+def _mostly(good: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    """``good`` four times in five, else a drawn literal."""
+    return st.integers(0, 4).flatmap(lambda k: good if k else _LITERALS)
+
+
+_BLOCH = _mostly(st.tuples(st.floats(-4, 4), st.floats(-4, 4)).map(lambda angles: "%r,%r" % angles))
+
+
+@st.composite
+def _raw_entries(draw, matrix: bool) -> str:
+    """Amplitudes of a unit vector v, or the entries of the density matrix
+    w |v><v| + (1 - w) diag(v^2), over 1 to 16 dimensions: mostly as they
+    are, else all scaled far up or down, and one entry possibly replaced by
+    a drawn literal."""
+    dim = 2 ** draw(st.integers(0, 4))
+    v = np.array(draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
+    v = v / (np.linalg.norm(v) or 1.0)
+    w = draw(st.floats(0, 1))
+    values = w * np.outer(v, v) + (1 - w) * np.diag(v**2) if matrix else v[None, :]
+    values = values * draw(st.sampled_from([1.0, 1e308, 1.0, 1e-300, 1.0, 1.001]))
+    entries = [list(map(repr, row)) for row in values.tolist()]
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, len(entries) - 1))][draw(st.integers(0, dim - 1))] = draw(_LITERALS)
+    return ";".join(map(" ".join, entries))
+
+
+_SPEC_VALUES = {
+    "n": _mostly(st.integers(1, 4).map(str)),
+    "phi": _mostly(st.floats().map(repr)),
+    "phi1": _BLOCH,
+    "phi2": _BLOCH,
+    "qubits": st.lists(_BLOCH, max_size=5).map("; ".join),
+    "amplitudes": _raw_entries(matrix=False),
+    "matrix": _raw_entries(matrix=True),
+    "colour": _LITERALS,
+}
+
+
+@st.composite
+def _spec_texts(draw) -> str:
+    """Spec text near the grammar: one kind with values for its fields, now
+    and then one field swapped for another key or a bad header; or any text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=60))
+    kind = draw(st.sampled_from(sorted(cli.SPEC_FIELDS)))
+    keys = [draw(st.sampled_from(["amplitudes", "matrix"]))] if kind == "raw" else sorted(cli.SPEC_FIELDS[kind])
+    if draw(st.integers(0, 4)) == 0:
+        keys[draw(st.integers(0, len(keys) - 1))] = draw(st.sampled_from(sorted(_SPEC_VALUES)))
+    header = cli.SPEC_HEADER if draw(st.integers(0, 19)) else "statespec v2"
+    return "\n".join([header, f"kind = {kind}"] + [f"{key} = {draw(_SPEC_VALUES[key])}" for key in keys])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=_spec_texts(),
+    chains=st.none() | st.sampled_from(["1,2>1", "1,1>1", "0,1>1", "1,>1", ";"]) | st.text("0123,>;-", max_size=10),
+)
+def test_spec_text_ends_in_a_documented_exit(spec, chains):
+    """The real handlers on drawn spec text end in a documented exit code
+    with no exception or RuntimeWarning, writing valid JSON or no file."""
+    argv = ["probe", f"--spec-text={spec}", "--qubit-cap", "3"] + ([f"--chains={chains}"] if chains is not None else [])
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = Path(tmp) / "report.json"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--out", str(out)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY, EXIT_INVERSION, cli.EXIT_IO)
+        if code == EXIT_OK:
+            json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(f"{token} in the report"))
+        else:
+            assert not out.exists()
 
 
 class TestOneParserPerProcess:

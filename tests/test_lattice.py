@@ -28,9 +28,9 @@ from puritynet.lattice import (
     superpose,
 )
 from puritynet.bs_network import pair_projection_probabilities
-from puritynet.qstate import DensityOperator, partial_trace, purity, random_state
+from puritynet.qstate import DensityOperator, random_state
 
-from conftest import ref_hamiltonians, ref_mode_unitary_matrix, ref_propagator
+from conftest import maximally_mixed, ref_hamiltonians, ref_mode_unitary_matrix, ref_propagator, ref_reduced
 
 
 class TestModeIndexing:
@@ -75,6 +75,9 @@ class TestFockBasis:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_fock_basis(30, 15)
+        # three columns: 12376 states, whose dense Hamiltonians would take 4.9 GB
+        with pytest.raises(CapacityError, match="dimension 12376"):
+            build_fock_basis(12, 6)
 
     @pytest.mark.parametrize(
         "occ",
@@ -113,8 +116,9 @@ class TestHamiltonians:
         assert np.count_nonzero(h_int) == 0
 
     def test_interaction_diagonal_entries(self):
+        # any two bosons on one site-row, of either internal state, cost U
         basis = build_fock_basis(4, 2)
-        params = LatticeParams(n_sites=1, U_a=1.3, U_b=0.9, U_ab=0.4)
+        params = LatticeParams(n_sites=1, U=1.3)
         _, h_int = build_hamiltonians(params, basis)
         occ_aa = [0] * 4
         occ_aa[mode_index(1, "I", "a")] = 2
@@ -122,18 +126,22 @@ class TestHamiltonians:
         occ_ab = [0] * 4
         occ_ab[mode_index(1, "I", "a")] = 1
         occ_ab[mode_index(1, "I", "b")] = 1
-        assert h_int[basis.positions(occ_ab), basis.positions(occ_ab)] == pytest.approx(0.4)
+        assert h_int[basis.positions(occ_ab), basis.positions(occ_ab)] == pytest.approx(1.3)
+        occ_split = [0] * 4
+        occ_split[mode_index(1, "I", "a")] = 1
+        occ_split[mode_index(1, "II", "a")] = 1
+        assert h_int[basis.positions(occ_split), basis.positions(occ_split)] == 0
 
     @pytest.mark.parametrize("n_sites,total", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4)])
     def test_matches_per_state_oracle(self, n_sites, total):
         basis = build_fock_basis(4 * n_sites, total)
-        params = LatticeParams(n_sites=n_sites, J=0.83, U_a=0.37, U_b=1.21, U_ab=-0.44)
+        params = LatticeParams(n_sites=n_sites, J=0.83, U=-0.44)
         for got, want in zip(build_hamiltonians(params, basis), ref_hamiltonians(params, basis)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_hermitian(self):
         basis = build_fock_basis(8, 2)
-        h_bs, h_int = build_hamiltonians(LatticeParams(n_sites=2, J=1.1, U_a=0.3, U_b=0.3, U_ab=0.3), basis)
+        h_bs, h_int = build_hamiltonians(LatticeParams(n_sites=2, J=1.1, U=0.3), basis)
         assert np.max(np.abs(h_bs - h_bs.conj().T)) < 1e-12
         assert np.max(np.abs(h_int - h_int.conj().T)) < 1e-12
 
@@ -144,7 +152,7 @@ class TestHamiltonians:
             LatticeParams(n_sites=1, J=0.0)
         assert LatticeParams(n_sites=1, J=2.0).t_bs * 2.0 == pytest.approx(math.pi / 4)
 
-    @pytest.mark.parametrize("name", ["J", "U_a", "U_b", "U_ab"])
+    @pytest.mark.parametrize("name", ["J", "U"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_params_must_be_finite(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -155,7 +163,7 @@ class TestHamiltonians:
         [
             lambda: LatticeParams(n_sites=1, J=1e-320).t_bs,
             lambda: hopping_bs_check(
-                LatticeParams(n_sites=1, J=1e-307, U_a=1e100, U_b=1e100, U_ab=1e100), standard_test_states()
+                LatticeParams(n_sites=1, J=1e-307, U=1e100), standard_test_states()
             ),
         ],
         ids=["t_bs-inf", "propagator-phase-overflow"],
@@ -166,18 +174,17 @@ class TestHamiltonians:
             with pytest.raises(ValueError, match="^J must lie in"):
                 call()
 
-    @pytest.mark.parametrize("name", ["U_a", "U_b", "U_ab"])
     @pytest.mark.parametrize("bad", [1.1e100, -1e101])
-    def test_interaction_outside_coupling_range(self, name, bad):
-        with pytest.raises(ValueError, match=f"^{name} must lie in"):
-            LatticeParams(n_sites=1, **{name: bad})
+    def test_interaction_outside_coupling_range(self, bad):
+        with pytest.raises(ValueError, match="^U must lie in"):
+            LatticeParams(n_sites=1, U=bad)
 
     @pytest.mark.parametrize("J", [COUPLING_MIN, COUPLING_MAX])
     @pytest.mark.parametrize("U", [-COUPLING_MAX, COUPLING_MAX])
     def test_coupling_range_edges_run_without_warning(self, J, U):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = hopping_bs_check(LatticeParams(n_sites=1, J=J, U_a=U, U_b=U, U_ab=U), standard_test_states())
+            report = hopping_bs_check(LatticeParams(n_sites=1, J=J, U=U), standard_test_states())
         assert all(math.isfinite(f) for f in report.fidelities)
 
 
@@ -185,7 +192,7 @@ class TestPropagator:
     @pytest.mark.parametrize("n_sites", [1, 2])
     def test_lattice_hamiltonians_match_dense_oracle(self, n_sites):
         basis = build_fock_basis(4 * n_sites, 2 * n_sites)
-        params = LatticeParams(n_sites=n_sites, J=1.3, U_a=0.7, U_b=0.2, U_ab=0.45)
+        params = LatticeParams(n_sites=n_sites, J=1.3, U=0.45)
         h_bs, h_int = build_hamiltonians(params, basis)
         for h in (h_bs, h_bs + h_int):
             for t in (params.t_bs, 2.9):
@@ -331,7 +338,7 @@ class TestHoppingBSCheck:
         baseline = hopping_bs_check(LatticeParams(n_sites=1), states).min_fidelity
         minima = [baseline]
         for ratio in [0.01, 0.1, 1.0]:
-            params = LatticeParams(n_sites=1, U_a=ratio, U_b=ratio, U_ab=ratio)
+            params = LatticeParams(n_sites=1, U=ratio)
             minima.append(hopping_bs_check(params, states).min_fidelity)
         assert all(a >= b - 1e-12 for a, b in zip(minima, minima[1:]))
         assert minima[-1] < baseline - 1e-3
@@ -341,39 +348,26 @@ class TestInteractionPhase:
     @pytest.mark.parametrize("theta", [0.1, math.pi / 2, math.pi])
     def test_double_occupancy_phase(self, theta):
         basis = build_fock_basis(4, 2)
-        report = interaction_phase_check(U=theta / 0.7, tau=0.7, basis=basis)
-        assert report.theta == pytest.approx(theta, abs=1e-12)
+        report = interaction_phase_check(U=theta, basis=basis)
+        assert report.theta == theta
         assert report.passed
         assert report.checked_configs == basis.dim
 
     def test_beyond_double_occupancy_skipped(self):
         basis = build_fock_basis(4, 3)
-        report = interaction_phase_check(U=0.9, tau=1.1, basis=basis)
+        report = interaction_phase_check(U=0.9, basis=basis)
         assert report.skipped_configs > 0
         assert report.passed
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_tau_rejected(self, bad):
-        with pytest.raises(ValueError, match="^tau must be finite"):
-            interaction_phase_check(U=0.9, tau=bad, basis=build_fock_basis(4, 2))
-
-    @pytest.mark.parametrize(
-        "U, tau, n_modes, bosons",
-        [(1e100, 1e300, 4, 2), (-1e100, 1e300, 4, 2), (1e100, -1e300, 4, 2), (1e100, 1.5e208, 8, 4)],
-    )
-    def test_overflowing_phase_rejected(self, U, tau, n_modes, bosons):
-        # theta = U tau, or the largest phase E tau of a 2-column basis, exceeds float64
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="U=.*tau="):
-                interaction_phase_check(U=U, tau=tau, basis=build_fock_basis(n_modes, bosons))
-
     def test_largest_finite_theta_runs(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = interaction_phase_check(U=1e100, tau=1e207, basis=build_fock_basis(4, 2))
-        assert report.theta == 1e100 * 1e207
-        assert report.passed
+        # |U| <= COUPLING_MAX keeps every phase finite, at 1 and at 2 columns
+        for U in (COUPLING_MAX, -COUPLING_MAX):
+            for n_modes, bosons in ((4, 2), (8, 4)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    report = interaction_phase_check(U=U, basis=build_fock_basis(n_modes, bosons))
+                assert report.theta == U
+                assert report.passed
 
 
 class TestEmbedTwoCopies:
@@ -389,7 +383,7 @@ class TestEmbedTwoCopies:
         assert abs(state.amplitudes[basis.positions(occ)]) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_gives_four_members(self):
-        _, ensemble = embed_two_copies(DensityOperator.maximally_mixed(1))
+        _, ensemble = embed_two_copies(maximally_mixed(1))
         assert len(ensemble) == 4
         for weight, _ in ensemble:
             assert weight == pytest.approx(0.25, abs=1e-12)
@@ -418,9 +412,13 @@ class TestEmbedTwoCopies:
         u = propagator(h_bs, params.t_bs)
         evolved = [(w, FockState(basis, u @ s.amplitudes)) for w, s in ensemble]
         for site in [1, 2]:
-            expected = pair_projection_probabilities(partial_trace(rho, [site]))
+            expected = pair_projection_probabilities(ref_reduced(rho, [site]))
             got = occupancy_probabilities(evolved, site)
             assert got.p_diff_mode == pytest.approx(expected.p_minus, abs=1e-9)
+
+    def test_three_sites_beyond_the_fock_cap(self):
+        with pytest.raises(CapacityError):
+            embed_two_copies(random_state(3, 1, 0))
 
     def test_wrong_particle_count_rejected(self):
         basis = build_fock_basis(8, 4)

@@ -27,7 +27,7 @@ from puritynet.separability import (
     left_to_right_chain,
     maximal_chains,
 )
-from puritynet.states import ClusterFamilySpec, cluster_family_state, ghz, linear_cluster
+from puritynet.states import cluster_family_state, ghz, linear_cluster
 
 from conftest import random_pure_state, ref_subset_purity, tensor
 
@@ -180,7 +180,7 @@ class TestCheckChain:
             assert not check_chain(pm, chain).entangled
 
     def test_cluster_family_pi_first_link(self):
-        pm = all_subset_purities(cluster_family_state(ClusterFamilySpec(3, math.pi)).to_density())
+        pm = all_subset_purities(cluster_family_state(3, math.pi).to_density())
         rep = check_chain(pm, [(1, 2, 3), (1, 2)])
         assert rep.links[0].violation == pytest.approx(0.5, abs=1e-10)
 
@@ -190,6 +190,14 @@ class TestCheckChain:
             check_chain(pm, [(1, 2), (1, 3)])
         with pytest.raises(ValueError):
             check_chain(pm, [(1, 2)])
+
+    def test_bad_subsets_rejected(self):
+        pm = all_subset_purities(all_zero(2))
+        for bad in [(), (3,), (1, 1), (0,)]:
+            with pytest.raises(ValueError, match="subset|site labels"):
+                check_chain(pm, [(1, 2), bad])
+            with pytest.raises(ValueError, match="subset|site labels"):
+                check_chain(pm, [bad, (1,)])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_threshold_below_purity_error_or_non_finite_rejected(self, bad):
@@ -336,12 +344,12 @@ class TestChshMax:
     def test_pure_family_violates_immediately(self):
         # every entangled pure 2-qubit state violates CHSH under optimal
         # settings, so the threshold of the pure family sits at phi ~ 0
-        assert chsh_max(cluster_family_state(ClusterFamilySpec(2, 0.05)).to_density()) > 2.0
+        assert chsh_max(cluster_family_state(2, 0.05).to_density()) > 2.0
         assert chsh_threshold_phi("superposition") < 0.01
 
     def test_purity_detects_wherever_chsh_detects(self):
         for phi in np.linspace(0, 2 * math.pi, 101):
-            rho = cluster_family_state(ClusterFamilySpec(2, phi)).to_density()
+            rho = cluster_family_state(2, phi).to_density()
             pm = all_subset_purities(rho)
             chsh_detects = chsh_max(rho) > 2 + 1e-9
             purity_detects = check_chain(pm, [(1, 2), (1,)]).entangled

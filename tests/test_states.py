@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puritynet.qstate import PureState, partial_trace, purity
+from puritynet.qstate import PureState, purity
 from puritynet.states import (
-    ClusterFamilySpec,
     InversionError,
     cat_purity_closed_form,
     cat_state,
@@ -18,7 +17,7 @@ from puritynet.states import (
     linear_cluster,
 )
 
-from conftest import cat_reduced_purity_brute_force, ref_subset_purity
+from conftest import cat_reduced_purity_brute_force, ref_reduced, ref_subset_purity
 
 KET0 = PureState.from_amplitudes([1.0, 0.0])
 KET1 = PureState.from_amplitudes([0.0, 1.0])
@@ -46,7 +45,7 @@ class TestLinearCluster:
     def test_single_qubit_reductions_maximally_mixed(self):
         rho = linear_cluster(3).to_density()
         for site in [1, 2, 3]:
-            assert purity(partial_trace(rho, [site])) == pytest.approx(0.5, abs=1e-12)
+            assert purity(ref_reduced(rho, [site])) == pytest.approx(0.5, abs=1e-12)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -55,25 +54,25 @@ class TestLinearCluster:
 
 class TestClusterFamily:
     def test_phi_zero_is_all_zeros(self):
-        psi = cluster_family_state(ClusterFamilySpec(3, 0.0))
+        psi = cluster_family_state(3, 0.0)
         expected = np.zeros(8)
         expected[0] = 1.0
         np.testing.assert_allclose(psi.amplitudes, expected, atol=1e-15)
 
     def test_phi_pi_is_cluster(self):
-        psi = cluster_family_state(ClusterFamilySpec(4, math.pi))
+        psi = cluster_family_state(4, math.pi)
         np.testing.assert_allclose(psi.amplitudes, linear_cluster(4).amplitudes, atol=1e-15)
 
     @given(st.floats(0.0, 2 * math.pi), st.integers(2, 5))
     @settings(max_examples=60, deadline=None)
     def test_normalized_everywhere(self, phi, n):
-        psi = cluster_family_state(ClusterFamilySpec(n, phi))
+        psi = cluster_family_state(n, phi)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_proper_subset_purities_coincide(self):
         # characteristic of the two-term superposition: every proper
         # reduction has the same purity, so only the full-set link violates
-        rho = cluster_family_state(ClusterFamilySpec(3, 1.3)).to_density()
+        rho = cluster_family_state(3, 1.3).to_density()
         vals = [ref_subset_purity(rho.matrix, 3, s) for s in ([1], [2], [3], [1, 2], [1, 3], [2, 3])]
         assert max(vals) - min(vals) < 1e-12
 
@@ -90,8 +89,8 @@ class TestCollisionPhaseState:
     def test_middle_qubit_purity_drops_below_pair(self):
         # the collision state distinguishes middle from edge reductions
         rho = collision_phase_state(3, math.pi / 2).to_density()
-        p12 = purity(partial_trace(rho, [1, 2]))
-        p2 = purity(partial_trace(rho, [2]))
+        p12 = purity(ref_reduced(rho, [1, 2]))
+        p2 = purity(ref_reduced(rho, [2]))
         assert p12 - p2 > 0.1
 
 
@@ -100,9 +99,9 @@ class TestGhz:
     def test_purity_profile(self, n):
         rho = ghz(n).to_density()
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
-        assert purity(partial_trace(rho, [1])) == pytest.approx(0.5, abs=1e-12)
+        assert purity(ref_reduced(rho, [1])) == pytest.approx(0.5, abs=1e-12)
         if n > 2:
-            assert purity(partial_trace(rho, list(range(1, n)))) == pytest.approx(0.5, abs=1e-12)
+            assert purity(ref_reduced(rho, list(range(1, n)))) == pytest.approx(0.5, abs=1e-12)
 
     def test_equals_cat_of_orthogonal_branches(self):
         psi, spec = cat_state(3, KET0, KET1)
@@ -118,7 +117,7 @@ class TestCatState:
         assert spec.epsilon == pytest.approx(0.0, abs=1e-12)
         rho = psi.to_density()
         for m in [1, 2, 3]:
-            assert purity(partial_trace(rho, list(range(1, 5 - m)))) == pytest.approx(1.0, abs=1e-12)
+            assert purity(ref_reduced(rho, list(range(1, 5 - m)))) == pytest.approx(1.0, abs=1e-12)
 
     def test_spec_fields_consistent(self):
         phi2 = bloch(1.1, 0.4)
