@@ -152,11 +152,17 @@ class TestHamiltonians:
             LatticeParams(n_sites=1, J=0.0)
         assert LatticeParams(n_sites=1, J=2.0).t_bs * 2.0 == pytest.approx(math.pi / 4)
 
-    @pytest.mark.parametrize("name", ["J", "U"])
+    # The a-a, b-b and a-b strengths of H_int are the one field U: each case
+    # checks U and that the per-species keyword it replaced is refused.
+    @pytest.mark.parametrize("name", ["J", "U_a", "U_b", "U_ab"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_params_must_be_finite(self, name, bad):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            LatticeParams(n_sites=1, **{name: bad})
+        field = "J" if name == "J" else "U"
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            LatticeParams(n_sites=1, **{field: bad})
+        if name != field:
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                LatticeParams(n_sites=1, **{name: bad})
 
     @pytest.mark.parametrize(
         "call",
@@ -174,10 +180,13 @@ class TestHamiltonians:
             with pytest.raises(ValueError, match="^J must lie in"):
                 call()
 
+    @pytest.mark.parametrize("name", ["U_a", "U_b", "U_ab"])
     @pytest.mark.parametrize("bad", [1.1e100, -1e101])
-    def test_interaction_outside_coupling_range(self, bad):
+    def test_interaction_outside_coupling_range(self, name, bad):
         with pytest.raises(ValueError, match="^U must lie in"):
             LatticeParams(n_sites=1, U=bad)
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            LatticeParams(n_sites=1, **{name: bad})
 
     @pytest.mark.parametrize("J", [COUPLING_MIN, COUPLING_MAX])
     @pytest.mark.parametrize("U", [-COUPLING_MAX, COUPLING_MAX])
