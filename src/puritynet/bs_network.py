@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import DensityOperator, PureState, purity, site_mask
-from .separability import SubsetPurityMap, all_subset_purities
+from .separability import SubsetPurityMap, all_subset_purities, freeze_values
 
 #: How far from 1 a probability table may sum and still be inverted.
 NORM_ATOL = 1e-8
@@ -56,7 +56,8 @@ class JointSignProbabilityTable:
     are the set bits of ``mask``, site i at bit N - i (site 1 is the most
     significant bit), so site N varies fastest and "+" comes before "-".
     The constructor also accepts a mapping from sign tuples to
-    probabilities over all 2^N sign vectors and converts it once.
+    probabilities over all 2^N sign vectors and converts it once.  Every
+    entry must be finite; the total is checked only by the inversion.
     """
 
     n_sites: int
@@ -74,8 +75,7 @@ class JointSignProbabilityTable:
             values = np.array(self.values, dtype=float)
             if values.shape != (2**n,):
                 raise ValueError(f"need an array of {2**n} probabilities, got shape {values.shape}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        freeze_values(self, values)
 
     def _mask(self, signs) -> int:
         signs = tuple(signs)
@@ -133,7 +133,7 @@ def purities_from_probabilities(table: JointSignProbabilityTable) -> SubsetPurit
     to 1 within ``NORM_ATOL``, reporting the deficit.
     """
     total = table.total()
-    if abs(total - 1.0) > NORM_ATOL:
+    if not abs(total - 1.0) <= NORM_ATOL:  # a NaN total fails too
         raise ValueError(
             f"probability table sums to {total!r}, deficit {1.0 - total:+.3e} "
             f"exceeds tolerance {NORM_ATOL}"

@@ -33,7 +33,6 @@ from .lattice import (
     COUPLING_MIN,
     FockState,
     LatticeParams,
-    build_fock_basis,
     build_hamiltonians,
     embed_two_copies,
     hopping_bs_check,
@@ -406,10 +405,6 @@ def parse_chains(text: str) -> list[tuple[tuple[int, ...], ...]]:
 # report rendering helpers
 
 
-def _subset_key(subset) -> str:
-    return ",".join(str(s) for s in subset)
-
-
 def _subset_order(n: int) -> tuple[list[str], np.ndarray]:
     """Keys and bitmasks of the nonempty subsets of 1..n in report order.
 
@@ -424,21 +419,17 @@ def _subset_order(n: int) -> tuple[list[str], np.ndarray]:
     return [keys[m] for m in order], order
 
 
-def _chain_report_dict(report) -> dict:
+def _chain_report_dict(report, key_of: dict[int, str]) -> dict:
+    """``report`` with each site mask replaced by its key from ``key_of``;
+    a violation is the same dict as its entry under ``links``."""
+    links = {
+        l: {"larger": key_of[l.larger], "smaller": key_of[l.smaller], "violation": l.violation}
+        for l in report.links
+    }
     return {
-        "chain": [_subset_key(s) for s in report.chain],
-        "links": [
-            {
-                "larger": _subset_key(l.larger),
-                "smaller": _subset_key(l.smaller),
-                "violation": l.violation,
-            }
-            for l in report.links
-        ],
-        "violations": [
-            {"larger": _subset_key(l.larger), "smaller": _subset_key(l.smaller), "violation": l.violation}
-            for l in report.violations
-        ],
+        "chain": [key_of[m] for m in report.chain],
+        "links": list(links.values()),
+        "violations": [links[l] for l in report.violations],
         "entangled": report.entangled,
     }
 
@@ -472,6 +463,7 @@ def run_probe(args) -> int:
 
     entangled = any(r.entangled for r in reports)
     keys, order = _subset_order(n)
+    key_of = dict(zip(order.tolist(), keys))
     report = {
         "tool": "puritynet",
         "version": __version__,
@@ -481,7 +473,7 @@ def run_probe(args) -> int:
         "purities": dict(zip(keys, purities.values[order].tolist())),
         # sign table index = mask of the "-" sites, site 1 the top bit
         "sign_probabilities": dict(zip(map("".join, itertools.product("+-", repeat=n)), table.values.tolist())),
-        "chains": [_chain_report_dict(r) for r in reports],
+        "chains": [_chain_report_dict(r, key_of) for r in reports],
         "max_violation": max((r.max_violation for r in reports), default=0.0),
         "verdict": "entangled_detected" if entangled else "no_violation",
     }
@@ -517,8 +509,8 @@ def run_fig2b(args) -> int:
 
 def run_lattice_validate(args) -> int:
     params = LatticeParams(n_sites=1, J=args.j, U=args.u)
-    basis = build_fock_basis(params.n_modes, 2)
     test_states = standard_test_states(seed=args.seed)
+    basis = test_states[0].basis
 
     bs_report = hopping_bs_check(params, test_states)
 

@@ -45,12 +45,13 @@ def check_qubit_capacity(n_qubits: int, cap: int | None = None) -> None:
         )
 
 
-def subset_index(members, n_sites: int) -> tuple[int, ...]:
-    """Normalize a collection of site labels to a sorted tuple.
+def site_mask(members, n_sites: int) -> int:
+    """Bitmask of 1-based site labels: site i sets bit ``n_sites - i``.
 
-    Labels are 1-based.  Duplicates, out-of-range labels and (by default)
-    empty collections are rejected; the empty tuple is reserved as the
-    full-trace sentinel and is produced only by code that means it.
+    Site 1 is the most significant bit, as in the amplitude index; the
+    subset-purity and sign-probability tables are arrays indexed by it.
+    This is the one check of site labels: duplicates, out-of-range labels
+    and the empty set (the full trace is not a reduction) raise ValueError.
     """
     members = tuple(sorted(members))
     if len(set(members)) != len(members):
@@ -59,16 +60,7 @@ def subset_index(members, n_sites: int) -> tuple[int, ...]:
         raise ValueError("empty subset (the full trace is not a reduction)")
     if members[0] < 1 or members[-1] > n_sites:
         raise ValueError(f"site labels {members} outside 1..{n_sites}")
-    return members
-
-
-def site_mask(members, n_sites: int) -> int:
-    """Bitmask of a nonempty site set: site i sets bit ``n_sites - i``.
-
-    Site 1 is the most significant bit, as in the amplitude index.  The
-    subset-purity and sign-probability tables are arrays indexed by it.
-    """
-    return sum(1 << (n_sites - s) for s in subset_index(members, n_sites))
+    return sum(1 << (n_sites - s) for s in members)
 
 
 def check_normalized(amplitudes: np.ndarray) -> None:

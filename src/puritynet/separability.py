@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityOperator, PureState, check_normalized, check_qubit_capacity, site_mask, subset_index, trace_site
+from .qstate import DensityOperator, PureState, check_normalized, check_qubit_capacity, site_mask, trace_site
 from .states import cluster_family_amplitudes, cluster_family_state, collision_phase_amplitudes, collision_phase_state
 
 #: Arithmetic error a computed purity carries: a difference of two
@@ -27,6 +27,15 @@ PURITY_ERROR = 1e-12
 #: Purity differences below this are numerical noise, not violations: a
 #: factor-1000 margin over ``PURITY_ERROR``.
 VIOLATION_THRESHOLD = 1e-9
+
+
+def freeze_values(table, values: np.ndarray) -> None:
+    """Store ``values`` read-only as the frozen ``table``'s ``values``, once
+    every entry is checked finite: a NaN passes every later bound unnoticed."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{type(table).__name__} has non-finite entries")
+    values.flags.writeable = False
+    object.__setattr__(table, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +48,8 @@ class SubsetPurityMap:
     empty subset, the sentinel 1 (the trace itself).  The constructor also
     accepts a mapping from site tuples to purities over all 2^N - 1
     nonempty subsets and converts it once.  Construction checks that the
-    lattice is complete, not that the values are physical: the sign
-    transform in ``bs_network`` must also round-trip unphysical tables.
+    lattice is complete and finite, not that the values are physical: the
+    sign transform in ``bs_network`` must also round-trip unphysical tables.
     """
 
     n_sites: int
@@ -62,8 +71,7 @@ class SubsetPurityMap:
                 raise ValueError(
                     f"need an array of {2**n} purities with values[0] = 1, got shape {values.shape}"
                 )
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        freeze_values(self, values)
 
     def purity(self, subset) -> float:
         subset = tuple(subset)
@@ -131,19 +139,18 @@ def all_subset_purities(state: PureState | DensityOperator, cap: int | None = No
 
 @dataclass(frozen=True)
 class ChainLink:
-    larger: tuple[int, ...]
-    smaller: tuple[int, ...]
+    larger: int  # site mask, the index of SubsetPurityMap.values
+    smaller: int
     violation: float  # purity(larger) - purity(smaller)
 
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Purity differences along one nested chain of subsets."""
+    """Purity differences along one nested chain of subsets, as site masks."""
 
-    chain: tuple[tuple[int, ...], ...]
+    chain: tuple[int, ...]
     links: tuple[ChainLink, ...]
     threshold: float = VIOLATION_THRESHOLD
-    violations: tuple[ChainLink, ...] = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.threshold) and self.threshold >= PURITY_ERROR):
@@ -152,9 +159,10 @@ class ChainReport:
                 f"threshold must be finite and at least {PURITY_ERROR:g}, the arithmetic "
                 f"error of a purity, got {self.threshold}"
             )
-        object.__setattr__(
-            self, "violations", tuple(l for l in self.links if l.violation > self.threshold)
-        )
+
+    @property
+    def violations(self) -> tuple[ChainLink, ...]:
+        return tuple(l for l in self.links if l.violation > self.threshold)
 
     @property
     def entangled(self) -> bool:
@@ -168,37 +176,33 @@ class ChainReport:
 def check_chain(purities: SubsetPurityMap, chain, threshold: float = VIOLATION_THRESHOLD) -> ChainReport:
     """Evaluate the purity inequality along a strictly nested chain.
 
-    ``chain`` lists subsets from largest to smallest; each must be a strict
-    subset of its predecessor.  A separable state never produces a link
-    with purity(larger) > purity(smaller) beyond numerical noise, so any
-    link above ``threshold`` flags entanglement.  ``threshold`` must be
-    finite and at least ``PURITY_ERROR`` (``ValueError`` otherwise).
+    ``chain`` (any iterable) lists subsets from largest to smallest; each
+    must be a strict subset of its predecessor.  A separable state never
+    produces a link with purity(larger) > purity(smaller) beyond numerical
+    noise, so any link above ``threshold`` flags entanglement.  ``threshold``
+    must be finite and at least ``PURITY_ERROR`` (``ValueError`` otherwise).
+    The report holds each subset as its site mask.
     """
-    norm_chain = [subset_index(s, purities.n_sites) for s in chain]
-    if len(norm_chain) < 2:
+    subsets = list(chain)
+    masks = [site_mask(s, purities.n_sites) for s in subsets]
+    if len(masks) < 2:
         raise ValueError("a chain needs at least two subsets")
-    for big, small in zip(norm_chain, norm_chain[1:]):
-        if not (set(small) < set(big)):
-            raise ValueError(f"chain not strictly nested: {small} is not a strict subset of {big}")
-    links = tuple(
-        ChainLink(big, small, purities.purity(big) - purities.purity(small))
-        for big, small in zip(norm_chain, norm_chain[1:])
-    )
-    return ChainReport(tuple(norm_chain), links, threshold)
+    values, links = purities.values, []
+    for (big, big_labels), (small, small_labels) in itertools.pairwise(zip(masks, subsets)):
+        if small & ~big or small == big:
+            raise ValueError(f"chain not strictly nested: {small_labels} is not a strict subset of {big_labels}")
+        links.append(ChainLink(big, small, float(values[big] - values[small])))
+    return ChainReport(tuple(masks), tuple(links), threshold)
 
 
 def maximal_chains(n_sites: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every maximal nested chain {1..N} > ... > {i}, one per removal order."""
+    """Every maximal nested chain {1..N} > ... > {i}, one per removal order:
+    each subset is its predecessor with the order's next site filtered out."""
     full = tuple(range(1, n_sites + 1))
-    chains = []
-    for order in itertools.permutations(full, n_sites - 1):
-        chain = [full]
-        current = set(full)
-        for site in order:
-            current = current - {site}
-            chain.append(tuple(sorted(current)))
-        chains.append(tuple(chain))
-    return chains
+    return [
+        tuple(itertools.accumulate(order, lambda kept, site: tuple([s for s in kept if s != site]), initial=full))
+        for order in itertools.permutations(full, n_sites - 1)
+    ]
 
 
 def left_to_right_chain(n_sites: int) -> tuple[tuple[int, ...], ...]:

@@ -185,11 +185,30 @@ class TestInversion:
         for subset in subsets:
             assert back.purity(subset) == pytest.approx(pm.purity(subset), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # a NaN total would pass the normalization gate and invert to NaN purities
+        with pytest.raises(ValueError, match="non-finite"):
+            JointSignProbabilityTable(2, [bad, 0.5, 0.25, 0.25])
+        with pytest.raises(ValueError, match="non-finite"):
+            JointSignProbabilityTable(2, dict(zip(sign_vectors(2), [bad, 0.5, 0.25, 0.25])))
+
+    def test_finite_unphysical_array_tables_round_trip(self):
+        pm = SubsetPurityMap(2, [1.0, -3.0, 7.0, 1e6])
+        back = purities_from_probabilities(sign_probabilities_from_purities(pm))
+        np.testing.assert_allclose(back.values, pm.values, rtol=0, atol=1e-9)
+
     def test_normalization_gate(self):
         values = {signs: 0.0 for signs in sign_vectors(2)}
         values[(1, 1)] = 0.9
         with pytest.raises(ValueError, match="deficit"):
             purities_from_probabilities(JointSignProbabilityTable(2, values))
+
+    def test_nan_total_fails_the_gate(self):
+        # finite entries whose pairwise float sum is inf + -inf = NaN
+        table = JointSignProbabilityTable(3, [1e308] * 4 + [-1e308] * 4)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="sums to"):
+            purities_from_probabilities(table)
 
     def test_pure_state_full_purity_recovered(self):
         rho = random_pure_state(3, 9).to_density()

@@ -40,7 +40,7 @@ from puritynet import bs_network, cli, qstate, separability
 from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
 from puritynet.states import cat_purity_closed_form, estimate_epsilon
 
-from conftest import ref_cat_experiment, ref_loss_count_distribution, tensor
+from conftest import ref_cat_experiment, ref_loss_count_distribution, ref_subset_purity, tensor
 
 GHZ_SPEC = "statespec v1\nkind = ghz\nn = 3\n"
 PRODUCT_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 0,0\n"
@@ -253,6 +253,33 @@ class TestProbeCommand:
         report = json.loads(out.read_text())
         assert len(report["chains"]) == 1
         assert report["chains"][0]["chain"] == ["1,2,3", "2,3", "3"]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_chain_reports_keyed_and_valued_per_subset(self, tmp_path, n):
+        # seeded strictly nested chains, each subset's labels in a random order
+        rng = np.random.default_rng(100 + n)
+        rho = random_state(n, 1 + n % 2, seed=n)
+        rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in rho.matrix)
+        chains = []
+        for _ in range(4):
+            sites = rng.permutation(np.arange(1, n + 1)).tolist()
+            sizes = sorted(rng.choice(np.arange(1, n + 1), size=rng.integers(2, n + 1), replace=False).tolist())
+            chains.append([sites[:k] for k in reversed(sizes)])
+        chain_text = ";".join(">".join(",".join(map(str, rng.permutation(s))) for s in c) for c in chains)
+        threshold = float(10 ** rng.uniform(-12, -1))
+        out = tmp_path / "r.json"
+        spec = f"statespec v1\nkind = raw\nmatrix = {rows}\n"
+        argv = ["probe", "--spec-text", spec, "--chains", chain_text, "--threshold", repr(threshold)]
+        assert run(*argv, "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        for got, subsets in zip(report["chains"], chains, strict=True):
+            keys = [",".join(map(str, sorted(s))) for s in subsets]
+            assert got["chain"] == keys
+            assert [(l["larger"], l["smaller"]) for l in got["links"]] == list(zip(keys, keys[1:]))
+            for link, big, small in zip(got["links"], subsets, subsets[1:]):
+                expected = ref_subset_purity(rho.matrix, n, big) - ref_subset_purity(rho.matrix, n, small)
+                assert link["violation"] == pytest.approx(expected, abs=1e-12)
+            assert got["violations"] == [l for l in got["links"] if l["violation"] > threshold]
 
     def test_separable_mixture_via_matrix(self, tmp_path):
         rho = tensor([random_state(1, 2, 3), random_state(1, 2, 4)])

@@ -90,6 +90,14 @@ class TestAllSubsetPurities:
         with pytest.raises(ValueError):  # values[0] is the empty-subset sentinel
             SubsetPurityMap(2, np.array([0.5, 1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # a non-finite purity would reach check_chain as a violation of +-inf or NaN
+        with pytest.raises(ValueError, match="non-finite"):
+            SubsetPurityMap(2, [1.0, bad, 0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            SubsetPurityMap(2, {(1,): 0.5, (2,): bad, (1, 2): 0.5})
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_subset_reached_once(self, n, monkeypatch):
         # one trace_site call per subset below the roots: the subsets under
@@ -183,6 +191,16 @@ class TestCheckChain:
         pm = all_subset_purities(cluster_family_state(3, math.pi).to_density())
         rep = check_chain(pm, [(1, 2, 3), (1, 2)])
         assert rep.links[0].violation == pytest.approx(0.5, abs=1e-10)
+
+    def test_links_hold_site_masks_and_any_iterable_is_a_chain(self):
+        pm = all_subset_purities(ghz(3))
+        # a generator, its subsets' labels in any order
+        rep = check_chain(pm, ((3, 2, 1)[:k] for k in (3, 2, 1)))
+        assert rep == check_chain(pm, [(1, 2, 3), (2, 3), (3,)])
+        # site 1 is the top bit: {1,2,3} = 0b111, {2,3} = 0b011, {3} = 0b001
+        assert rep.chain == (7, 3, 1)
+        assert [(l.larger, l.smaller) for l in rep.links] == [(7, 3), (3, 1)]
+        assert rep.links[0].violation == pm.values[7] - pm.values[3]
 
     def test_non_nested_rejected(self):
         pm = all_subset_purities(all_zero(3))
