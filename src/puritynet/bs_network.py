@@ -85,7 +85,9 @@ class JointSignProbabilityTable:
         return site_mask(minus, self.n_sites) if minus else 0
 
     def total(self) -> float:
-        return float(self.values.sum())
+        """Sum of the entries; inf or NaN when finite entries overflow it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.values.sum())
 
 
 @dataclass(frozen=True)

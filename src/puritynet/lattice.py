@@ -24,6 +24,8 @@ States live on the fixed-total-boson Fock basis, stored as one integer
 array of occupation vectors; the Hamiltonians, the ideal splitter map,
 the two-copy embedding and the occupancy statistics are array operations
 over it.
+In the occupation basis both Hamiltonians are real: H_hop is a real
+symmetric matrix and H_int is diagonal, so it is kept as its diagonal.
 Both H_hop and H_int conserve, per column, the number of a bosons and of
 b bosons summed over the two rows, so a Hamiltonian on this basis is
 block diagonal.  Evolution finds those blocks from the exact nonzero
@@ -42,9 +44,10 @@ import numpy as np
 
 from .qstate import CapacityError, DensityOperator, check_normalized
 
-#: Default bound on the Fock-basis dimension.  The Hamiltonians and the
-#: propagator are dense dim x dim complex matrices: 256 MiB each at 4096
-#: states.  Two columns need 330 states; three need 12376 and are refused.
+#: Default bound on the Fock-basis dimension.  H_hop is a dense dim x dim
+#: float64 matrix (128 MiB at 4096 states) and the propagator a complex one
+#: (256 MiB); H_int is a length-dim diagonal.  Two columns need 330 states;
+#: three need 12376 and are refused.
 DEFAULT_FOCK_CAP = 4096
 
 #: Accepted range of the hopping energy J and of |U|.
@@ -211,22 +214,24 @@ def _site_row_counts(basis: FockBasis) -> np.ndarray:
 
 
 def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (H_hop, H_int) on the given basis.
+    """Real (H_hop, H_int) on the given basis.
 
-    H_hop moves bosons vertically between the rows of one column without
-    touching the internal state, so it conserves the per-site, per-internal
-    total over rows; H_int is diagonal, U times the n(n-1)/2 boson pairs of
-    each site-row.
+    H_hop is the dense float64 dim x dim matrix of vertical hops between
+    the rows of one column; they leave the internal state alone, so they
+    conserve the per-site, per-internal total over rows.  H_int is
+    diagonal and is returned as its float64 diagonal of length dim: U
+    times the n(n-1)/2 boson pairs of each site-row.  The full Hamiltonian
+    is ``h_bs + np.diag(h_int)``; ``h_bs + h_int`` would add ``h_int[j]``
+    to every entry of column j.
     """
     if basis.n_modes != params.n_modes:
         raise ValueError(f"basis has {basis.n_modes} modes, params imply {params.n_modes}")
     dim = basis.dim
     occ = basis.occupations
-    h_bs = np.zeros((dim, dim), dtype=complex)
-    h_int = np.zeros((dim, dim), dtype=complex)
+    h_bs = np.zeros((dim, dim))
 
     n = _site_row_counts(basis).sum(axis=3)
-    h_int[np.diag_indices(dim)] = (params.U * (n * (n - 1) // 2)).sum(axis=(1, 2))
+    h_int = (float(params.U) * (n * (n - 1) // 2)).sum(axis=(1, 2))
 
     # Every hop at once: -J a_top^dag a_bot and its conjugate, per site and
     # internal state, applied to each basis state whose source mode is
@@ -245,6 +250,9 @@ def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndar
 
 def propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) of a Hermitian H, one diagonal block at a time.
+
+    The lattice Hamiltonians are real symmetric, so their blocks go
+    through the real ``eigh``; the result is complex either way.
 
     The blocks are the connected components of the nonzero pattern of H.
     No entry couples two of them, so exp(-i H t) is block diagonal with
@@ -343,7 +351,7 @@ def hopping_bs_check(params: LatticeParams, test_states: list[FockState]) -> BSC
         raise ValueError("need at least one test state")
     basis = test_states[0].basis
     h_bs, h_int = build_hamiltonians(params, basis)
-    u_prop = propagator(h_bs + h_int, params.t_bs)
+    u_prop = propagator(h_bs + np.diag(h_int), params.t_bs)
     # The target comes from the mode matrix alone, never from H_hop, so a
     # wrong splitter time shows as lost fidelity.
     u_ideal = mode_unitary_matrix(ideal_bs_mode_matrix(params.n_sites), basis)
@@ -384,8 +392,9 @@ def interaction_phase_check(U: float, basis: FockBasis) -> PhaseCheckReport:
     ruled = ~(pair_counts > 2).any(axis=1)
     doubles = (pair_counts[ruled] == 2).sum(axis=1)
     # H_int is diagonal, so each configuration's phase is its own entry of
-    # the propagator's diagonal.
-    measured = np.diag(propagator(h_int, 1.0))[ruled]
+    # the propagator's diagonal.  The phases come from evolving the dense
+    # diag(H_int), not from exp(-i h_int), so the check covers ``propagator``.
+    measured = np.diag(propagator(np.diag(h_int), 1.0))[ruled]
     predicted = np.exp(-1j * U * doubles)
     max_dev = float(np.max(np.abs(measured - predicted), initial=0.0))
     checked = int(ruled.sum())
@@ -446,29 +455,38 @@ class OccupancyProbabilities:
 def occupancy_probabilities(ensemble, site: int) -> OccupancyProbabilities:
     """Probability that the two bosons of a column sit in one row vs both rows.
 
-    ``ensemble`` is a list of (weight, FockState) pairs (a pure state may be
-    passed as [(1.0, state)]).  Every configuration carrying amplitude must
-    hold exactly two bosons at the column, else the question is ill-posed
-    and a ValueError is raised.  After the splitter, p_diff_mode is the
-    antisymmetric-projection probability (1 - purity)/2 of the site's
-    single-qubit reduction.
+    ``ensemble`` is a non-empty list of (weight, FockState) pairs on one
+    Fock basis (a pure state may be passed as [(1.0, state)]).  The
+    weights must be finite and non-negative with a positive, finite total;
+    they are normalized by it.  Every configuration carrying amplitude must
+    hold exactly two bosons at the column, else the question is ill-posed.
+    Each of these conditions raises a ValueError when it fails.  After the
+    splitter, p_diff_mode is the antisymmetric-projection probability
+    (1 - purity)/2 of the site's single-qubit reduction.
     """
-    p_diff = 0.0
-    total_weight = 0.0
-    for weight, state in ensemble:
-        rows = _site_row_counts(state.basis)[:, site - 1].sum(axis=2)
-        column = rows.sum(axis=1)
-        prob = np.abs(state.amplitudes) ** 2
-        populated = prob >= 1e-18
-        wrong = np.flatnonzero(populated & (column != 2))
-        if wrong.size:
-            raise ValueError(
-                f"column {site} holds {column[wrong[0]]} bosons in a populated "
-                "configuration; occupancy probabilities need exactly two"
-            )
-        p_diff += weight * prob[populated & (rows[:, 0] == 1)].sum()
-        total_weight += weight
-    p_diff = float(p_diff / total_weight)
+    if not ensemble:
+        raise ValueError("occupancy probabilities need a non-empty ensemble")
+    basis = ensemble[0][1].basis
+    if any(state.basis != basis for _, state in ensemble):
+        raise ValueError("every ensemble member must live on one Fock basis")
+    weights = [float(weight) for weight, _ in ensemble]
+    total = sum(weights)  # Python floats: an overflow or a NaN shows in the total, without a warning
+    if not (min(weights) >= 0 and 0 < total < math.inf):
+        raise ValueError(
+            f"ensemble weights must be finite and non-negative with a positive total, got total {total!r}"
+        )
+
+    rows = _site_row_counts(basis)[:, site - 1].sum(axis=2)
+    column = rows.sum(axis=1)
+    prob = np.abs(np.stack([state.amplitudes for _, state in ensemble])) ** 2
+    populated = prob >= 1e-18
+    wrong = np.flatnonzero(populated.any(axis=0) & (column != 2))
+    if wrong.size:
+        raise ValueError(
+            f"column {site} holds {column[wrong[0]]} bosons in a populated "
+            "configuration; occupancy probabilities need exactly two"
+        )
+    p_diff = float(np.dot(weights, (prob * (populated & (rows[:, 0] == 1))).sum(axis=1))) / total
     return OccupancyProbabilities(p_same_mode=1.0 - p_diff, p_diff_mode=p_diff)
 
 

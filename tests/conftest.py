@@ -359,3 +359,26 @@ def ref_propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) from one dense eigendecomposition of the Hermitian H."""
     energies, vectors = np.linalg.eigh(hamiltonian)
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+
+
+def ref_occupancy_probabilities(ensemble, site: int) -> tuple[float, float]:
+    """(p_same_mode, p_diff_mode) of a column, one ensemble member at a time.
+
+    For each (weight, FockState) member, reads its own basis's
+    occupations, checks that every populated configuration holds two
+    bosons at the column, and adds the weighted probability of one boson
+    per row; the sum is divided by the total weight at the end.
+    """
+    p_diff = 0.0
+    total_weight = 0.0
+    for weight, state in ensemble:
+        occ = state.basis.occupations.reshape(state.basis.dim, -1, 2, 2)
+        rows = occ[:, site - 1].sum(axis=2)
+        prob = np.abs(state.amplitudes) ** 2
+        populated = prob >= 1e-18
+        if (rows.sum(axis=1)[populated] != 2).any():
+            raise ValueError(f"column {site} does not hold exactly two bosons")
+        p_diff += weight * prob[populated & (rows[:, 0] == 1)].sum()
+        total_weight += weight
+    p_diff /= total_weight
+    return 1.0 - p_diff, p_diff

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,14 @@ class TestInversion:
         table = JointSignProbabilityTable(3, [1e308] * 4 + [-1e308] * 4)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="sums to"):
             purities_from_probabilities(table)
+
+    @pytest.mark.parametrize("values", [[1e308] * 4 + [-1e308] * 4, [1e308] * 8], ids=["nan", "inf"])
+    def test_overflowing_total_rejected_without_warning(self, values):
+        # the sum overflows inside numpy; only the gate's ValueError may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sums to"):
+                purities_from_probabilities(JointSignProbabilityTable(3, values))
 
     def test_pure_state_full_purity_recovered(self):
         rho = random_pure_state(3, 9).to_density()

@@ -30,7 +30,14 @@ from puritynet.lattice import (
 from puritynet.bs_network import pair_projection_probabilities
 from puritynet.qstate import DensityOperator, random_state
 
-from conftest import maximally_mixed, ref_hamiltonians, ref_mode_unitary_matrix, ref_propagator, ref_reduced
+from conftest import (
+    maximally_mixed,
+    ref_hamiltonians,
+    ref_mode_unitary_matrix,
+    ref_occupancy_probabilities,
+    ref_propagator,
+    ref_reduced,
+)
 
 
 class TestModeIndexing:
@@ -75,7 +82,7 @@ class TestFockBasis:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_fock_basis(30, 15)
-        # three columns: 12376 states, whose dense Hamiltonians would take 4.9 GB
+        # three columns: 12376 states; the dense hopping matrix alone would take 1.2 GB
         with pytest.raises(CapacityError, match="dimension 12376"):
             build_fock_basis(12, 6)
 
@@ -122,28 +129,44 @@ class TestHamiltonians:
         _, h_int = build_hamiltonians(params, basis)
         occ_aa = [0] * 4
         occ_aa[mode_index(1, "I", "a")] = 2
-        assert h_int[basis.positions(occ_aa), basis.positions(occ_aa)] == pytest.approx(1.3)
+        assert h_int[basis.positions(occ_aa)] == pytest.approx(1.3)
         occ_ab = [0] * 4
         occ_ab[mode_index(1, "I", "a")] = 1
         occ_ab[mode_index(1, "I", "b")] = 1
-        assert h_int[basis.positions(occ_ab), basis.positions(occ_ab)] == pytest.approx(1.3)
+        assert h_int[basis.positions(occ_ab)] == pytest.approx(1.3)
         occ_split = [0] * 4
         occ_split[mode_index(1, "I", "a")] = 1
         occ_split[mode_index(1, "II", "a")] = 1
-        assert h_int[basis.positions(occ_split), basis.positions(occ_split)] == 0
+        assert h_int[basis.positions(occ_split)] == 0
 
     @pytest.mark.parametrize("n_sites,total", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4)])
     def test_matches_per_state_oracle(self, n_sites, total):
         basis = build_fock_basis(4 * n_sites, total)
         params = LatticeParams(n_sites=n_sites, J=0.83, U=-0.44)
-        for got, want in zip(build_hamiltonians(params, basis), ref_hamiltonians(params, basis)):
+        h_bs, h_int = build_hamiltonians(params, basis)
+        want_bs, want_int = ref_hamiltonians(params, basis)
+        # H_int is the diagonal of the oracle's dense matrix, zeros off it included
+        for got, want in ((h_bs, want_bs), (np.diag(h_int), want_int)):
+            assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    # integer couplings, 10**100 among them, are valid LatticeParams too
+    @pytest.mark.parametrize("J,U", [(0.83, -0.44), (1, 2), (1, 10**100)], ids=["float", "int", "int-1e100"])
+    @pytest.mark.parametrize("n_sites,total", [(1, 2), (2, 4)])
+    def test_real_hopping_matrix_and_interaction_diagonal(self, n_sites, total, J, U):
+        basis = build_fock_basis(4 * n_sites, total)
+        h_bs, h_int = build_hamiltonians(LatticeParams(n_sites=n_sites, J=J, U=U), basis)
+        assert h_bs.dtype == np.float64 and h_bs.shape == (basis.dim, basis.dim)
+        assert h_int.dtype == np.float64 and h_int.shape == (basis.dim,)
+        # a hop never maps a configuration to itself, so the two parts share no entry
+        assert np.count_nonzero(np.diag(h_bs)) == 0
 
     def test_hermitian(self):
         basis = build_fock_basis(8, 2)
         h_bs, h_int = build_hamiltonians(LatticeParams(n_sites=2, J=1.1, U=0.3), basis)
         assert np.max(np.abs(h_bs - h_bs.conj().T)) < 1e-12
-        assert np.max(np.abs(h_int - h_int.conj().T)) < 1e-12
+        dense_int = np.diag(h_int)
+        assert np.max(np.abs(dense_int - dense_int.conj().T)) < 1e-12
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -203,9 +226,21 @@ class TestPropagator:
         basis = build_fock_basis(4 * n_sites, 2 * n_sites)
         params = LatticeParams(n_sites=n_sites, J=1.3, U=0.45)
         h_bs, h_int = build_hamiltonians(params, basis)
-        for h in (h_bs, h_bs + h_int):
+        for h in (h_bs, h_bs + np.diag(h_int)):
             for t in (params.t_bs, 2.9):
                 np.testing.assert_allclose(propagator(h, t), ref_propagator(h, t), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_real_hamiltonian_matches_complex_dense_oracle_and_is_unitary(self, n_sites):
+        basis = build_fock_basis(4 * n_sites, 2 * n_sites)
+        params = LatticeParams(n_sites=n_sites, J=0.9, U=-0.7)
+        h_bs, h_int = build_hamiltonians(params, basis)
+        h = h_bs + np.diag(h_int)
+        assert h.dtype == np.float64
+        u = propagator(h, params.t_bs)
+        # the oracle decomposes the whole matrix at once, through the complex eigh
+        np.testing.assert_allclose(u, ref_propagator(h.astype(complex), params.t_bs), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(basis.dim), rtol=0, atol=1e-12)
 
     def test_dense_random_hermitian_is_one_block(self):
         rng = np.random.default_rng(21)
@@ -437,6 +472,57 @@ class TestEmbedTwoCopies:
         state = basis_state(basis, tuple(occ))
         with pytest.raises(ValueError, match="exactly two"):
             occupancy_probabilities([(1.0, state)], 1)
+
+
+class TestOccupancyProbabilities:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_matches_per_member_oracle(self, n_sites, rank):
+        rng = np.random.default_rng(40 + 4 * n_sites + rank)
+        if n_sites == 1:
+            # rank random two-boson states with unnormalized weights
+            basis = build_fock_basis(4, 2)
+            ensemble = []
+            for _ in range(rank):
+                amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+                ensemble.append((float(rng.uniform(0.1, 3.0)), FockState(basis, amps / np.linalg.norm(amps))))
+        else:
+            basis, members = embed_two_copies(random_state(2, rank, int(rng.integers(1000))))
+            params = LatticeParams(n_sites=2, J=0.8, U=0.3)
+            h_bs, h_int = build_hamiltonians(params, basis)
+            u = propagator(h_bs + np.diag(h_int), params.t_bs)
+            ensemble = [(w, FockState(basis, u @ s.amplitudes)) for w, s in members]
+            assert len(ensemble) == rank**2
+        for site in range(1, n_sites + 1):
+            got = occupancy_probabilities(ensemble, site)
+            want_same, want_diff = ref_occupancy_probabilities(ensemble, site)
+            assert got.p_diff_mode == pytest.approx(want_diff, rel=0, abs=1e-12)
+            assert got.p_same_mode == pytest.approx(want_same, rel=0, abs=1e-12)
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="non-empty ensemble"):
+            occupancy_probabilities([], 1)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(0.0,), (0.0, 0.0), (1.0, -1.0), (0.5, -0.25), (math.nan, 1.0), (math.inf, 1.0), (1e308, 1e308)],
+        ids=["zero", "zeros", "cancelling", "negative", "nan", "inf", "overflowing-total"],
+    )
+    def test_bad_weights_rejected(self, weights):
+        state = standard_test_states()[2]
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            occupancy_probabilities([(w, state) for w in weights], 1)
+
+    def test_members_on_different_bases_rejected(self):
+        one_column = standard_test_states()[0]
+        occ = [0] * 8
+        occ[mode_index(1, "I", "a")] = 1
+        occ[mode_index(1, "II", "a")] = 1
+        occ[mode_index(2, "I", "b")] = 1
+        occ[mode_index(2, "II", "b")] = 1
+        two_columns = basis_state(build_fock_basis(8, 4), tuple(occ))
+        with pytest.raises(ValueError, match="one Fock basis"):
+            occupancy_probabilities([(0.5, one_column), (0.5, two_columns)], 1)
 
 
 class TestSampleLoss:
