@@ -48,6 +48,7 @@ from .qstate import (
     DensityOperator,
     PureState,
     check_qubit_capacity,
+    product_amplitudes,
     random_state,
     validate,
 )
@@ -340,10 +341,7 @@ def parse_state_spec(
         if not qubits:
             raise SpecParseError("product state needs at least one qubit")
         check_qubit_capacity(len(qubits), cap)
-        amps = _parse_bloch(qubits[0]).amplitudes
-        for q in qubits[1:]:
-            amps = np.kron(amps, _parse_bloch(q).amplitudes)
-        state = PureState.from_amplitudes(amps)
+        state = PureState.from_amplitudes(product_amplitudes([_parse_bloch(q).amplitudes for q in qubits]))
     else:  # raw
         if "amplitudes" in fields and "matrix" in fields:
             raise SpecParseError("kind 'raw' takes 'amplitudes' or 'matrix', not both")
@@ -538,7 +536,7 @@ def run_lattice_validate(args) -> int:
     end_to_end = []
     for k in range(args.end_to_end_states):
         rho = random_state(1, 1 + k % 2, seed=args.seed + 1000 + k)
-        _, ensemble = embed_two_copies(rho, basis)
+        _, ensemble = embed_two_copies(rho)
         evolved = [(w, FockState(basis, bs_prop @ s.amplitudes)) for w, s in ensemble]
         got = occupancy_probabilities(evolved, 1).p_diff_mode
         expected = pair_projection_probabilities(rho).p_minus

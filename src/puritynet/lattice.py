@@ -36,6 +36,7 @@ no entry outside a block exists, so nothing is approximated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -401,48 +402,42 @@ def interaction_phase_check(U: float, basis: FockBasis) -> PhaseCheckReport:
     return PhaseCheckReport(U, checked, basis.dim - checked, max_dev)
 
 
-def embed_two_copies(
-    rho_row: DensityOperator, basis: FockBasis | None = None
-) -> tuple[FockBasis, list[tuple[float, FockState]]]:
+@functools.cache
+def _two_copy_layout(n: int) -> tuple[FockBasis, np.ndarray]:
+    """The 4n-mode, 2n-boson Fock basis and its read-only position[x, y]:
+    the basis index of row I holding bit string x and row II holding y,
+    one boson per site-row, internal a = 0, b = 1."""
+    basis = build_fock_basis(4 * n, 2 * n)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    one_hot = np.stack([1 - bits, bits], axis=-1)  # (x, site, internal)
+    occ = np.stack(np.broadcast_arrays(one_hot[:, None], one_hot[None, :]), axis=3)  # x, y, site, row, internal
+    position = basis.positions(occ.reshape(2**n, 2**n, 4 * n))
+    position.flags.writeable = False
+    return basis, position
+
+
+def embed_two_copies(rho_row: DensityOperator) -> tuple[FockBasis, list[tuple[float, FockState]]]:
     """Load two copies of an N-qubit state into the two-row lattice.
 
     Returns the Fock basis (4N modes, 2N bosons: one atom per site per
     row) and the ensemble of product eigenvector pairs: rho x rho
     decomposes as sum_ij lambda_i lambda_j |v_i>_I |v_j>_II, and each
     member maps a = |0>, b = |1> per site into the occupation basis.
-    Eigenvalues below 1e-12 are dropped.  ``basis`` is that Fock basis,
-    built under the default cap when not given.
+    Eigenvalues below 1e-12 are dropped.  The basis and its index map are
+    built once per qubit count and shared by every later call.
     """
-    n = rho_row.n_qubits
-    if basis is None:
-        basis = build_fock_basis(4 * n, 2 * n)
-    elif (basis.n_modes, basis.total_bosons) != (4 * n, 2 * n):
-        raise ValueError(
-            f"basis of {basis.n_modes} modes and {basis.total_bosons} bosons; "
-            f"{n} qubits need {4 * n} and {2 * n}"
-        )
+    basis, position = _two_copy_layout(rho_row.n_qubits)
 
     eigenvalues, eigenvectors = np.linalg.eigh(rho_row.matrix)
     keep = eigenvalues > 1e-12
-    eigenvalues = eigenvalues[keep]
-    eigenvectors = eigenvectors[:, keep]
-
-    # position[x, y]: the basis index of row I holding bit string x and
-    # row II holding y, one boson per site-row, internal a = 0, b = 1.
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    one_hot = np.stack([1 - bits, bits], axis=-1)  # (x, site, internal)
-    occ = np.zeros((2**n, 2**n, n, len(ROWS), len(INTERNALS)), dtype=np.int64)
-    occ[:, :, :, 0] = one_hot[:, None]
-    occ[:, :, :, 1] = one_hot[None, :]
-    position = basis.positions(occ.reshape(2**n, 2**n, 4 * n))
+    eigenvalues, eigenvectors = eigenvalues[keep], eigenvectors[:, keep]
 
     ensemble = []
-    for i, lam_i in enumerate(eigenvalues):
-        for j, lam_j in enumerate(eigenvalues):
-            # unit eigenvectors give a unit product; FockState checks the norm
-            amps = np.zeros(basis.dim, dtype=complex)
-            amps[position] = np.outer(eigenvectors[:, i], eigenvectors[:, j])
-            ensemble.append((float(lam_i * lam_j), FockState(basis, amps)))
+    for i, j in itertools.product(range(eigenvalues.size), repeat=2):
+        # unit eigenvectors give a unit product; FockState checks the norm
+        amps = np.zeros(basis.dim, dtype=complex)
+        amps[position] = np.outer(eigenvectors[:, i], eigenvectors[:, j])
+        ensemble.append((float(eigenvalues[i] * eigenvalues[j]), FockState(basis, amps)))
     return basis, ensemble
 
 
@@ -456,13 +451,14 @@ def occupancy_probabilities(ensemble, site: int) -> OccupancyProbabilities:
     """Probability that the two bosons of a column sit in one row vs both rows.
 
     ``ensemble`` is a non-empty list of (weight, FockState) pairs on one
-    Fock basis (a pure state may be passed as [(1.0, state)]).  The
-    weights must be finite and non-negative with a positive, finite total;
-    they are normalized by it.  Every configuration carrying amplitude must
-    hold exactly two bosons at the column, else the question is ill-posed.
-    Each of these conditions raises a ValueError when it fails.  After the
-    splitter, p_diff_mode is the antisymmetric-projection probability
-    (1 - purity)/2 of the site's single-qubit reduction.
+    Fock basis (a pure state may be passed as [(1.0, state)]) and ``site``
+    a column in 1..n_sites.  The weights must be finite and non-negative
+    with a positive, finite total; they are normalized by it.  Every
+    configuration carrying amplitude must hold exactly two bosons at the
+    column, else the question is ill-posed.  Each of these conditions
+    raises a ValueError when it fails.  After the splitter, p_diff_mode is
+    the antisymmetric-projection probability (1 - purity)/2 of the site's
+    single-qubit reduction.
     """
     if not ensemble:
         raise ValueError("occupancy probabilities need a non-empty ensemble")
@@ -476,6 +472,8 @@ def occupancy_probabilities(ensemble, site: int) -> OccupancyProbabilities:
             f"ensemble weights must be finite and non-negative with a positive total, got total {total!r}"
         )
 
+    if not 1 <= site <= basis.n_modes // 4:
+        raise ValueError(f"site {site} outside 1..{basis.n_modes // 4}")
     rows = _site_row_counts(basis)[:, site - 1].sum(axis=2)
     column = rows.sum(axis=1)
     prob = np.abs(np.stack([state.amplitudes for _, state in ensemble])) ** 2

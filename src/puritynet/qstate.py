@@ -11,6 +11,7 @@ functions, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,12 @@ def check_normalized(amplitudes: np.ndarray) -> None:
         raise ValueError(f"state vector not normalized: |norm-1| = {deviation.max():.3e}")
 
 
+def product_amplitudes(factors) -> np.ndarray:
+    """Chained ``np.kron`` of the 1-D ``factors``, bit for bit (the first is
+    most significant): their raveled outer product, one factor at a time."""
+    return functools.reduce(lambda amps, factor: np.outer(amps, factor).ravel(), factors)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of ``n_qubits`` qubits.
@@ -103,8 +110,8 @@ class PureState:
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "PureState":
         amps = np.asarray(amplitudes, dtype=complex)
-        n = int(round(np.log2(amps.size)))
-        if 2**n != amps.size:
+        n = amps.size.bit_length() - 1
+        if amps.size != 2**n:
             raise ValueError(f"amplitude vector length {amps.size} is not a power of two")
         return cls(n, amps)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState, check_qubit_capacity
+from .qstate import PureState, check_qubit_capacity, product_amplitudes
 
 
 class InversionError(ValueError):
@@ -140,12 +140,7 @@ def cat_state(n: int, phi1: PureState, phi2: PureState, cap: int | None = None) 
     if K <= 1e-12:
         raise ValueError(f"degenerate superposition: branch sum has squared norm {K:.3e}")
 
-    branch1 = phi1.amplitudes
-    branch2 = phi2.amplitudes
-    for _ in range(n - 1):
-        branch1 = np.kron(branch1, phi1.amplitudes)
-        branch2 = np.kron(branch2, phi2.amplitudes)
-    amps = (branch1 + branch2) / math.sqrt(K)
+    amps = (product_amplitudes([phi1.amplitudes] * n) + product_amplitudes([phi2.amplitudes] * n)) / math.sqrt(K)
 
     gamma = abs(overlap) ** 2
     epsilon = math.sqrt(max(0.0, 1.0 - gamma))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from puritynet import lattice
 from puritynet.lattice import (
     COUPLING_MAX,
     COUPLING_MIN,
@@ -461,8 +462,57 @@ class TestEmbedTwoCopies:
             assert got.p_diff_mode == pytest.approx(expected.p_minus, abs=1e-9)
 
     def test_three_sites_beyond_the_fock_cap(self):
-        with pytest.raises(CapacityError):
-            embed_two_copies(random_state(3, 1, 0))
+        # a refused layout is not cached: the second call is refused too
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                embed_two_copies(random_state(3, 1, 0))
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_layout_built_once_per_qubit_count(self, monkeypatch, n_qubits):
+        calls = {"build_fock_basis": 0, "positions": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lattice, "build_fock_basis", counted("build_fock_basis", build_fock_basis))
+        monkeypatch.setattr(lattice.FockBasis, "positions", counted("positions", lattice.FockBasis.positions))
+        # an earlier test may have built this layout already
+        first_basis, first = embed_two_copies(random_state(n_qubits, 2, 0))
+        assert calls["build_fock_basis"] == calls["positions"] <= 1
+        built = dict(calls)
+        second_basis, second = embed_two_copies(random_state(n_qubits, 2, 1))
+        assert calls == built
+        assert second_basis is first_basis
+        assert all(state.basis is first_basis for _, state in first + second)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_members_match_a_fresh_basis(self, n_qubits):
+        # every member, through the shared layout, against amplitudes placed
+        # by basis_state on a freshly built basis
+        rho = random_state(n_qubits, 2, 7)
+        basis, ensemble = embed_two_copies(rho)
+        fresh = build_fock_basis(4 * n_qubits, 2 * n_qubits)
+        assert basis == fresh and np.array_equal(basis.occupations, fresh.occupations)
+        eigenvalues, eigenvectors = np.linalg.eigh(rho.matrix)
+        vectors = eigenvectors[:, eigenvalues > 1e-12]
+        assert len(ensemble) == vectors.shape[1] ** 2
+        for (weight, state), (i, j) in zip(ensemble, np.ndindex(vectors.shape[1], vectors.shape[1])):
+            want = np.zeros(fresh.dim, dtype=complex)
+            for x in range(2**n_qubits):
+                for y in range(2**n_qubits):
+                    occ = [0] * (4 * n_qubits)
+                    for site in range(1, n_qubits + 1):
+                        bx = (x >> (n_qubits - site)) & 1
+                        by = (y >> (n_qubits - site)) & 1
+                        occ[mode_index(site, "I", INTERNALS[bx])] += 1
+                        occ[mode_index(site, "II", INTERNALS[by])] += 1
+                    want += vectors[x, i] * vectors[y, j] * basis_state(fresh, tuple(occ)).amplitudes
+            assert weight == pytest.approx(eigenvalues[eigenvalues > 1e-12][[i, j]].prod(), rel=0, abs=1e-15)
+            assert np.abs(state.amplitudes - want).max() <= 1e-12
 
     def test_wrong_particle_count_rejected(self):
         basis = build_fock_basis(8, 4)
@@ -502,6 +552,14 @@ class TestOccupancyProbabilities:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="non-empty ensemble"):
             occupancy_probabilities([], 1)
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_site_outside_the_columns_rejected(self, n_sites):
+        # site - 1 indexes the column axis, so 0 and -1 would wrap around
+        _, ensemble = embed_two_copies(random_state(n_sites, 1, 0))
+        for site in (0, -1, n_sites + 1):
+            with pytest.raises(ValueError, match=f"site {site} outside 1..{n_sites}"):
+                occupancy_probabilities(ensemble, site)
 
     @pytest.mark.parametrize(
         "weights",

@@ -159,8 +159,9 @@ def test_random_state_rank_out_of_range():
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState(1, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        PureState.from_amplitudes(np.array([1.0, 0.0, 0.0]))
+    for length in (0, 3, 6):
+        with pytest.raises(ValueError, match=f"length {length} is not a power of two"):
+            PureState.from_amplitudes(np.ones(length))
     psi = random_pure_state(2, 3)
     assert purity(psi.to_density()) == pytest.approx(1.0, abs=1e-12)
 
