@@ -214,6 +214,40 @@ def _site_row_counts(basis: FockBasis) -> np.ndarray:
     return basis.occupations.reshape(basis.dim, -1, len(ROWS), len(INTERNALS))
 
 
+@functools.cache
+def _hamiltonian_plan(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the Hamiltonians on ``basis`` share for every coupling, as
+    read-only arrays: each hop's destination index, source index and
+    sqrt(n_src (n_dst + 1)) factor, and the (dim, n_sites, 2 rows) boson
+    pairs n(n-1)/2 of each site-row.  Built once per basis."""
+    occ = basis.occupations
+    n = _site_row_counts(basis).sum(axis=3)
+    pairs = n * (n - 1) // 2
+
+    # Every hop at once: a_top^dag a_bot and its conjugate, per site and
+    # internal state, applied to each basis state whose source mode is
+    # occupied.  Distinct hops from one state reach distinct states.
+    modes = np.arange(basis.n_modes).reshape(-1, len(ROWS), len(INTERNALS))
+    top, bottom = modes[:, 0].ravel(), modes[:, 1].ravel()
+    src, dst = np.concatenate([bottom, top]), np.concatenate([top, bottom])
+    k, hop = np.nonzero(occ[:, src])
+    src, dst = src[hop], dst[hop]
+    moved = occ[k]
+    moved[np.arange(len(k)), src] -= 1
+    moved[np.arange(len(k)), dst] += 1
+    plan = (basis.positions(moved), k, np.sqrt(occ[k, src] * (occ[k, dst] + 1)), pairs)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _checked_plan(params: LatticeParams, basis: FockBasis) -> tuple[np.ndarray, ...]:
+    """The plan of ``basis``, which must have the modes ``params`` imply."""
+    if basis.n_modes != params.n_modes:
+        raise ValueError(f"basis has {basis.n_modes} modes, params imply {params.n_modes}")
+    return _hamiltonian_plan(basis)
+
+
 def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Real (H_hop, H_int) on the given basis.
 
@@ -223,30 +257,13 @@ def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndar
     diagonal and is returned as its float64 diagonal of length dim: U
     times the n(n-1)/2 boson pairs of each site-row.  The full Hamiltonian
     is ``h_bs + np.diag(h_int)``; ``h_bs + h_int`` would add ``h_int[j]``
-    to every entry of column j.
+    to every entry of column j.  The hop indices and factors and the pair
+    counts are derived once per basis; a call scales and scatters them.
     """
-    if basis.n_modes != params.n_modes:
-        raise ValueError(f"basis has {basis.n_modes} modes, params imply {params.n_modes}")
-    dim = basis.dim
-    occ = basis.occupations
-    h_bs = np.zeros((dim, dim))
-
-    n = _site_row_counts(basis).sum(axis=3)
-    h_int = (float(params.U) * (n * (n - 1) // 2)).sum(axis=(1, 2))
-
-    # Every hop at once: -J a_top^dag a_bot and its conjugate, per site and
-    # internal state, applied to each basis state whose source mode is
-    # occupied.  Distinct hops from one state reach distinct states.
-    modes = np.arange(params.n_modes).reshape(params.n_sites, len(ROWS), len(INTERNALS))
-    top, bottom = modes[:, 0].ravel(), modes[:, 1].ravel()
-    src, dst = np.concatenate([bottom, top]), np.concatenate([top, bottom])
-    k, hop = np.nonzero(occ[:, src])
-    src, dst = src[hop], dst[hop]
-    moved = occ[k]
-    moved[np.arange(len(k)), src] -= 1
-    moved[np.arange(len(k)), dst] += 1
-    h_bs[basis.positions(moved), k] = -params.J * np.sqrt(occ[k, src] * (occ[k, dst] + 1))
-    return h_bs, h_int
+    dst, src, factor, pairs = _checked_plan(params, basis)
+    h_bs = np.zeros((basis.dim, basis.dim))
+    h_bs[dst, src] = -params.J * factor
+    return h_bs, (float(params.U) * pairs).sum(axis=(1, 2))
 
 
 def propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -353,13 +370,20 @@ def hopping_bs_check(params: LatticeParams, test_states: list[FockState]) -> BSC
     basis = test_states[0].basis
     h_bs, h_int = build_hamiltonians(params, basis)
     u_prop = propagator(h_bs + np.diag(h_int), params.t_bs)
-    # The target comes from the mode matrix alone, never from H_hop, so a
-    # wrong splitter time shows as lost fidelity.
-    u_ideal = mode_unitary_matrix(ideal_bs_mode_matrix(params.n_sites), basis)
-    fidelities = tuple(
-        float(abs(np.vdot(u_ideal @ state.amplitudes, u_prop @ state.amplitudes)) ** 2) for state in test_states
-    )
-    return BSCheckReport(fidelities)
+    amplitudes = np.stack([state.amplitudes for state in test_states])
+    ideal = amplitudes @ _ideal_splitter(basis).T
+    overlaps = (ideal.conj() * (amplitudes @ u_prop.T)).sum(axis=1)
+    return BSCheckReport(tuple((np.abs(overlaps) ** 2).tolist()))
+
+
+@functools.cache
+def _ideal_splitter(basis: FockBasis) -> np.ndarray:
+    """Read-only many-body matrix of the ideal splitters on ``basis``,
+    built once per basis.  It comes from the mode matrix alone, never from
+    H_hop, so a wrong splitter time shows as lost fidelity."""
+    u = mode_unitary_matrix(ideal_bs_mode_matrix(basis.n_modes // 4), basis)
+    u.flags.writeable = False
+    return u
 
 
 @dataclass(frozen=True)
@@ -387,11 +411,13 @@ def interaction_phase_check(U: float, basis: FockBasis) -> PhaseCheckReport:
     as skipped.
     """
     params = LatticeParams(n_sites=basis.n_modes // 4, U=U)
-    _, h_int = build_hamiltonians(params, basis)
+    pairs = _checked_plan(params, basis)[3]
+    h_int = (float(U) * pairs).sum(axis=(1, 2))
 
-    pair_counts = _site_row_counts(basis).sum(axis=3).reshape(basis.dim, -1)
-    ruled = ~(pair_counts > 2).any(axis=1)
-    doubles = (pair_counts[ruled] == 2).sum(axis=1)
+    # A site-row of n = 0, 1, 2, 3, ... bosons holds 0, 0, 1, 3, ... pairs:
+    # n = 2 is one pair and n > 2 more than one.
+    ruled = ~(pairs > 1).any(axis=(1, 2))
+    doubles = (pairs[ruled] == 1).sum(axis=(1, 2))
     # H_int is diagonal, so each configuration's phase is its own entry of
     # the propagator's diagonal.  The phases come from evolving the dense
     # diag(H_int), not from exp(-i h_int), so the check covers ``propagator``.
@@ -416,6 +442,29 @@ def _two_copy_layout(n: int) -> tuple[FockBasis, np.ndarray]:
     return basis, position
 
 
+def embed_two_copies_stack(matrices: np.ndarray) -> tuple[FockBasis, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`embed_two_copies` of a (K, 2^N, 2^N) stack of density matrices.
+
+    The matrices are those of ``DensityOperator``s, already checked.  One
+    batched eigendecomposition serves the whole stack.  Returns the shared
+    basis and, member by member, the index of its state in the stack, its
+    weight and its amplitude row, as arrays ``owner`` (members,),
+    ``weights`` (members,) and ``amplitudes`` (members, dim).
+    Members run in stack order, and within a state over the pairs (i, j)
+    of its kept eigenvectors, i major, in ascending eigenvalue order.
+    Their norms are not checked here: unit eigenvectors give unit
+    products, which a caller checks once, with ``check_normalized`` on the
+    stack or a ``FockState`` per member.
+    """
+    basis, position = _two_copy_layout(matrices.shape[-1].bit_length() - 1)
+    eigenvalues, eigenvectors = np.linalg.eigh(matrices)
+    kept = eigenvalues > 1e-12
+    owner, i, j = np.nonzero(kept[:, :, None] & kept[:, None, :])
+    amplitudes = np.zeros((owner.size, basis.dim), dtype=complex)
+    amplitudes[:, position] = eigenvectors[owner, :, i, None] * eigenvectors[owner, None, :, j]
+    return basis, owner, eigenvalues[owner, i] * eigenvalues[owner, j], amplitudes
+
+
 def embed_two_copies(rho_row: DensityOperator) -> tuple[FockBasis, list[tuple[float, FockState]]]:
     """Load two copies of an N-qubit state into the two-row lattice.
 
@@ -426,25 +475,52 @@ def embed_two_copies(rho_row: DensityOperator) -> tuple[FockBasis, list[tuple[fl
     Eigenvalues below 1e-12 are dropped.  The basis and its index map are
     built once per qubit count and shared by every later call.
     """
-    basis, position = _two_copy_layout(rho_row.n_qubits)
-
-    eigenvalues, eigenvectors = np.linalg.eigh(rho_row.matrix)
-    keep = eigenvalues > 1e-12
-    eigenvalues, eigenvectors = eigenvalues[keep], eigenvectors[:, keep]
-
-    ensemble = []
-    for i, j in itertools.product(range(eigenvalues.size), repeat=2):
-        # unit eigenvectors give a unit product; FockState checks the norm
-        amps = np.zeros(basis.dim, dtype=complex)
-        amps[position] = np.outer(eigenvectors[:, i], eigenvectors[:, j])
-        ensemble.append((float(eigenvalues[i] * eigenvalues[j]), FockState(basis, amps)))
-    return basis, ensemble
+    basis, _, weights, amplitudes = embed_two_copies_stack(rho_row.matrix[None])
+    # FockState checks each member's norm
+    return basis, [(float(w), FockState(basis, amps)) for w, amps in zip(weights, amplitudes)]
 
 
 @dataclass(frozen=True)
 class OccupancyProbabilities:
     p_same_mode: float
     p_diff_mode: float
+
+
+def occupancy_p_diff_stack(
+    basis: FockBasis, owner: np.ndarray, weights: np.ndarray, amplitudes: np.ndarray, site: int
+) -> np.ndarray:
+    """p_diff_mode of many ensembles on one basis, as :func:`occupancy_probabilities`.
+
+    Member k, of weight ``weights[k]`` and amplitude row ``amplitudes[k]``,
+    belongs to ensemble ``owner[k]``; the result holds the p_diff_mode of
+    ensembles 0..max(owner).  Every ensemble's weights and every member's
+    populated configurations obey the rules of ``occupancy_probabilities``,
+    which raises the same ValueErrors.
+    """
+    # per ensemble a sequential sum, as Python's sum() of floats: an
+    # overflow or a NaN shows in the total, without a warning
+    totals = np.bincount(owner, weights)
+    bad = np.flatnonzero((np.bincount(owner, weights < 0) > 0) | ~((0 < totals) & (totals < math.inf)))
+    if bad.size:
+        raise ValueError(
+            "ensemble weights must be finite and non-negative with a positive total, "
+            f"got total {float(totals[bad[0]])!r}"
+        )
+
+    if not 1 <= site <= basis.n_modes // 4:
+        raise ValueError(f"site {site} outside 1..{basis.n_modes // 4}")
+    rows = _site_row_counts(basis)[:, site - 1].sum(axis=2)
+    column = rows.sum(axis=1)
+    prob = np.abs(amplitudes) ** 2
+    populated = prob >= 1e-18
+    wrong = np.flatnonzero(populated.any(axis=0) & (column != 2))
+    if wrong.size:
+        raise ValueError(
+            f"column {site} holds {column[wrong[0]]} bosons in a populated "
+            "configuration; occupancy probabilities need exactly two"
+        )
+    member_p_diff = (prob * (populated & (rows[:, 0] == 1))).sum(axis=1)
+    return np.bincount(owner, weights * member_p_diff) / totals
 
 
 def occupancy_probabilities(ensemble, site: int) -> OccupancyProbabilities:
@@ -465,26 +541,10 @@ def occupancy_probabilities(ensemble, site: int) -> OccupancyProbabilities:
     basis = ensemble[0][1].basis
     if any(state.basis != basis for _, state in ensemble):
         raise ValueError("every ensemble member must live on one Fock basis")
-    weights = [float(weight) for weight, _ in ensemble]
-    total = sum(weights)  # Python floats: an overflow or a NaN shows in the total, without a warning
-    if not (min(weights) >= 0 and 0 < total < math.inf):
-        raise ValueError(
-            f"ensemble weights must be finite and non-negative with a positive total, got total {total!r}"
-        )
-
-    if not 1 <= site <= basis.n_modes // 4:
-        raise ValueError(f"site {site} outside 1..{basis.n_modes // 4}")
-    rows = _site_row_counts(basis)[:, site - 1].sum(axis=2)
-    column = rows.sum(axis=1)
-    prob = np.abs(np.stack([state.amplitudes for _, state in ensemble])) ** 2
-    populated = prob >= 1e-18
-    wrong = np.flatnonzero(populated.any(axis=0) & (column != 2))
-    if wrong.size:
-        raise ValueError(
-            f"column {site} holds {column[wrong[0]]} bosons in a populated "
-            "configuration; occupancy probabilities need exactly two"
-        )
-    p_diff = float(np.dot(weights, (prob * (populated & (rows[:, 0] == 1))).sum(axis=1))) / total
+    weights = np.array([float(weight) for weight, _ in ensemble])
+    amplitudes = np.stack([state.amplitudes for _, state in ensemble])
+    owner = np.zeros(len(ensemble), dtype=np.intp)
+    p_diff = float(occupancy_p_diff_stack(basis, owner, weights, amplitudes, site)[0])
     return OccupancyProbabilities(p_same_mode=1.0 - p_diff, p_diff_mode=p_diff)
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from puritynet.qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity
+from puritynet.lattice import FockState, LatticeParams, build_fock_basis, embed_two_copies
+from puritynet.qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity, random_state
 from puritynet.states import InversionError, cat_purity_closed_form, cat_state, estimate_epsilon
 
 
@@ -382,3 +383,27 @@ def ref_occupancy_probabilities(ensemble, site: int) -> tuple[float, float]:
         total_weight += weight
     p_diff /= total_weight
     return 1.0 - p_diff, p_diff
+
+
+def ref_end_to_end(n_states: int, J: float, seed: int) -> list[dict]:
+    """The ``end_to_end`` entries of ``lattice-validate``, one state at a time.
+
+    State k is ``random_state(1, 1 + k % 2, seed + 1000 + k)``, as the
+    command draws it.  Each is embedded by ``embed_two_copies``, every
+    member is evolved by the dense hopping propagator at t_bs
+    (:func:`ref_hamiltonians`, :func:`ref_propagator`) and the ensemble is
+    read out by :func:`ref_occupancy_probabilities`; the expected value is
+    (1 - tr rho^2)/2 with the purity from :func:`ref_purity`.
+    """
+    params = LatticeParams(n_sites=1, J=J)
+    h_bs, _ = ref_hamiltonians(params, build_fock_basis(4, 2))
+    bs_prop = ref_propagator(h_bs, params.t_bs)
+    entries = []
+    for k in range(n_states):
+        rho = random_state(1, 1 + k % 2, seed + 1000 + k)
+        basis, ensemble = embed_two_copies(rho)
+        evolved = [(w, FockState(basis, bs_prop @ state.amplitudes)) for w, state in ensemble]
+        _, p_diff = ref_occupancy_probabilities(evolved, 1)
+        expected = (1 - ref_purity(rho.matrix)) / 2
+        entries.append({"seed": seed + 1000 + k, "p_diff": p_diff, "expected": expected, "abs_error": abs(p_diff - expected)})
+    return entries

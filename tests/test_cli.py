@@ -35,12 +35,13 @@ from puritynet.cli import (
     main,
     parse_chains,
     parse_state_spec,
+    write_csv,
 )
 from puritynet import bs_network, cli, qstate, separability
 from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
 from puritynet.states import cat_purity_closed_form, estimate_epsilon
 
-from conftest import ref_cat_experiment, ref_loss_count_distribution, ref_subset_purity, tensor
+from conftest import ref_cat_experiment, ref_end_to_end, ref_loss_count_distribution, ref_subset_purity, tensor
 
 GHZ_SPEC = "statespec v1\nkind = ghz\nn = 3\n"
 PRODUCT_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 0,0\n"
@@ -225,6 +226,31 @@ class TestSerialization:
             json_text({"ok": 1.0, "nested": [bad]})
         with pytest.raises(ValueError, match="non-finite"):
             format_float(bad)
+
+
+class TestWriteCsv:
+    def test_rows_render_as_format_float(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = (rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)).tolist()
+        values[:8] = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 0.1]
+        rows = [tuple(values[i : i + 4]) for i in range(0, len(values), 4)]
+        out = tmp_path / "t.csv"
+        write_csv(str(out), ["a", "b", "c", "d"], iter(rows))
+        want = "a,b,c,d\n" + "".join(",".join(map(format_float, row)) + "\n" for row in rows)
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_leaves_no_file(self, tmp_path, bad):
+        out = tmp_path / "t.csv"
+        rows = iter([(0.0, 1.0), (2.0, bad), (3.0, 4.0)])
+        with pytest.raises(ValueError, match=f"non-finite value {bad!r} cannot be written"):
+            write_csv(str(out), ["x", "y"], rows)
+        assert not out.exists()
+        # an earlier file at the path is left as it was
+        out.write_text("kept")
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(str(out), ["x", "y"], [(bad, 1.0)])
+        assert out.read_text() == "kept"
 
 
 class TestProbeCommand:
@@ -596,6 +622,22 @@ class TestLatticeValidateCommand:
         assert run("lattice-validate", f"{flag}={bad}", "--out", str(out)) == EXIT_USAGE
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("states", [1, 2, 10, 57])
+    @pytest.mark.parametrize("j, u, seed", [(1.0, 0.0, 0), (1.7, 0.3, 12)])
+    def test_end_to_end_matches_a_per_state_loop(self, tmp_path, states, j, u, seed):
+        # the command embeds, evolves and reads out all states in one array pass
+        out = tmp_path / "lat.json"
+        argv = ["--end-to-end-states", str(states), "--j", repr(j), "--u", repr(u), "--seed", str(seed)]
+        assert run("lattice-validate", *argv, "--out", str(out)) == EXIT_OK
+        entries = json.loads(out.read_text())["end_to_end"]
+        want = ref_end_to_end(states, j, seed)
+        assert len(entries) == len(want) == states
+        for got, ref in zip(entries, want):
+            assert got.keys() == ref.keys()
+            assert got["seed"] == ref["seed"]
+            for key in ("p_diff", "expected", "abs_error"):
+                assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12)
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

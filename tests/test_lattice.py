@@ -17,11 +17,13 @@ from puritynet.lattice import (
     build_fock_basis,
     build_hamiltonians,
     embed_two_copies,
+    embed_two_copies_stack,
     hopping_bs_check,
     ideal_bs_mode_matrix,
     interaction_phase_check,
     mode_index,
     mode_unitary_matrix,
+    occupancy_p_diff_stack,
     occupancy_probabilities,
     propagator,
     sample_loss,
@@ -142,14 +144,16 @@ class TestHamiltonians:
 
     @pytest.mark.parametrize("n_sites,total", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4)])
     def test_matches_per_state_oracle(self, n_sites, total):
-        basis = build_fock_basis(4 * n_sites, total)
-        params = LatticeParams(n_sites=n_sites, J=0.83, U=-0.44)
-        h_bs, h_int = build_hamiltonians(params, basis)
-        want_bs, want_int = ref_hamiltonians(params, basis)
-        # H_int is the diagonal of the oracle's dense matrix, zeros off it included
-        for got, want in ((h_bs, want_bs), (np.diag(h_int), want_int)):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # the second coupling set reuses the basis's cached plan
+        for J, U in ((0.83, -0.44), (1.9, 0.6)):
+            basis = build_fock_basis(4 * n_sites, total)
+            params = LatticeParams(n_sites=n_sites, J=J, U=U)
+            h_bs, h_int = build_hamiltonians(params, basis)
+            want_bs, want_int = ref_hamiltonians(params, basis)
+            # H_int is the diagonal of the oracle's dense matrix, zeros off it included
+            for got, want in ((h_bs, want_bs), (np.diag(h_int), want_int)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     # integer couplings, 10**100 among them, are valid LatticeParams too
     @pytest.mark.parametrize("J,U", [(0.83, -0.44), (1, 2), (1, 10**100)], ids=["float", "int", "int-1e100"])
@@ -378,6 +382,64 @@ class TestHoppingBSCheck:
         anti = FockState(basis, u @ states[2].amplitudes)
         assert occupancy_probabilities([(1.0, anti)], 1).p_diff_mode == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_fidelities_match_a_per_state_loop(self, n_sites):
+        # the cached splitter and the stacked product against a fresh
+        # mode_unitary_matrix and one vdot per state
+        if n_sites == 1:
+            states = standard_test_states(seed=5)
+        else:
+            basis = build_fock_basis(8, 4)
+            rng = np.random.default_rng(8)
+            amps = rng.standard_normal((3, basis.dim)) + 1j * rng.standard_normal((3, basis.dim))
+            states = [FockState(basis, a / np.linalg.norm(a)) for a in amps]
+        basis = states[0].basis
+        for params in (LatticeParams(n_sites=n_sites, J=0.9), LatticeParams(n_sites=n_sites, J=0.9, U=0.4)):
+            h_bs, h_int = build_hamiltonians(params, basis)
+            u_prop = propagator(h_bs + np.diag(h_int), params.t_bs)
+            u_ideal = mode_unitary_matrix(ideal_bs_mode_matrix(n_sites), basis)
+            want = [abs(np.vdot(u_ideal @ s.amplitudes, u_prop @ s.amplitudes)) ** 2 for s in states]
+            got = hopping_bs_check(params, states).fidelities
+            assert len(got) == len(states)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_splitter_and_hamiltonian_plan_built_once_per_basis(self, monkeypatch, n_sites):
+        basis = build_fock_basis(4 * n_sites, 2 * n_sites)
+        states = [basis_state(basis, tuple(basis.occupations[k])) for k in (0, basis.dim // 2)]
+        calls = {"mode_unitary_matrix": 0, "positions": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lattice, "mode_unitary_matrix", counted("mode_unitary_matrix", mode_unitary_matrix))
+        monkeypatch.setattr(lattice.FockBasis, "positions", counted("positions", lattice.FockBasis.positions))
+        # an earlier test may have built both for this basis already
+        hopping_bs_check(LatticeParams(n_sites=n_sites), states)
+        assert calls["mode_unitary_matrix"] <= 1 and calls["positions"] <= 1
+        built = dict(calls)
+        for U in (0.0, 0.5, -1.0):
+            params = LatticeParams(n_sites=n_sites, J=1.3, U=U)
+            hopping_bs_check(params, states)
+            build_hamiltonians(params, build_fock_basis(4 * n_sites, 2 * n_sites))
+        interaction_phase_check(0.7, basis)
+        assert calls == built
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_cached_arrays_are_read_only(self, n_sites):
+        basis = build_fock_basis(4 * n_sites, 2 * n_sites)
+        build_hamiltonians(LatticeParams(n_sites=n_sites), basis)
+        hopping_bs_check(LatticeParams(n_sites=n_sites), [basis_state(basis, tuple(basis.occupations[0]))])
+        cached = [*lattice._hamiltonian_plan(basis), lattice._ideal_splitter(basis)]
+        for array in cached:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+
     def test_interaction_degrades_fidelity(self):
         states = standard_test_states()
         baseline = hopping_bs_check(LatticeParams(n_sites=1), states).min_fidelity
@@ -514,6 +576,33 @@ class TestEmbedTwoCopies:
             assert weight == pytest.approx(eigenvalues[eigenvalues > 1e-12][[i, j]].prod(), rel=0, abs=1e-15)
             assert np.abs(state.amplitudes - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_stack_matches_one_state_at_a_time(self, n_qubits):
+        rhos = [random_state(n_qubits, rank, 30 + rank) for rank in range(1, 2**n_qubits + 1)] * 2
+        basis, owner, weights, amplitudes = embed_two_copies_stack(np.stack([rho.matrix for rho in rhos]))
+        for k, rho in enumerate(rhos):
+            one_basis, ensemble = embed_two_copies(rho)
+            assert one_basis is basis
+            mine = owner == k
+            assert mine.sum() == len(ensemble)
+            np.testing.assert_allclose(weights[mine], [w for w, _ in ensemble], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(amplitudes[mine], [s.amplitudes for _, s in ensemble], rtol=0, atol=1e-15)
+        # members run in stack order
+        assert (np.diff(owner) >= 0).all()
+        # the readout of every state at once matches the per-ensemble one
+        params = LatticeParams(n_sites=n_qubits, J=0.7)
+        h_bs, _ = build_hamiltonians(params, basis)
+        u = propagator(h_bs, params.t_bs)
+        evolved = amplitudes @ u.T
+        for site in range(1, n_qubits + 1):
+            got = occupancy_p_diff_stack(basis, owner, weights, evolved, site)
+            assert got.shape == (len(rhos),)
+            for k in range(len(rhos)):
+                mine = owner == k
+                ensemble = [(w, FockState(basis, a)) for w, a in zip(weights[mine], evolved[mine])]
+                want = occupancy_probabilities(ensemble, site).p_diff_mode
+                assert got[k] == pytest.approx(want, rel=0, abs=1e-15)
+
     def test_wrong_particle_count_rejected(self):
         basis = build_fock_basis(8, 4)
         occ = [0] * 8
@@ -570,6 +659,16 @@ class TestOccupancyProbabilities:
         state = standard_test_states()[2]
         with pytest.raises(ValueError, match="weights must be finite and non-negative"):
             occupancy_probabilities([(w, state) for w in weights], 1)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_stack_rejects_the_ensemble_with_bad_weights(self, bad):
+        # the second of three ensembles carries the bad weight; its total is named
+        state = standard_test_states()[2]
+        owner = np.array([0, 1, 1, 2])
+        weights = np.array([1.0, 0.25, bad, 1.0])
+        amplitudes = np.stack([state.amplitudes] * 4)
+        with pytest.raises(ValueError, match=f"weights must be finite and non-negative .* got total {0.25 + bad!r}"):
+            occupancy_p_diff_stack(state.basis, owner, weights, amplitudes, 1)
 
     def test_members_on_different_bases_rejected(self):
         one_column = standard_test_states()[0]
