@@ -31,7 +31,10 @@ b bosons summed over the two rows, so a Hamiltonian on this basis is
 block diagonal.  Evolution finds those blocks from the exact nonzero
 pattern of H and eigendecomposes each block on its own (at 2 columns,
 35 blocks of at most 16 states instead of one 330-dimensional matrix);
-no entry outside a block exists, so nothing is approximated.
+no entry outside a block exists, so nothing is approximated.  The blocks
+are found once per off-diagonal pattern, which every Hamiltonian of one
+basis shares, and blocks with byte-identical entries are decomposed once
+(at 2 columns and U = 0, 8 of the 35 are distinct).
 """
 
 from __future__ import annotations
@@ -266,20 +269,20 @@ def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndar
     return h_bs, (float(params.U) * pairs).sum(axis=(1, 2))
 
 
-def propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) of a Hermitian H, one diagonal block at a time.
+#: Block plans ``propagator`` keeps, one per off-diagonal nonzero pattern;
+#: past this many the least recently used is dropped.  Each holds its
+#: packed pattern, dim^2 / 8 bytes (2 MiB at the Fock cap), and dim indices.
+#: The lattice Hamiltonians of one basis share one pattern.
+_BLOCK_PLANS_KEPT = 8
 
-    The lattice Hamiltonians are real symmetric, so their blocks go
-    through the real ``eigh``; the result is complex either way.
 
-    The blocks are the connected components of the nonzero pattern of H.
-    No entry couples two of them, so exp(-i H t) is block diagonal with
-    the same blocks, and each comes from the eigendecomposition of its own
-    block of H.  Blocks of one size are decomposed together.  A matrix
-    without zeros is one block.
-    """
-    dim = hamiltonian.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(hamiltonian != 0), dim)
+@functools.lru_cache(maxsize=_BLOCK_PLANS_KEPT)
+def _block_plan(dim: int, pattern: bytes) -> tuple[np.ndarray, ...]:
+    """The diagonal blocks of a dim x dim matrix with the off-diagonal
+    nonzero ``pattern`` (row major, packed by ``np.packbits``): per block
+    size, in ascending order, the read-only (blocks, size) array of each
+    block's member indices.  Built once per pattern."""
+    rows, cols = np.divmod(np.flatnonzero(np.unpackbits(np.frombuffer(pattern, np.uint8), count=dim * dim)), dim)
     # Every state takes the smallest label among the states an entry
     # couples it to, in either direction, and then its label's label, until
     # nothing changes; each component then carries its lowest index.
@@ -296,14 +299,42 @@ def propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     sizes = np.bincount(labels)
     sizes = sizes[sizes > 0]
     starts = np.cumsum(sizes) - sizes
+    plan = tuple(order[starts[sizes == size, None] + np.arange(size)] for size in sorted(set(sizes.tolist())))
+    for members in plan:
+        members.flags.writeable = False
+    return plan
 
+
+def propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) of a Hermitian H, one diagonal block at a time.
+
+    The lattice Hamiltonians are real symmetric, so their blocks go
+    through the real ``eigh``; the result is complex either way.
+
+    The blocks are the connected components of the nonzero pattern of H.
+    No entry couples two of them, so exp(-i H t) is block diagonal with
+    the same blocks, and each comes from the eigendecomposition of its own
+    block of H.  A matrix without zeros is one block.  Diagonal entries
+    join no two blocks, so the blocks are found once per off-diagonal
+    pattern (``_block_plan``) and every H with that pattern reuses them.
+    Blocks of one size are decomposed together, and byte-identical blocks
+    share one eigendecomposition, which gives them identical results.
+    """
+    dim = hamiltonian.shape[0]
+    pattern = hamiltonian != 0
+    np.fill_diagonal(pattern, False)
     u = np.zeros((dim, dim), dtype=complex)
-    for size in sorted(set(sizes.tolist())):
-        members = order[starts[sizes == size, None] + np.arange(size)]
+    for members in _block_plan(dim, np.packbits(pattern).tobytes()):
         block = members[:, :, None], members[:, None, :]
-        energies, vectors = np.linalg.eigh(hamiltonian[block])
+        blocks = hamiltonian[block]
+        # each block's bytes, and its slot among the distinct ones
+        raw = blocks.reshape(len(blocks), -1).view(np.dtype((np.void, blocks[0].nbytes))).ravel().tolist()
+        slot: dict[bytes, int] = {}
+        copy = [slot.setdefault(entries, len(slot)) for entries in raw]
+        distinct = np.frombuffer(b"".join(slot), blocks.dtype).reshape(len(slot), *blocks.shape[1:])
+        energies, vectors = np.linalg.eigh(distinct)
         phases = np.exp(-1j * energies * t)[:, None, :]
-        u[block] = (vectors * phases) @ vectors.conj().transpose(0, 2, 1)
+        u[block] = ((vectors * phases) @ vectors.conj().transpose(0, 2, 1))[copy]
     return u
 
 
@@ -509,8 +540,7 @@ def occupancy_p_diff_stack(
 
     if not 1 <= site <= basis.n_modes // 4:
         raise ValueError(f"site {site} outside 1..{basis.n_modes // 4}")
-    rows = _site_row_counts(basis)[:, site - 1].sum(axis=2)
-    column = rows.sum(axis=1)
+    column, split = (table[site - 1] for table in _column_tables(basis))
     prob = np.abs(amplitudes) ** 2
     populated = prob >= 1e-18
     wrong = np.flatnonzero(populated.any(axis=0) & (column != 2))
@@ -519,8 +549,20 @@ def occupancy_p_diff_stack(
             f"column {site} holds {column[wrong[0]]} bosons in a populated "
             "configuration; occupancy probabilities need exactly two"
         )
-    member_p_diff = (prob * (populated & (rows[:, 0] == 1))).sum(axis=1)
+    member_p_diff = (prob * (populated & split)).sum(axis=1)
     return np.bincount(owner, weights * member_p_diff) / totals
+
+
+@functools.cache
+def _column_tables(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Per site column, as read-only (n_sites, dim) arrays: the bosons the
+    column holds in each basis state, and whether row I holds exactly one
+    of them (in a column of two, one per row).  Built once per basis."""
+    rows = _site_row_counts(basis).sum(axis=3)  # (dim, site, row)
+    tables = np.ascontiguousarray(rows.sum(axis=2).T), np.ascontiguousarray(rows[:, :, 0].T == 1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def occupancy_probabilities(ensemble, site: int) -> OccupancyProbabilities:
@@ -562,15 +604,10 @@ def sample_loss(n_atoms: int, survival_prob: float, runs: int, seed: int) -> np.
     return np.random.default_rng(seed).binomial(n_atoms, 1.0 - survival_prob, size=(runs, 2))
 
 
-def standard_test_states(seed: int = 0) -> list[FockState]:
-    """Canonical one-column two-boson test set for splitter checks.
-
-    Six structured states, in this order: the identical a-pair
-    aI^dag aII^dag |vac> (entry 0), the identical b-pair, the singlet
-    (aI^dag bII^dag - aII^dag bI^dag)|vac>/sqrt(2) (entry 2), the matching
-    triplet, both bosons in row I, and a doubly occupied mode; then four
-    seeded random superpositions.  Ten states in all.
-    """
+@functools.cache
+def _structured_test_states() -> tuple[FockState, ...]:
+    """The six structured states of ``standard_test_states``, placed once
+    per process; a FockState's amplitudes are read-only."""
     basis = build_fock_basis(4, 2)
     ia, ib, iia, iib = (mode_index(1, row, internal) for row in ROWS for internal in INTERNALS)
 
@@ -578,14 +615,27 @@ def standard_test_states(seed: int = 0) -> list[FockState]:
         """One boson per listed mode."""
         return tuple(np.bincount(modes, minlength=4).tolist())
 
-    states = [
+    return (
         basis_state(basis, occ(ia, iia)),  # identical a-pair, one per row
         basis_state(basis, occ(ib, iib)),  # identical b-pair
         superpose(basis, {occ(ia, iib): 1, occ(iia, ib): -1}),  # singlet
         superpose(basis, {occ(ia, iib): 1, occ(iia, ib): +1}),  # triplet ab
         basis_state(basis, occ(ia, ib)),  # both bosons in row I
         basis_state(basis, occ(ia, ia)),  # doubly occupied single mode
-    ]
+    )
+
+
+def standard_test_states(seed: int = 0) -> list[FockState]:
+    """Canonical one-column two-boson test set for splitter checks.
+
+    Six structured states, in this order: the identical a-pair
+    aI^dag aII^dag |vac> (entry 0), the identical b-pair, the singlet
+    (aI^dag bII^dag - aII^dag bI^dag)|vac>/sqrt(2) (entry 2), the matching
+    triplet, both bosons in row I, and a doubly occupied mode; then four
+    seeded random superpositions, drawn on every call.  Ten states in all.
+    """
+    states = list(_structured_test_states())
+    basis = states[0].basis
     rng = np.random.default_rng(seed)
     for _ in range(4):
         amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)

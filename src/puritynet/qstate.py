@@ -12,6 +12,7 @@ functions, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,21 @@ def site_mask(members, n_sites: int) -> int:
 def check_normalized(amplitudes: np.ndarray) -> None:
     """Raise ValueError unless every amplitude vector (last axis) is finite
     and has unit norm to 1e-12: a :class:`PureState`'s conditions, for one
-    vector or a stack of them."""
-    if not np.isfinite(amplitudes).all():
-        raise ValueError("state vector has non-finite amplitudes")
-    deviation = abs(np.linalg.norm(amplitudes, axis=-1) - 1.0)
-    if (deviation > 1e-12).any():
-        raise ValueError(f"state vector not normalized: |norm-1| = {deviation.max():.3e}")
+    vector or a stack of them.  A norm past float64, or a non-finite
+    amplitude, fails without a warning."""
+    if amplitudes.ndim == 1:
+        # one vector: its squared norm is one dot product
+        deviation = abs(math.sqrt(np.vdot(amplitudes, amplitudes).real) - 1.0)
+        normalized = deviation <= 1e-12
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviation = abs(np.linalg.norm(amplitudes, axis=-1) - 1.0)
+        normalized = (deviation <= 1e-12).all()
+    # a non-finite amplitude gives a NaN or inf deviation, which fails above
+    if not normalized:
+        if not np.isfinite(amplitudes).all():
+            raise ValueError("state vector has non-finite amplitudes")
+        raise ValueError(f"state vector not normalized: |norm-1| = {np.max(deviation):.3e}")
 
 
 def product_amplitudes(factors) -> np.ndarray:

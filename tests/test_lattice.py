@@ -108,6 +108,20 @@ class TestFockState:
         with pytest.raises(ValueError, match="non-finite"):
             FockState(basis, np.full(basis.dim, np.nan))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(1e200, r"not normalized: \|norm-1\| = inf"), (np.nan, "non-finite"), (np.inf, "non-finite")],
+        ids=["overflowing-norm", "nan", "inf"],
+    )
+    def test_bad_amplitudes_raise_without_warning(self, bad, message):
+        basis = build_fock_basis(4, 2)
+        amplitudes = np.zeros(basis.dim, dtype=complex)
+        amplitudes[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                FockState(basis, amplitudes)
+
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_superposition_without_finite_norm_rejected(self, bad):
         basis = build_fock_basis(4, 2)
@@ -270,6 +284,91 @@ class TestPropagator:
         block = np.repeat(np.arange(len(sizes)), sizes)[perm]
         assert np.count_nonzero(u[block[:, None] != block[None, :]]) == 0
 
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_block_plan_built_once_per_pattern(self, n_sites):
+        # diagonal entries join no blocks, so h_bs and h_bs + diag(h_int)
+        # share one plan at every J and U
+        basis = build_fock_basis(4 * n_sites, 2 * n_sites)
+        lattice._block_plan.cache_clear()
+        for J in (0.5, 1.3, 2.0):
+            for U in (0.0, 0.3, -1.2):
+                params = LatticeParams(n_sites=n_sites, J=J, U=U)
+                h_bs, h_int = build_hamiltonians(params, basis)
+                propagator(h_bs, params.t_bs)
+                propagator(h_bs + np.diag(h_int), params.t_bs)
+        assert lattice._block_plan.cache_info().misses == 1
+
+    def test_results_match_oracle_after_eviction(self):
+        # more patterns of one size than the cache keeps, visited twice in
+        # turn: every call rebuilds its evicted plan
+        rng = np.random.default_rng(23)
+        matrices = []
+        for _ in range(lattice._BLOCK_PLANS_KEPT + 3):
+            h = np.zeros((12, 12))
+            for lo, hi in ((0, 3), (3, 7), (7, 12)):
+                a = rng.standard_normal((hi - lo, hi - lo))
+                h[lo:hi, lo:hi] = a + a.T
+            perm = rng.permutation(12)
+            matrices.append(h[np.ix_(perm, perm)])
+        lattice._block_plan.cache_clear()
+        for _ in range(2):
+            for h in matrices:
+                np.testing.assert_allclose(propagator(h, 0.8), ref_propagator(h, 0.8), rtol=0, atol=1e-12)
+        info = lattice._block_plan.cache_info()
+        assert info.misses == 2 * len(matrices)
+        assert info.currsize == lattice._BLOCK_PLANS_KEPT
+
+    def test_eigh_sees_only_distinct_blocks(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((3, 3))
+        real = a + a.T
+        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        cplx = b + b.conj().T
+        odd = real.copy()  # one ulp away from ``real`` in one symmetric pair
+        odd[0, 1] = odd[1, 0] = np.nextafter(real[0, 1], np.inf)
+        pair = np.array([[0.3, 1.1], [1.1, -0.2]])
+        blocks = [real, cplx, real, pair, odd, cplx, real, pair]
+        # the blocks interleave, each keeping its states in order, so the
+        # copies of one block are byte-identical
+        owner = rng.permutation(np.repeat(np.arange(len(blocks)), [len(x) for x in blocks]))
+        where = [np.flatnonzero(owner == k) for k in range(len(blocks))]
+        h = np.zeros((len(owner), len(owner)), dtype=complex)
+        for states, x in zip(where, blocks):
+            h[np.ix_(states, states)] = x
+
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counted(matrices):
+            decomposed.append(len(matrices) if matrices.ndim == 3 else 1)
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        u = propagator(h, 0.6)
+        assert sum(decomposed) == 4  # real, cplx, odd and pair
+        monkeypatch.undo()
+        np.testing.assert_allclose(u, ref_propagator(h, 0.6), rtol=0, atol=1e-12)
+        # copies of one block get the very same entries
+        sub = [u[np.ix_(states, states)] for states in where]
+        for i, j in ((0, 2), (0, 6), (1, 5), (3, 7)):
+            assert sub[i].tobytes() == sub[j].tobytes()
+
+    def test_plan_arrays_are_read_only(self):
+        basis = build_fock_basis(8, 4)
+        h_bs, _ = build_hamiltonians(LatticeParams(n_sites=2), basis)
+        propagator(h_bs, 0.3)
+        hits = lattice._block_plan.cache_info().hits
+        # the plan ``propagator`` used, keyed on the packed off-diagonal pattern
+        pattern = h_bs != 0
+        np.fill_diagonal(pattern, False)
+        plan = lattice._block_plan(basis.dim, np.packbits(pattern).tobytes())
+        assert lattice._block_plan.cache_info().hits == hits + 1
+        assert [members.shape for members in plan] == [(4, 5), (12, 8), (6, 9), (12, 12), (1, 16)]
+        for members in plan:
+            assert not members.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                members[0, 0] = 1
+
 
 class TestEvolve:
     def test_time_zero_is_identity(self):
@@ -352,6 +451,50 @@ class TestIdealBSMap:
             got = mode_unitary_matrix(u, basis)
             np.testing.assert_allclose(got, ref_mode_unitary_matrix(u, total), rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.conj().T @ got, np.eye(basis.dim), rtol=0, atol=1e-12)
+
+
+class TestStandardTestStates:
+    def test_structured_states_placed_once(self, monkeypatch):
+        calls = {"build_fock_basis": 0, "positions": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lattice, "build_fock_basis", counted("build_fock_basis", build_fock_basis))
+        monkeypatch.setattr(lattice.FockBasis, "positions", counted("positions", lattice.FockBasis.positions))
+        # an earlier test may have placed them already
+        first = standard_test_states(seed=0)
+        built = dict(calls)
+        second = standard_test_states(seed=5)
+        assert calls == built
+        assert all(a is b for a, b in zip(first[:6], second[:6]))
+
+    def test_structured_states_match_fresh_placement(self):
+        basis = build_fock_basis(4, 2)  # modes aI, bI, aII, bII
+        want = [
+            basis_state(basis, (1, 0, 1, 0)),
+            basis_state(basis, (0, 1, 0, 1)),
+            superpose(basis, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}),
+            superpose(basis, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1}),
+            basis_state(basis, (1, 1, 0, 0)),
+            basis_state(basis, (2, 0, 0, 0)),
+        ]
+        got = standard_test_states()
+        assert len(got) == 10
+        for state, expected in zip(got, want):
+            assert state.basis == basis
+            assert not state.amplitudes.flags.writeable
+            assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    def test_random_rows_follow_the_seed(self):
+        one, again, other = standard_test_states(seed=4), standard_test_states(seed=4), standard_test_states(seed=9)
+        for k in range(6, 10):
+            assert one[k].amplitudes.tobytes() == again[k].amplitudes.tobytes()
+            assert not np.allclose(one[k].amplitudes, other[k].amplitudes)
 
 
 class TestHoppingBSCheck:
@@ -637,6 +780,35 @@ class TestOccupancyProbabilities:
             want_same, want_diff = ref_occupancy_probabilities(ensemble, site)
             assert got.p_diff_mode == pytest.approx(want_diff, rel=0, abs=1e-12)
             assert got.p_same_mode == pytest.approx(want_same, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_column_tables_built_once_per_basis_and_read_only(self, monkeypatch, n_sites):
+        calls = []
+
+        def counted(basis):
+            calls.append(basis)
+            return site_row_counts(basis)
+
+        site_row_counts = lattice._site_row_counts
+        monkeypatch.setattr(lattice, "_site_row_counts", counted)
+        basis, ensemble = embed_two_copies(random_state(n_sites, 2, 3))
+        # an earlier test may have built the tables of this basis already
+        occupancy_probabilities(ensemble, 1)
+        assert len(calls) <= 1
+        built = len(calls)
+        for site in range(1, n_sites + 1):
+            occupancy_probabilities(ensemble, site)
+            occupancy_probabilities(embed_two_copies(random_state(n_sites, 1, site))[1], site)
+        assert len(calls) == built
+        column, split = lattice._column_tables(basis)
+        assert column.shape == split.shape == (n_sites, basis.dim)
+        rows = basis.occupations.reshape(basis.dim, n_sites, 2, 2).sum(axis=3)
+        np.testing.assert_array_equal(column, rows.sum(axis=2).T)
+        np.testing.assert_array_equal(split, rows[:, :, 0].T == 1)
+        for table in (column, split):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="non-empty ensemble"):

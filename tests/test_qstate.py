@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from puritynet.qstate import (
     CapacityError,
     DensityOperator,
     PureState,
+    check_normalized,
     purity,
     random_state,
     trace_site,
@@ -180,6 +182,34 @@ def test_constructors_reject_non_finite(bad):
         PureState(1, np.array([bad, 0.0]))
     with pytest.raises(ValueError, match="non-finite"):
         DensityOperator(1, np.array([[0.5, bad], [bad, 0.5]], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ([1e200, 0.0], r"not normalized: \|norm-1\| = inf"),
+        ([np.nan, 0.0], "non-finite amplitudes"),
+        ([np.inf, 0.0], "non-finite amplitudes"),
+        ([1j * np.inf, 0.0], "non-finite amplitudes"),
+    ],
+    ids=["overflowing-norm", "nan", "inf", "imaginary-inf"],
+)
+def test_bad_amplitudes_raise_without_warning(amplitudes, message):
+    # the norm of [1e200, 0] overflows float64; it must fail as unnormalized,
+    # for one vector and for a stack, without numpy's RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            PureState.from_amplitudes(amplitudes)
+        with pytest.raises(ValueError, match=message):
+            check_normalized(np.array([[1.0, 0.0], amplitudes], dtype=complex))
+
+
+def test_check_normalized_accepts_unit_vectors_and_stacks():
+    check_normalized(np.array([0.6, 0.8j]))
+    check_normalized(np.array([[0.6, 0.8j], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"\|norm-1\| = 1.000e-06"):
+        check_normalized(np.array([[1.0, 0.0], [1.0 + 1e-6, 0.0]]))
 
 
 def test_immutability():
