@@ -31,14 +31,12 @@ from .bs_network import pair_projection_probabilities, sign_probabilities_from_p
 from .lattice import (
     COUPLING_MAX,
     COUPLING_MIN,
-    FockState,
     LatticeParams,
     build_hamiltonians,
     embed_two_copies_stack,
     hopping_bs_check,
     interaction_phase_check,
     occupancy_p_diff_stack,
-    occupancy_probabilities,
     propagator,
     sample_loss,
     standard_test_states,
@@ -517,19 +515,16 @@ def run_fig2b(args) -> int:
 
 def run_lattice_validate(args) -> int:
     params = LatticeParams(n_sites=1, J=args.j, U=args.u)
-    test_states = standard_test_states(seed=args.seed)
-    basis = test_states[0].basis
-
-    bs_report = hopping_bs_check(params, test_states)
+    basis, test_states = standard_test_states(seed=args.seed)
+    fidelities = hopping_bs_check(params, basis, test_states)
 
     h_bs, _ = build_hamiltonians(params, basis)
     bs_prop = propagator(h_bs, params.t_bs)
-    hom_bunched = FockState(basis, bs_prop @ test_states[0].amplitudes)
-    hom_singlet = FockState(basis, bs_prop @ test_states[2].amplitudes)
-    hom = {
-        "identical_pair_p_diff": occupancy_probabilities([(1.0, hom_bunched)], 1).p_diff_mode,
-        "singlet_p_diff": occupancy_probabilities([(1.0, hom_singlet)], 1).p_diff_mode,
-    }
+    # the identical a-pair (row 0) and the singlet (row 2), each a pure ensemble of its own
+    pair_p_diff, singlet_p_diff = occupancy_p_diff_stack(
+        basis, np.arange(2), np.ones(2), test_states[[0, 2]] @ bs_prop.T, 1
+    ).tolist()
+    hom = {"identical_pair_p_diff": pair_p_diff, "singlet_p_diff": singlet_p_diff}
 
     phase_checks = []
     for theta in (0.1, math.pi / 2, math.pi):
@@ -561,8 +556,8 @@ def run_lattice_validate(args) -> int:
 
     sweep = []
     for ratio in (0.0, 0.01, 0.1, 1.0):
-        rep = hopping_bs_check(LatticeParams(n_sites=1, J=args.j, U=ratio * args.j), test_states)
-        sweep.append({"u_over_j": ratio, "min_fidelity": rep.min_fidelity})
+        swept = hopping_bs_check(LatticeParams(n_sites=1, J=args.j, U=ratio * args.j), basis, test_states)
+        sweep.append({"u_over_j": ratio, "min_fidelity": float(swept.min())})
 
     report = {
         "tool": "puritynet",
@@ -571,8 +566,8 @@ def run_lattice_validate(args) -> int:
         "params": {"n_sites": 1, "J": args.j, "U": args.u, "t_bs": params.t_bs},
         "bs_check": {
             "include_interactions": args.u != 0.0,
-            "fidelities": list(bs_report.fidelities),
-            "min_fidelity": bs_report.min_fidelity,
+            "fidelities": fidelities.tolist(),
+            "min_fidelity": float(fidelities.min()),
         },
         "hom": hom,
         "interaction_phase": phase_checks,

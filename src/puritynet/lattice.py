@@ -43,6 +43,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,10 +123,9 @@ class FockBasis:
     def positions(self, occupations: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of an integer occupation array.
 
-        Each row must be a vector of this basis: any other row gets a
-        wrong index or an IndexError, so outside input is checked first
-        (see ``basis_state``).  Its lexicographic rank
-        sums, over modes i, the basis states that agree with it before
+        Each row must be a vector of this basis, which is not checked: any
+        other row gets a wrong index or an IndexError.  Its lexicographic
+        rank sums, over modes i, the basis states that agree with it before
         mode i and hold fewer bosons in mode i.  With r bosons left for
         mode i and the k modes after it, there are
         C(r + k, k) - C(r - o_i + k, k) of those (hockey-stick identity).
@@ -180,52 +180,23 @@ class FockState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _position(basis: FockBasis, occupation) -> int:
-    """Basis index of one occupation vector, which must lie in the basis."""
-    occ = np.asarray(occupation)
-    if not (
-        occ.shape == (basis.n_modes,)
-        and np.issubdtype(occ.dtype, np.integer)
-        and occ.min() >= 0
-        and occ.sum() == basis.total_bosons
-    ):
-        raise ValueError(
-            f"occupation {occupation!r} is not {basis.total_bosons} bosons over {basis.n_modes} modes"
-        )
-    return int(basis.positions(occ))
+class _BasisPlan(NamedTuple):
+    """What the lattice work on one basis shares for every coupling and
+    state, as read-only arrays."""
 
-
-def basis_state(basis: FockBasis, occupation) -> FockState:
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[_position(basis, occupation)] = 1.0
-    return FockState(basis, amps)
-
-
-def superpose(basis: FockBasis, terms: dict) -> FockState:
-    """Normalized superposition from {occupation tuple: amplitude}."""
-    amps = np.zeros(basis.dim, dtype=complex)
-    for occ, amp in terms.items():
-        amps[_position(basis, occ)] = amp
-    norm = np.linalg.norm(amps)
-    if not 0 < norm < math.inf:
-        raise ValueError(f"superposition has norm {norm}; it needs a finite, nonzero one")
-    return FockState(basis, amps / norm)
-
-
-def _site_row_counts(basis: FockBasis) -> np.ndarray:
-    """(dim, n_sites, 2 rows, 2 internals) view of the occupations."""
-    return basis.occupations.reshape(basis.dim, -1, len(ROWS), len(INTERNALS))
+    dst: np.ndarray  # each hop's destination index
+    src: np.ndarray  # its source index
+    factor: np.ndarray  # its sqrt(n_src (n_dst + 1))
+    pairs: np.ndarray  # (dim, n_sites, 2 rows) boson pairs n(n-1)/2 of each site-row
+    column: np.ndarray  # (n_sites, dim) bosons of each column
+    split: np.ndarray  # (n_sites, dim) whether row I holds exactly one of them
 
 
 @functools.cache
-def _hamiltonian_plan(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What the Hamiltonians on ``basis`` share for every coupling, as
-    read-only arrays: each hop's destination index, source index and
-    sqrt(n_src (n_dst + 1)) factor, and the (dim, n_sites, 2 rows) boson
-    pairs n(n-1)/2 of each site-row.  Built once per basis."""
+def _basis_plan(basis: FockBasis) -> _BasisPlan:
+    """The plan of ``basis``, built once per basis."""
     occ = basis.occupations
-    n = _site_row_counts(basis).sum(axis=3)
-    pairs = n * (n - 1) // 2
+    rows = occ.reshape(basis.dim, -1, len(ROWS), len(INTERNALS)).sum(axis=3)  # (dim, site, row)
 
     # Every hop at once: a_top^dag a_bot and its conjugate, per site and
     # internal state, applied to each basis state whose source mode is
@@ -238,17 +209,24 @@ def _hamiltonian_plan(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndar
     moved = occ[k]
     moved[np.arange(len(k)), src] -= 1
     moved[np.arange(len(k)), dst] += 1
-    plan = (basis.positions(moved), k, np.sqrt(occ[k, src] * (occ[k, dst] + 1)), pairs)
+    plan = _BasisPlan(
+        basis.positions(moved),
+        k,
+        np.sqrt(occ[k, src] * (occ[k, dst] + 1)),
+        rows * (rows - 1) // 2,
+        np.ascontiguousarray(rows.sum(axis=2).T),
+        np.ascontiguousarray(rows[:, :, 0].T == 1),
+    )
     for array in plan:
         array.flags.writeable = False
     return plan
 
 
-def _checked_plan(params: LatticeParams, basis: FockBasis) -> tuple[np.ndarray, ...]:
+def _checked_plan(params: LatticeParams, basis: FockBasis) -> _BasisPlan:
     """The plan of ``basis``, which must have the modes ``params`` imply."""
     if basis.n_modes != params.n_modes:
         raise ValueError(f"basis has {basis.n_modes} modes, params imply {params.n_modes}")
-    return _hamiltonian_plan(basis)
+    return _basis_plan(basis)
 
 
 def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -263,10 +241,10 @@ def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndar
     to every entry of column j.  The hop indices and factors and the pair
     counts are derived once per basis; a call scales and scatters them.
     """
-    dst, src, factor, pairs = _checked_plan(params, basis)
+    plan = _checked_plan(params, basis)
     h_bs = np.zeros((basis.dim, basis.dim))
-    h_bs[dst, src] = -params.J * factor
-    return h_bs, (float(params.U) * pairs).sum(axis=(1, 2))
+    h_bs[plan.dst, plan.src] = -params.J * plan.factor
+    return h_bs, (float(params.U) * plan.pairs).sum(axis=(1, 2))
 
 
 #: Block plans ``propagator`` keeps, one per off-diagonal nonzero pattern;
@@ -378,33 +356,23 @@ def mode_unitary_matrix(u: np.ndarray, basis: FockBasis) -> np.ndarray:
     return amplitude.T / np.outer(norm, norm)
 
 
-@dataclass(frozen=True)
-class BSCheckReport:
-    """Fidelities of the hopping evolution against the ideal splitter map."""
+def hopping_bs_check(params: LatticeParams, basis: FockBasis, amplitudes: np.ndarray) -> np.ndarray:
+    """Fidelities of exp(-i (H_hop + H_int) t_bs) against the ideal mode-level splitter.
 
-    fidelities: tuple[float, ...]
-
-    @property
-    def min_fidelity(self) -> float:
-        return min(self.fidelities)
-
-
-def hopping_bs_check(params: LatticeParams, test_states: list[FockState]) -> BSCheckReport:
-    """Compare exp(-i (H_hop + H_int) t_bs) with the ideal mode-level splitter.
-
-    H_int vanishes when U = 0, leaving the bare hopping
-    splitter; nonzero interactions show how much they degrade it (the
-    ideal comparison target stays the same).
+    ``amplitudes`` is a (k, dim) stack of k >= 1 state vectors on
+    ``basis``; each must be finite with unit norm, else a ValueError is
+    raised, as for any other shape.  Entry j of the returned float array
+    is |<ideal_j|evolved_j>|^2 for row j.  H_int vanishes when U = 0,
+    leaving the bare hopping splitter; nonzero interactions show how much
+    they degrade it (the ideal comparison target stays the same).
     """
-    if not test_states:
-        raise ValueError("need at least one test state")
-    basis = test_states[0].basis
+    if amplitudes.ndim != 2 or len(amplitudes) == 0 or amplitudes.shape[1] != basis.dim:
+        raise ValueError(f"need a (k >= 1, {basis.dim}) stack of amplitude rows, got shape {amplitudes.shape}")
+    check_normalized(amplitudes)
     h_bs, h_int = build_hamiltonians(params, basis)
     u_prop = propagator(h_bs + np.diag(h_int), params.t_bs)
-    amplitudes = np.stack([state.amplitudes for state in test_states])
     ideal = amplitudes @ _ideal_splitter(basis).T
-    overlaps = (ideal.conj() * (amplitudes @ u_prop.T)).sum(axis=1)
-    return BSCheckReport(tuple((np.abs(overlaps) ** 2).tolist()))
+    return np.abs((ideal.conj() * (amplitudes @ u_prop.T)).sum(axis=1)) ** 2
 
 
 @functools.cache
@@ -442,7 +410,7 @@ def interaction_phase_check(U: float, basis: FockBasis) -> PhaseCheckReport:
     as skipped.
     """
     params = LatticeParams(n_sites=basis.n_modes // 4, U=U)
-    pairs = _checked_plan(params, basis)[3]
+    pairs = _checked_plan(params, basis).pairs
     h_int = (float(U) * pairs).sum(axis=(1, 2))
 
     # A site-row of n = 0, 1, 2, 3, ... bosons holds 0, 0, 1, 3, ... pairs:
@@ -540,7 +508,8 @@ def occupancy_p_diff_stack(
 
     if not 1 <= site <= basis.n_modes // 4:
         raise ValueError(f"site {site} outside 1..{basis.n_modes // 4}")
-    column, split = (table[site - 1] for table in _column_tables(basis))
+    plan = _basis_plan(basis)
+    column, split = plan.column[site - 1], plan.split[site - 1]
     prob = np.abs(amplitudes) ** 2
     populated = prob >= 1e-18
     wrong = np.flatnonzero(populated.any(axis=0) & (column != 2))
@@ -551,18 +520,6 @@ def occupancy_p_diff_stack(
         )
     member_p_diff = (prob * (populated & split)).sum(axis=1)
     return np.bincount(owner, weights * member_p_diff) / totals
-
-
-@functools.cache
-def _column_tables(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Per site column, as read-only (n_sites, dim) arrays: the bosons the
-    column holds in each basis state, and whether row I holds exactly one
-    of them (in a column of two, one per row).  Built once per basis."""
-    rows = _site_row_counts(basis).sum(axis=3)  # (dim, site, row)
-    tables = np.ascontiguousarray(rows.sum(axis=2).T), np.ascontiguousarray(rows[:, :, 0].T == 1)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 def occupancy_probabilities(ensemble, site: int) -> OccupancyProbabilities:
@@ -605,39 +562,45 @@ def sample_loss(n_atoms: int, survival_prob: float, runs: int, seed: int) -> np.
 
 
 @functools.cache
-def _structured_test_states() -> tuple[FockState, ...]:
-    """The six structured states of ``standard_test_states``, placed once
-    per process; a FockState's amplitudes are read-only."""
-    basis = build_fock_basis(4, 2)
-    ia, ib, iia, iib = (mode_index(1, row, internal) for row in ROWS for internal in INTERNALS)
+def _structured_test_states() -> np.ndarray:
+    """The six structured rows of ``standard_test_states`` as one read-only
+    (6, dim) array, placed once per process by one ``positions`` call."""
+    basis = _two_copy_layout(1)[0]
+    ia, ib, iia, iib = np.eye(4, dtype=np.int64)  # one boson in mode aI, bI, aII, bII
+    half = 1 / math.sqrt(2)
+    # (row, occupation, amplitude) of every nonzero entry
+    entries = [
+        (0, ia + iia, 1.0),  # identical a-pair, one per row
+        (1, ib + iib, 1.0),  # identical b-pair
+        (2, ia + iib, half),  # singlet
+        (2, iia + ib, -half),
+        (3, ia + iib, half),  # triplet ab
+        (3, iia + ib, half),
+        (4, ia + ib, 1.0),  # both bosons in row I
+        (5, 2 * ia, 1.0),  # doubly occupied single mode
+    ]
+    rows, occupations, amplitudes = zip(*entries)
+    states = np.zeros((6, basis.dim), dtype=complex)
+    states[rows, basis.positions(np.array(occupations))] = amplitudes
+    states.flags.writeable = False
+    return states
 
-    def occ(*modes: int) -> tuple[int, ...]:
-        """One boson per listed mode."""
-        return tuple(np.bincount(modes, minlength=4).tolist())
 
-    return (
-        basis_state(basis, occ(ia, iia)),  # identical a-pair, one per row
-        basis_state(basis, occ(ib, iib)),  # identical b-pair
-        superpose(basis, {occ(ia, iib): 1, occ(iia, ib): -1}),  # singlet
-        superpose(basis, {occ(ia, iib): 1, occ(iia, ib): +1}),  # triplet ab
-        basis_state(basis, occ(ia, ib)),  # both bosons in row I
-        basis_state(basis, occ(ia, ia)),  # doubly occupied single mode
-    )
-
-
-def standard_test_states(seed: int = 0) -> list[FockState]:
+def standard_test_states(seed: int = 0) -> tuple[FockBasis, np.ndarray]:
     """Canonical one-column two-boson test set for splitter checks.
 
-    Six structured states, in this order: the identical a-pair
-    aI^dag aII^dag |vac> (entry 0), the identical b-pair, the singlet
-    (aI^dag bII^dag - aII^dag bI^dag)|vac>/sqrt(2) (entry 2), the matching
+    Returns the one-qubit register basis of ``embed_two_copies`` (4 modes,
+    2 bosons) and a (10, dim) stack of unit amplitude rows.  Six
+    structured states, in this order: the identical a-pair
+    aI^dag aII^dag |vac> (row 0), the identical b-pair, the singlet
+    (aI^dag bII^dag - aII^dag bI^dag)|vac>/sqrt(2) (row 2), the matching
     triplet, both bosons in row I, and a doubly occupied mode; then four
-    seeded random superpositions, drawn on every call.  Ten states in all.
+    seeded random superpositions, drawn on every call from one
+    ``default_rng(seed)``: per row, dim real normals, then dim imaginary ones.
     """
-    states = list(_structured_test_states())
-    basis = states[0].basis
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        states.append(FockState(basis, amps / np.linalg.norm(amps)))
-    return states
+    basis = _two_copy_layout(1)[0]
+    draws = np.random.default_rng(seed).standard_normal((4, 2, basis.dim))
+    random = draws[:, 0] + 1j * draws[:, 1]
+    amplitudes = np.concatenate([_structured_test_states(), random / np.linalg.norm(random, axis=1, keepdims=True)])
+    check_normalized(amplitudes)
+    return basis, amplitudes

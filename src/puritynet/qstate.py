@@ -193,14 +193,6 @@ class ValidationReport:
     min_eigenvalue: float
     passed: bool
 
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"[{status}] |rho-rho^dag|_max = {self.hermiticity_deviation:.3e}, "
-            f"|tr-1| = {self.trace_deviation:.3e}, "
-            f"min eigenvalue = {self.min_eigenvalue:.3e}"
-        )
-
 
 def validate(matrix) -> ValidationReport:
     """Full diagnostic check of a candidate density matrix.

@@ -113,8 +113,6 @@ class CatSpec:
     """
 
     n_sites: int
-    phi1: PureState
-    phi2: PureState
     overlap: complex
     gamma: float
     epsilon: float
@@ -146,8 +144,6 @@ def cat_state(n: int, phi1: PureState, phi2: PureState, cap: int | None = None) 
     epsilon = math.sqrt(max(0.0, 1.0 - gamma))
     spec = CatSpec(
         n_sites=n,
-        phi1=phi1,
-        phi2=phi2,
         overlap=overlap,
         gamma=gamma,
         epsilon=epsilon,

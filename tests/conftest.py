@@ -293,6 +293,63 @@ def ref_occupations(n_modes: int, total: int) -> list[tuple[int, ...]]:
     return [head + (total - sum(head),) for head in heads if sum(head) <= total]
 
 
+def _position(basis, occupation) -> int:
+    """Basis index of one occupation vector, which must lie in the basis."""
+    occ = np.asarray(occupation)
+    if not (
+        occ.shape == (basis.n_modes,)
+        and np.issubdtype(occ.dtype, np.integer)
+        and occ.min() >= 0
+        and occ.sum() == basis.total_bosons
+    ):
+        raise ValueError(
+            f"occupation {occupation!r} is not {basis.total_bosons} bosons over {basis.n_modes} modes"
+        )
+    return int(basis.positions(occ))
+
+
+def basis_state(basis, occupation) -> FockState:
+    """The basis vector of one occupation tuple."""
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[_position(basis, occupation)] = 1.0
+    return FockState(basis, amps)
+
+
+def superpose(basis, terms: dict) -> FockState:
+    """Normalized superposition from {occupation tuple: amplitude}."""
+    amps = np.zeros(basis.dim, dtype=complex)
+    for occ, amp in terms.items():
+        amps[_position(basis, occ)] = amp
+    norm = np.linalg.norm(amps)
+    if not 0 < norm < math.inf:
+        raise ValueError(f"superposition has norm {norm}; it needs a finite, nonzero one")
+    return FockState(basis, amps / norm)
+
+
+def ref_test_states(basis, seed: int) -> list[FockState]:
+    """The ten states of ``lattice.standard_test_states``, one at a time.
+
+    ``basis`` holds 2 bosons in the modes aI, bI, aII, bII.  The six
+    structured states are placed by :func:`basis_state` and
+    :func:`superpose`; the four seeded ones are drawn row by row from one
+    ``default_rng(seed)`` (per row, dim real normals, then dim imaginary
+    ones), each divided by its own norm.
+    """
+    states = [
+        basis_state(basis, (1, 0, 1, 0)),  # identical a-pair, one per row
+        basis_state(basis, (0, 1, 0, 1)),  # identical b-pair
+        superpose(basis, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}),  # singlet
+        superpose(basis, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1}),  # triplet ab
+        basis_state(basis, (1, 1, 0, 0)),  # both bosons in row I
+        basis_state(basis, (2, 0, 0, 0)),  # doubly occupied mode
+    ]
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        states.append(FockState(basis, amps / np.linalg.norm(amps)))
+    return states
+
+
 def ref_hamiltonians(params, basis) -> tuple[np.ndarray, np.ndarray]:
     """Dense (H_hop, H_int) built one basis state at a time.
 
@@ -407,3 +464,41 @@ def ref_end_to_end(n_states: int, J: float, seed: int) -> list[dict]:
         expected = (1 - ref_purity(rho.matrix)) / 2
         entries.append({"seed": seed + 1000 + k, "p_diff": p_diff, "expected": expected, "abs_error": abs(p_diff - expected)})
     return entries
+
+
+def ref_lattice_checks(J: float, U: float, seed: int) -> dict:
+    """The ``bs_check.fidelities``, ``hom`` and ``uj_sweep`` entries of
+    ``lattice-validate``, one state at a time.
+
+    The ten test states come from :func:`ref_test_states`.  Each fidelity
+    is |<ideal|evolved>|^2, with the ideal map from
+    :func:`ref_mode_unitary_matrix` of the 50/50 mode matrix written out
+    here and the evolution from :func:`ref_propagator` of
+    :func:`ref_hamiltonians`.  The HOM lines read the identical a-pair and
+    the singlet, evolved by the hopping alone, through
+    :func:`ref_occupancy_probabilities`.
+    """
+    basis = build_fock_basis(4, 2)
+    states = ref_test_states(basis, seed)
+    # a_I -> (a_I - i a_II)/sqrt(2), mode 2 row + internal, for both internal states
+    splitter = np.kron(np.array([[1, -1j], [-1j, 1]]), np.eye(2)) / math.sqrt(2)
+    ideal = ref_mode_unitary_matrix(splitter, 2)
+
+    def fidelities(u: float) -> list[float]:
+        params = LatticeParams(n_sites=1, J=J, U=u)
+        h_bs, h_int = ref_hamiltonians(params, basis)
+        evolve = ref_propagator(h_bs + h_int, params.t_bs)
+        return [abs(np.vdot(ideal @ s.amplitudes, evolve @ s.amplitudes)) ** 2 for s in states]
+
+    params = LatticeParams(n_sites=1, J=J, U=U)
+    h_bs, _ = ref_hamiltonians(params, basis)
+    bs_prop = ref_propagator(h_bs, params.t_bs)
+    hom = {
+        key: ref_occupancy_probabilities([(1.0, FockState(basis, bs_prop @ states[k].amplitudes))], 1)[1]
+        for key, k in (("identical_pair_p_diff", 0), ("singlet_p_diff", 2))
+    }
+    return {
+        "fidelities": fidelities(U),
+        "hom": hom,
+        "uj_sweep": [{"u_over_j": r, "min_fidelity": min(fidelities(r * J))} for r in (0.0, 0.01, 0.1, 1.0)],
+    }

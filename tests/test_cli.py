@@ -41,7 +41,14 @@ from puritynet import bs_network, cli, qstate, separability
 from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
 from puritynet.states import cat_purity_closed_form, estimate_epsilon
 
-from conftest import ref_cat_experiment, ref_end_to_end, ref_loss_count_distribution, ref_subset_purity, tensor
+from conftest import (
+    ref_cat_experiment,
+    ref_end_to_end,
+    ref_lattice_checks,
+    ref_loss_count_distribution,
+    ref_subset_purity,
+    tensor,
+)
 
 GHZ_SPEC = "statespec v1\nkind = ghz\nn = 3\n"
 PRODUCT_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 0,0\n"
@@ -638,6 +645,24 @@ class TestLatticeValidateCommand:
             assert got["seed"] == ref["seed"]
             for key in ("p_diff", "expected", "abs_error"):
                 assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("j, u, seed", [(1.0, 0.0, 0), (1.7, 0.3, 12)])
+    def test_checks_match_per_state_oracles(self, tmp_path, j, u, seed):
+        # the splitter check and HOM lines run on one amplitude stack
+        out = tmp_path / "lat.json"
+        argv = ["--end-to-end-states", "1", "--j", repr(j), "--u", repr(u), "--seed", str(seed)]
+        assert run("lattice-validate", *argv, "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        want = ref_lattice_checks(j, u, seed)
+        np.testing.assert_allclose(report["bs_check"]["fidelities"], want["fidelities"], rtol=0, atol=1e-12)
+        assert report["bs_check"]["min_fidelity"] == pytest.approx(min(want["fidelities"]), rel=0, abs=1e-12)
+        assert report["hom"].keys() == want["hom"].keys()
+        for key, value in want["hom"].items():
+            assert report["hom"][key] == pytest.approx(value, rel=0, abs=1e-12)
+        assert len(report["uj_sweep"]) == len(want["uj_sweep"])
+        for got, ref in zip(report["uj_sweep"], want["uj_sweep"]):
+            assert got["u_over_j"] == ref["u_over_j"]
+            assert got["min_fidelity"] == pytest.approx(ref["min_fidelity"], rel=0, abs=1e-12)
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

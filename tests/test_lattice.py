@@ -13,7 +13,6 @@ from puritynet.lattice import (
     CapacityError,
     FockState,
     LatticeParams,
-    basis_state,
     build_fock_basis,
     build_hamiltonians,
     embed_two_copies,
@@ -28,18 +27,20 @@ from puritynet.lattice import (
     propagator,
     sample_loss,
     standard_test_states,
-    superpose,
 )
 from puritynet.bs_network import pair_projection_probabilities
 from puritynet.qstate import DensityOperator, random_state
 
 from conftest import (
+    basis_state,
     maximally_mixed,
     ref_hamiltonians,
     ref_mode_unitary_matrix,
     ref_occupancy_probabilities,
     ref_propagator,
     ref_reduced,
+    ref_test_states,
+    superpose,
 )
 
 
@@ -95,6 +96,7 @@ class TestFockBasis:
         ids=["short", "long", "negative", "too-few", "too-many", "fractional"],
     )
     def test_occupation_outside_basis_rejected(self, occ):
+        # positions() checks nothing, so the placement helpers of the tests do
         basis = build_fock_basis(4, 2)
         with pytest.raises(ValueError, match=r"occupation \("):
             basis_state(basis, occ)
@@ -210,9 +212,7 @@ class TestHamiltonians:
         "call",
         [
             lambda: LatticeParams(n_sites=1, J=1e-320).t_bs,
-            lambda: hopping_bs_check(
-                LatticeParams(n_sites=1, J=1e-307, U=1e100), standard_test_states()
-            ),
+            lambda: hopping_bs_check(LatticeParams(n_sites=1, J=1e-307, U=1e100), *standard_test_states()),
         ],
         ids=["t_bs-inf", "propagator-phase-overflow"],
     )
@@ -235,8 +235,8 @@ class TestHamiltonians:
     def test_coupling_range_edges_run_without_warning(self, J, U):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = hopping_bs_check(LatticeParams(n_sites=1, J=J, U=U), standard_test_states())
-        assert all(math.isfinite(f) for f in report.fidelities)
+            fidelities = hopping_bs_check(LatticeParams(n_sites=1, J=J, U=U), *standard_test_states())
+        assert np.isfinite(fidelities).all()
 
 
 class TestPropagator:
@@ -372,18 +372,16 @@ class TestPropagator:
 
 class TestEvolve:
     def test_time_zero_is_identity(self):
-        state = standard_test_states()[2]
-        basis = state.basis
+        basis, states = standard_test_states()
         h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1), basis)
-        out = FockState(basis, propagator(h_bs, 0.0) @ state.amplitudes)
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(propagator(h_bs, 0.0) @ states[2], states[2], atol=1e-12)
 
     def test_group_property(self):
-        state = standard_test_states(seed=3)[7]
-        h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1), state.basis)
+        basis, states = standard_test_states(seed=3)
+        h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1), basis)
         half = propagator(h_bs, 0.4)
-        once = propagator(h_bs, 0.8) @ state.amplitudes
-        np.testing.assert_allclose(once, half @ (half @ state.amplitudes), atol=1e-10)
+        once = propagator(h_bs, 0.8) @ states[7]
+        np.testing.assert_allclose(once, half @ (half @ states[7]), atol=1e-10)
 
     def test_single_boson_half_half(self):
         basis = build_fock_basis(4, 1)
@@ -398,9 +396,9 @@ class TestEvolve:
         assert bot == pytest.approx(0.5, abs=1e-12)
 
     def test_norm_preserved(self):
-        state = standard_test_states(seed=1)[9]
-        h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1), state.basis)
-        out = propagator(h_bs, 2.31) @ state.amplitudes
+        basis, states = standard_test_states(seed=1)
+        h_bs, _ = build_hamiltonians(LatticeParams(n_sites=1), basis)
+        out = propagator(h_bs, 2.31) @ states[9]
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_site_totals_conserved(self):
@@ -423,9 +421,8 @@ class TestEvolve:
 
 class TestIdealBSMap:
     def test_hom_bunching_amplitudes(self):
-        pair = standard_test_states()[0]
-        basis = pair.basis
-        out = mode_unitary_matrix(ideal_bs_mode_matrix(1), basis) @ pair.amplitudes
+        basis, states = standard_test_states()
+        out = mode_unitary_matrix(ideal_bs_mode_matrix(1), basis) @ states[0]
         both_top = [0] * 4
         both_top[mode_index(1, "I", "a")] = 2
         both_bot = [0] * 4
@@ -436,10 +433,9 @@ class TestIdealBSMap:
         assert a_bot == pytest.approx(1j / math.sqrt(2), abs=1e-12)
 
     def test_singlet_invariant(self):
-        singlet = standard_test_states()[2]
-        u = mode_unitary_matrix(ideal_bs_mode_matrix(1), singlet.basis)
-        out = FockState(singlet.basis, u @ singlet.amplitudes)
-        assert abs(np.vdot(singlet.amplitudes, out.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        basis, states = standard_test_states()
+        out = FockState(basis, mode_unitary_matrix(ideal_bs_mode_matrix(1), basis) @ states[2])
+        assert abs(np.vdot(states[2], out.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_sites,total", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4)])
     def test_matches_dict_expansion_oracle_and_is_unitary(self, n_sites, total):
@@ -467,41 +463,47 @@ class TestStandardTestStates:
         monkeypatch.setattr(lattice, "build_fock_basis", counted("build_fock_basis", build_fock_basis))
         monkeypatch.setattr(lattice.FockBasis, "positions", counted("positions", lattice.FockBasis.positions))
         # an earlier test may have placed them already
-        first = standard_test_states(seed=0)
+        first_basis, first = standard_test_states(seed=0)
+        rows = lattice._structured_test_states()
         built = dict(calls)
-        second = standard_test_states(seed=5)
+        second_basis, second = standard_test_states(seed=5)
+        assert lattice._structured_test_states() is rows
         assert calls == built
-        assert all(a is b for a, b in zip(first[:6], second[:6]))
+        # the register basis of the two-copy embedding, shared with it
+        assert first_basis is second_basis is embed_two_copies(random_state(1, 1, 0))[0]
+        assert first[:6].tobytes() == second[:6].tobytes() == rows.tobytes()
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0
 
     def test_structured_states_match_fresh_placement(self):
-        basis = build_fock_basis(4, 2)  # modes aI, bI, aII, bII
-        want = [
-            basis_state(basis, (1, 0, 1, 0)),
-            basis_state(basis, (0, 1, 0, 1)),
-            superpose(basis, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}),
-            superpose(basis, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1}),
-            basis_state(basis, (1, 1, 0, 0)),
-            basis_state(basis, (2, 0, 0, 0)),
-        ]
-        got = standard_test_states()
-        assert len(got) == 10
-        for state, expected in zip(got, want):
-            assert state.basis == basis
-            assert not state.amplitudes.flags.writeable
-            assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        # placed by basis_state and superpose on a freshly built basis
+        basis = build_fock_basis(4, 2)
+        got_basis, got = standard_test_states()
+        assert got_basis == basis and np.array_equal(got_basis.occupations, basis.occupations)
+        assert got.shape == (10, basis.dim) and got.dtype == complex
+        for row, expected in zip(got[:6], ref_test_states(basis, 0)[:6]):
+            assert row.tobytes() == expected.amplitudes.tobytes()
 
     def test_random_rows_follow_the_seed(self):
-        one, again, other = standard_test_states(seed=4), standard_test_states(seed=4), standard_test_states(seed=9)
+        one, again, other = (standard_test_states(seed)[1] for seed in (4, 4, 9))
+        assert one[6:].tobytes() == again[6:].tobytes()
         for k in range(6, 10):
-            assert one[k].amplitudes.tobytes() == again[k].amplitudes.tobytes()
-            assert not np.allclose(one[k].amplitudes, other[k].amplitudes)
+            assert not np.allclose(one[k], other[k])
+
+    @pytest.mark.parametrize("seed", [0, 1, 12, 2**40])
+    def test_random_rows_match_a_per_row_draw(self, seed):
+        # one draw for all four rows keeps the stream of drawing row by row
+        basis, states = standard_test_states(seed)
+        want = [state.amplitudes for state in ref_test_states(basis, seed)[6:]]
+        np.testing.assert_allclose(states[6:], want, rtol=0, atol=1e-15)
 
 
 class TestHoppingBSCheck:
     def test_ideal_fidelities(self):
-        report = hopping_bs_check(LatticeParams(n_sites=1), standard_test_states())
-        assert len(report.fidelities) == 10
-        assert report.min_fidelity >= 1 - 1e-10
+        fidelities = hopping_bs_check(LatticeParams(n_sites=1), *standard_test_states())
+        assert fidelities.shape == (10,) and fidelities.dtype == np.float64
+        assert fidelities.min() >= 1 - 1e-10
 
     def test_two_site_fidelities(self):
         basis = build_fock_basis(8, 4)
@@ -510,19 +512,17 @@ class TestHoppingBSCheck:
         occ[mode_index(1, "II", "b")] = 1
         occ[mode_index(2, "I", "b")] = 1
         occ[mode_index(2, "II", "b")] = 1
-        states = [basis_state(basis, tuple(occ))]
-        report = hopping_bs_check(LatticeParams(n_sites=2), states)
-        assert report.min_fidelity >= 1 - 1e-10
+        states = basis_state(basis, tuple(occ)).amplitudes[None]
+        assert hopping_bs_check(LatticeParams(n_sites=2), basis, states).min() >= 1 - 1e-10
 
     def test_hom_probabilities_after_evolution(self):
         params = LatticeParams(n_sites=1)
-        states = standard_test_states()
-        basis = states[0].basis
+        basis, states = standard_test_states()
         h_bs, _ = build_hamiltonians(params, basis)
         u = propagator(h_bs, params.t_bs)
-        bunched = FockState(basis, u @ states[0].amplitudes)
+        bunched = FockState(basis, u @ states[0])
         assert occupancy_probabilities([(1.0, bunched)], 1).p_diff_mode == pytest.approx(0.0, abs=1e-10)
-        anti = FockState(basis, u @ states[2].amplitudes)
+        anti = FockState(basis, u @ states[2])
         assert occupancy_probabilities([(1.0, anti)], 1).p_diff_mode == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n_sites", [1, 2])
@@ -530,26 +530,43 @@ class TestHoppingBSCheck:
         # the cached splitter and the stacked product against a fresh
         # mode_unitary_matrix and one vdot per state
         if n_sites == 1:
-            states = standard_test_states(seed=5)
+            basis, states = standard_test_states(seed=5)
         else:
             basis = build_fock_basis(8, 4)
             rng = np.random.default_rng(8)
             amps = rng.standard_normal((3, basis.dim)) + 1j * rng.standard_normal((3, basis.dim))
-            states = [FockState(basis, a / np.linalg.norm(a)) for a in amps]
-        basis = states[0].basis
+            states = amps / np.linalg.norm(amps, axis=1, keepdims=True)
         for params in (LatticeParams(n_sites=n_sites, J=0.9), LatticeParams(n_sites=n_sites, J=0.9, U=0.4)):
             h_bs, h_int = build_hamiltonians(params, basis)
             u_prop = propagator(h_bs + np.diag(h_int), params.t_bs)
             u_ideal = mode_unitary_matrix(ideal_bs_mode_matrix(n_sites), basis)
-            want = [abs(np.vdot(u_ideal @ s.amplitudes, u_prop @ s.amplitudes)) ** 2 for s in states]
-            got = hopping_bs_check(params, states).fidelities
-            assert len(got) == len(states)
+            want = [abs(np.vdot(u_ideal @ s, u_prop @ s)) ** 2 for s in states]
+            got = hopping_bs_check(params, basis, states)
+            assert got.shape == (len(states),)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda ok: ok[:0], r"stack of amplitude rows, got shape \(0, 10\)"),
+            (lambda ok: ok[0], r"got shape \(10,\)"),
+            (lambda ok: ok[:, :9], r"\(k >= 1, 10\) stack .* got shape \(3, 9\)"),
+            (lambda ok: ok * [[1], [2], [1]], "not normalized"),
+            (lambda ok: ok + [[0], [np.nan], [0]], "non-finite"),
+        ],
+        ids=["empty", "one-dimensional", "wrong-dim", "norm-2", "nan"],
+    )
+    def test_bad_stack_rejected_without_warning(self, bad, message):
+        basis, states = standard_test_states()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                hopping_bs_check(LatticeParams(n_sites=1), basis, bad(states[6:9]))
 
     @pytest.mark.parametrize("n_sites", [1, 2])
     def test_splitter_and_hamiltonian_plan_built_once_per_basis(self, monkeypatch, n_sites):
         basis = build_fock_basis(4 * n_sites, 2 * n_sites)
-        states = [basis_state(basis, tuple(basis.occupations[k])) for k in (0, basis.dim // 2)]
+        states = np.eye(basis.dim, dtype=complex)[[0, basis.dim // 2]]
         calls = {"mode_unitary_matrix": 0, "positions": 0}
 
         def counted(name, fn):
@@ -562,12 +579,12 @@ class TestHoppingBSCheck:
         monkeypatch.setattr(lattice, "mode_unitary_matrix", counted("mode_unitary_matrix", mode_unitary_matrix))
         monkeypatch.setattr(lattice.FockBasis, "positions", counted("positions", lattice.FockBasis.positions))
         # an earlier test may have built both for this basis already
-        hopping_bs_check(LatticeParams(n_sites=n_sites), states)
+        hopping_bs_check(LatticeParams(n_sites=n_sites), basis, states)
         assert calls["mode_unitary_matrix"] <= 1 and calls["positions"] <= 1
         built = dict(calls)
         for U in (0.0, 0.5, -1.0):
             params = LatticeParams(n_sites=n_sites, J=1.3, U=U)
-            hopping_bs_check(params, states)
+            hopping_bs_check(params, basis, states)
             build_hamiltonians(params, build_fock_basis(4 * n_sites, 2 * n_sites))
         interaction_phase_check(0.7, basis)
         assert calls == built
@@ -576,20 +593,20 @@ class TestHoppingBSCheck:
     def test_cached_arrays_are_read_only(self, n_sites):
         basis = build_fock_basis(4 * n_sites, 2 * n_sites)
         build_hamiltonians(LatticeParams(n_sites=n_sites), basis)
-        hopping_bs_check(LatticeParams(n_sites=n_sites), [basis_state(basis, tuple(basis.occupations[0]))])
-        cached = [*lattice._hamiltonian_plan(basis), lattice._ideal_splitter(basis)]
+        hopping_bs_check(LatticeParams(n_sites=n_sites), basis, np.eye(basis.dim, dtype=complex)[:1])
+        cached = [*lattice._basis_plan(basis), lattice._ideal_splitter(basis)]
         for array in cached:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
 
     def test_interaction_degrades_fidelity(self):
-        states = standard_test_states()
-        baseline = hopping_bs_check(LatticeParams(n_sites=1), states).min_fidelity
+        basis, states = standard_test_states()
+        baseline = hopping_bs_check(LatticeParams(n_sites=1), basis, states).min()
         minima = [baseline]
         for ratio in [0.01, 0.1, 1.0]:
             params = LatticeParams(n_sites=1, U=ratio)
-            minima.append(hopping_bs_check(params, states).min_fidelity)
+            minima.append(hopping_bs_check(params, basis, states).min())
         assert all(a >= b - 1e-12 for a, b in zip(minima, minima[1:]))
         assert minima[-1] < baseline - 1e-3
 
@@ -783,24 +800,30 @@ class TestOccupancyProbabilities:
 
     @pytest.mark.parametrize("n_sites", [1, 2])
     def test_column_tables_built_once_per_basis_and_read_only(self, monkeypatch, n_sites):
+        # the column tables are part of the basis's one plan, whose hop
+        # indices take the plan's only positions() call
         calls = []
+        positions = lattice.FockBasis.positions
 
-        def counted(basis):
+        def counted(basis, occupations):
             calls.append(basis)
-            return site_row_counts(basis)
+            return positions(basis, occupations)
 
-        site_row_counts = lattice._site_row_counts
-        monkeypatch.setattr(lattice, "_site_row_counts", counted)
         basis, ensemble = embed_two_copies(random_state(n_sites, 2, 3))
-        # an earlier test may have built the tables of this basis already
+        monkeypatch.setattr(lattice.FockBasis, "positions", counted)
+        # an earlier test may have built the plan of this basis already
         occupancy_probabilities(ensemble, 1)
         assert len(calls) <= 1
         built = len(calls)
         for site in range(1, n_sites + 1):
             occupancy_probabilities(ensemble, site)
             occupancy_probabilities(embed_two_copies(random_state(n_sites, 1, site))[1], site)
+        build_hamiltonians(LatticeParams(n_sites=n_sites, U=0.2), basis)
+        interaction_phase_check(0.3, basis)
         assert len(calls) == built
-        column, split = lattice._column_tables(basis)
+        plan = lattice._basis_plan(basis)
+        assert lattice._basis_plan(basis) is plan
+        column, split = plan.column, plan.split
         assert column.shape == split.shape == (n_sites, basis.dim)
         rows = basis.occupations.reshape(basis.dim, n_sites, 2, 2).sum(axis=3)
         np.testing.assert_array_equal(column, rows.sum(axis=2).T)
@@ -828,22 +851,24 @@ class TestOccupancyProbabilities:
         ids=["zero", "zeros", "cancelling", "negative", "nan", "inf", "overflowing-total"],
     )
     def test_bad_weights_rejected(self, weights):
-        state = standard_test_states()[2]
+        basis, states = standard_test_states()
+        state = FockState(basis, states[2])
         with pytest.raises(ValueError, match="weights must be finite and non-negative"):
             occupancy_probabilities([(w, state) for w in weights], 1)
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_stack_rejects_the_ensemble_with_bad_weights(self, bad):
         # the second of three ensembles carries the bad weight; its total is named
-        state = standard_test_states()[2]
+        basis, states = standard_test_states()
         owner = np.array([0, 1, 1, 2])
         weights = np.array([1.0, 0.25, bad, 1.0])
-        amplitudes = np.stack([state.amplitudes] * 4)
+        amplitudes = states[[2, 2, 2, 2]]
         with pytest.raises(ValueError, match=f"weights must be finite and non-negative .* got total {0.25 + bad!r}"):
-            occupancy_p_diff_stack(state.basis, owner, weights, amplitudes, 1)
+            occupancy_p_diff_stack(basis, owner, weights, amplitudes, 1)
 
     def test_members_on_different_bases_rejected(self):
-        one_column = standard_test_states()[0]
+        basis, states = standard_test_states()
+        one_column = FockState(basis, states[0])
         occ = [0] * 8
         occ[mode_index(1, "I", "a")] = 1
         occ[mode_index(1, "II", "a")] = 1
