@@ -16,7 +16,6 @@ from .qstate import (
     PureState,
     purity,
     random_state,
-    validate,
 )
 from .separability import (
     SubsetPurityMap,

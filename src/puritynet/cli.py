@@ -50,7 +50,6 @@ from .qstate import (
     check_qubit_capacity,
     product_amplitudes,
     random_state,
-    validate,
 )
 from .separability import (
     PURITY_ERROR,
@@ -70,6 +69,9 @@ EXIT_INVERSION = 4
 EXIT_IO = 5
 
 SPEC_HEADER = "statespec v1"
+
+#: The U/J ratios of the ``lattice-validate`` interaction sweep.
+UJ_RATIOS = (0.0, 0.01, 0.1, 1.0)
 
 #: Caps of the count flags, of ``--n`` atoms and of the ``fig2b --m`` list;
 #: README "Command line" gives the time each command takes at its bound.
@@ -381,11 +383,9 @@ def parse_state_spec(
             mat = mat / tr
             # symmetrize away rounding dust below the tolerance
             mat = (mat + mat.conj().T) / 2
-            report = validate(mat)
-            if report.min_eigenvalue < -1e-8:
-                raise SpecParseError(
-                    f"raw matrix has negative eigenvalue {report.min_eigenvalue!r}"
-                )
+            min_eigenvalue = float(np.linalg.eigvalsh(mat)[0])
+            if min_eigenvalue < -1e-8:
+                raise SpecParseError(f"raw matrix has negative eigenvalue {min_eigenvalue!r}")
             state = DensityOperator(n, mat)
         else:
             raise SpecParseError("kind 'raw' requires 'amplitudes' or 'matrix'")
@@ -516,7 +516,11 @@ def run_fig2b(args) -> int:
 def run_lattice_validate(args) -> int:
     params = LatticeParams(n_sites=1, J=args.j, U=args.u)
     basis, test_states = standard_test_states(seed=args.seed)
-    fidelities = hopping_bs_check(params, basis, test_states)
+    # one splitter check per distinct U: --u and the sweep's U = ratio * J can coincide
+    fidelities = {
+        u: hopping_bs_check(LatticeParams(n_sites=1, J=args.j, U=u), basis, test_states)
+        for u in dict.fromkeys([args.u] + [ratio * args.j for ratio in UJ_RATIOS])
+    }
 
     h_bs, _ = build_hamiltonians(params, basis)
     bs_prop = propagator(h_bs, params.t_bs)
@@ -554,11 +558,6 @@ def run_lattice_validate(args) -> int:
         {"seed": seed, "p_diff": p, "expected": e, "abs_error": abs(p - e)} for seed, p, e in zip(seeds, got, expected)
     ]
 
-    sweep = []
-    for ratio in (0.0, 0.01, 0.1, 1.0):
-        swept = hopping_bs_check(LatticeParams(n_sites=1, J=args.j, U=ratio * args.j), basis, test_states)
-        sweep.append({"u_over_j": ratio, "min_fidelity": float(swept.min())})
-
     report = {
         "tool": "puritynet",
         "version": __version__,
@@ -566,14 +565,16 @@ def run_lattice_validate(args) -> int:
         "params": {"n_sites": 1, "J": args.j, "U": args.u, "t_bs": params.t_bs},
         "bs_check": {
             "include_interactions": args.u != 0.0,
-            "fidelities": fidelities.tolist(),
-            "min_fidelity": float(fidelities.min()),
+            "fidelities": fidelities[args.u].tolist(),
+            "min_fidelity": float(fidelities[args.u].min()),
         },
         "hom": hom,
         "interaction_phase": phase_checks,
         "end_to_end": end_to_end,
         "end_to_end_max_error": max(e["abs_error"] for e in end_to_end),
-        "uj_sweep": sweep,
+        "uj_sweep": [
+            {"u_over_j": ratio, "min_fidelity": float(fidelities[ratio * args.j].min())} for ratio in UJ_RATIOS
+        ],
     }
     write_json(args.out, report)
     return EXIT_OK

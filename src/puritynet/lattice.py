@@ -61,13 +61,9 @@ DEFAULT_FOCK_CAP = 4096
 #: 1e308.  Inside it every energy and phase stays below 1e200.
 COUPLING_MIN, COUPLING_MAX = 1e-100, 1e100
 
+#: Modes are numbered site-major, then row (I, II), then internal state (a, b).
 ROWS = ("I", "II")
 INTERNALS = ("a", "b")
-
-
-def mode_index(site: int, row: str, internal: str) -> int:
-    """Flat mode number; site-major, then row (I, II), then internal (a, b)."""
-    return 4 * (site - 1) + 2 * ROWS.index(row) + INTERNALS.index(internal)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,6 @@ DEFAULT_QUBIT_CAP = 14
 #: Tolerances for the structural invariants of a density operator.
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
-#: Eigenvalue floor for the positivity check.  Repeated partial traces
-#: accumulate rounding, so exact nonnegativity is too strict.
-EIGENVALUE_FLOOR = -1e-10
 
 
 class CapacityError(ValueError):
@@ -134,9 +131,10 @@ class DensityOperator:
     """Hermitian, unit-trace operator on ``n_qubits`` qubits.
 
     Hermiticity and trace are checked on construction (O(dim^2)); the
-    positivity of the spectrum is an invariant preserved by the operations
-    in this module and is verified on demand by :func:`validate`, since an
-    eigendecomposition on every construction would dominate run time.
+    positivity of the spectrum is not, since an eigendecomposition on every
+    construction would dominate run time.  :func:`random_state` builds a
+    positive matrix by construction, and the ``raw`` spec parser checks
+    the spectrum of a matrix it is given.
     """
 
     n_qubits: int
@@ -182,31 +180,6 @@ def purity(rho: DensityOperator) -> float:
     DensityOperator invariant.
     """
     return float(np.vdot(rho.matrix, rho.matrix).real)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Deviations of a matrix from the density-operator invariants."""
-
-    hermiticity_deviation: float
-    trace_deviation: float
-    min_eigenvalue: float
-    passed: bool
-
-
-def validate(matrix) -> ValidationReport:
-    """Full diagnostic check of a candidate density matrix.
-
-    Accepts a raw matrix or a DensityOperator and reports the Hermiticity
-    deviation, trace deviation and minimum eigenvalue, with pass/fail
-    against the module tolerances.  Never raises on bad input.
-    """
-    mat = matrix.matrix if isinstance(matrix, DensityOperator) else np.asarray(matrix, dtype=complex)
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    tr = float(abs(mat.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-    passed = herm <= HERMITICITY_ATOL and tr <= TRACE_ATOL and min_eig >= EIGENVALUE_FLOOR
-    return ValidationReport(herm, tr, min_eig, passed)
 
 
 def random_state(n_qubits: int, rank: int, seed: int) -> DensityOperator:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from puritynet.lattice import FockState, LatticeParams, build_fock_basis, embed_two_copies
+from puritynet.lattice import INTERNALS, ROWS, FockState, LatticeParams, build_fock_basis, embed_two_copies
 from puritynet.qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity, random_state
 from puritynet.states import InversionError, cat_purity_closed_form, cat_state, estimate_epsilon
 
@@ -291,6 +291,11 @@ def ref_occupations(n_modes: int, total: int) -> list[tuple[int, ...]]:
     """
     heads = itertools.product(range(total + 1), repeat=n_modes - 1)
     return [head + (total - sum(head),) for head in heads if sum(head) <= total]
+
+
+def mode_index(site: int, row: str, internal: str) -> int:
+    """Flat mode number; site-major, then row (I, II), then internal (a, b)."""
+    return 4 * (site - 1) + 2 * ROWS.index(row) + INTERNALS.index(internal)
 
 
 def _position(basis, occupation) -> int:

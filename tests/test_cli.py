@@ -507,6 +507,19 @@ class TestProbeCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "matrix, code",
+        [("1.000000005 0; 0 -0.000000005", EXIT_OK), ("1.00000002 0; 0 -0.00000002", EXIT_USAGE)],
+        ids=["above-floor", "below-floor"],
+    )
+    def test_raw_matrix_eigenvalue_floor(self, tmp_path, capsys, matrix, code):
+        # a raw matrix may dip to -1e-8 below zero in its spectrum, and no further
+        out = tmp_path / "x.json"
+        spec = f"statespec v1\nkind = raw\nmatrix = {matrix}\n"
+        assert run("probe", "--spec-text", spec, "--out", str(out)) == code
+        assert out.exists() == (code == EXIT_OK)
+        assert ("negative eigenvalue -2e-08" in capsys.readouterr().err) == (code == EXIT_USAGE)
+
     def test_raw_matrix_rounding_dust_symmetrized(self, tmp_path):
         out = tmp_path / "x.json"
         spec = "statespec v1\nkind = raw\nmatrix = 0.5 1e-9; -1e-9 0.5\n"
@@ -663,6 +676,24 @@ class TestLatticeValidateCommand:
         for got, ref in zip(report["uj_sweep"], want["uj_sweep"]):
             assert got["u_over_j"] == ref["u_over_j"]
             assert got["min_fidelity"] == pytest.approx(ref["min_fidelity"], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [([], 4), (["--u", "0.3"], 5), (["--j", "2", "--u", "0.2"], 4)],
+        ids=["defaults", "u-off-the-sweep", "u-on-the-sweep"],
+    )
+    def test_each_distinct_coupling_checked_once(self, tmp_path, monkeypatch, argv, checks):
+        # --u and the sweep's U = ratio * J share one splitter check where they coincide
+        real, couplings = cli.hopping_bs_check, []
+
+        def counted(params, basis, amplitudes):
+            couplings.append(params.U)
+            return real(params, basis, amplitudes)
+
+        monkeypatch.setattr(cli, "hopping_bs_check", counted)
+        out = tmp_path / "lat.json"
+        assert run("lattice-validate", *argv, "--end-to-end-states", "1", "--out", str(out)) == EXIT_OK
+        assert len(couplings) == len(set(couplings)) == checks
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

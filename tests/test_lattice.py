@@ -20,7 +20,6 @@ from puritynet.lattice import (
     hopping_bs_check,
     ideal_bs_mode_matrix,
     interaction_phase_check,
-    mode_index,
     mode_unitary_matrix,
     occupancy_p_diff_stack,
     occupancy_probabilities,
@@ -34,6 +33,7 @@ from puritynet.qstate import DensityOperator, random_state
 from conftest import (
     basis_state,
     maximally_mixed,
+    mode_index,
     ref_hamiltonians,
     ref_mode_unitary_matrix,
     ref_occupancy_probabilities,

@@ -14,7 +14,6 @@ from puritynet.qstate import (
     purity,
     random_state,
     trace_site,
-    validate,
 )
 
 from conftest import maximally_mixed, random_pure_state, ref_partial_trace, ref_purity, tensor
@@ -121,27 +120,6 @@ def test_purity_bounds_and_reference(seed, n):
     assert p == pytest.approx(ref_purity(rho.matrix), abs=1e-12)
 
 
-def test_validate_passes_clean_states():
-    assert validate(I2).passed
-    assert validate(np.eye(2) / 2).passed
-    rep = validate(random_state(2, 1, 7))
-    assert rep.passed and rep.min_eigenvalue > -1e-12
-
-
-def test_validate_flags_non_hermitian():
-    mat = np.eye(2, dtype=complex) / 2
-    mat[0, 1] = 1e-6
-    rep = validate(mat)
-    assert not rep.passed
-    assert rep.hermiticity_deviation == pytest.approx(1e-6, rel=1e-6)
-
-
-def test_validate_flags_negative_eigenvalue():
-    rep = validate(np.diag([1.2, -0.2]).astype(complex))
-    assert not rep.passed
-    assert rep.min_eigenvalue == pytest.approx(-0.2, abs=1e-12)
-
-
 def test_random_state_determinism_and_rank():
     a = random_state(2, 3, 42)
     b = random_state(2, 3, 42)
@@ -149,6 +127,7 @@ def test_random_state_determinism_and_rank():
     assert purity(random_state(1, 1, 5)) == pytest.approx(1.0, abs=1e-12)
     eigs = np.linalg.eigvalsh(random_state(2, 2, 11).matrix)
     assert np.sum(eigs > 1e-10) == 2
+    assert np.linalg.eigvalsh(random_state(2, 1, 7).matrix).min() > -1e-12
 
 
 def test_random_state_rank_out_of_range():
