@@ -530,18 +530,6 @@ def run_lattice_validate(args) -> int:
     ).tolist()
     hom = {"identical_pair_p_diff": pair_p_diff, "singlet_p_diff": singlet_p_diff}
 
-    phase_checks = []
-    for theta in (0.1, math.pi / 2, math.pi):
-        rep = interaction_phase_check(U=theta, basis=basis)
-        phase_checks.append(
-            {
-                "theta": rep.theta,
-                "max_deviation": rep.max_deviation,
-                "checked_configs": rep.checked_configs,
-                "passed": rep.passed,
-            }
-        )
-
     # Each state is drawn from its own seed; the states are then embedded,
     # evolved and read out together, one array pass over all members.
     seeds = range(args.seed + 1000, args.seed + 1000 + args.end_to_end_states)
@@ -569,7 +557,7 @@ def run_lattice_validate(args) -> int:
             "min_fidelity": float(fidelities[args.u].min()),
         },
         "hom": hom,
-        "interaction_phase": phase_checks,
+        "interaction_phase": [interaction_phase_check(U=theta, basis=basis) for theta in (0.1, math.pi / 2, math.pi)],
         "end_to_end": end_to_end,
         "end_to_end_max_error": max(e["abs_error"] for e in end_to_end),
         "uj_sweep": [

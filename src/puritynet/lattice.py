@@ -381,29 +381,17 @@ def _ideal_splitter(basis: FockBasis) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class PhaseCheckReport:
-    """Deviation of interaction phases from the double-occupancy rule."""
-
-    theta: float
-    checked_configs: int
-    skipped_configs: int  # site-row occupancy beyond 2: rule does not apply
-    max_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= 1e-12
-
-
-def interaction_phase_check(U: float, basis: FockBasis) -> PhaseCheckReport:
+def interaction_phase_check(U: float, basis: FockBasis) -> dict:
     """Verify e^{-i U} per doubly occupied site-row under H_int alone.
 
     Evolves every basis configuration under H_int (hopping off) for unit
     time and compares the acquired phase against theta * (number of
     site-rows holding exactly two bosons), theta = U.  ``U`` must lie in
     the coupling range, so no phase overflows.  Configurations with a
-    site-row beyond double occupancy fall outside the rule and are counted
-    as skipped.
+    site-row beyond double occupancy fall outside the rule and are not
+    checked.  Returns the ``interaction_phase`` entry of
+    ``lattice-validate``: ``theta``, ``max_deviation``, ``checked_configs``
+    and ``passed`` (the deviation is at most 1e-12), as plain Python values.
     """
     params = LatticeParams(n_sites=basis.n_modes // 4, U=U)
     pairs = _checked_plan(params, basis).pairs
@@ -419,8 +407,12 @@ def interaction_phase_check(U: float, basis: FockBasis) -> PhaseCheckReport:
     measured = np.diag(propagator(np.diag(h_int), 1.0))[ruled]
     predicted = np.exp(-1j * U * doubles)
     max_dev = float(np.max(np.abs(measured - predicted), initial=0.0))
-    checked = int(ruled.sum())
-    return PhaseCheckReport(U, checked, basis.dim - checked, max_dev)
+    return {
+        "theta": float(U),
+        "max_deviation": max_dev,
+        "checked_configs": int(ruled.sum()),
+        "passed": max_dev <= 1e-12,
+    }
 
 
 @functools.cache

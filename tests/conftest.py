@@ -7,6 +7,7 @@ two-copy oracles build rho x rho and its projectors as dense Kronecker
 products.
 """
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -507,3 +508,26 @@ def ref_lattice_checks(J: float, U: float, seed: int) -> dict:
         "hom": hom,
         "uj_sweep": [{"u_over_j": r, "min_fidelity": min(fidelities(r * J))} for r in (0.0, 0.01, 0.1, 1.0)],
     }
+
+
+def ref_interaction_phase(theta: float, basis) -> dict:
+    """The ``interaction_phase`` entry of ``lattice-validate``, one
+    configuration at a time.
+
+    Evolves the dense H_int of :func:`ref_hamiltonians` (U = theta) for
+    unit time with :func:`ref_propagator`.  For each occupation of
+    :func:`ref_occupations` whose site-rows hold at most 2 bosons each, the
+    diagonal entry is compared with e^{-i theta d}, d the number of
+    site-rows holding exactly 2; fuller configurations are skipped.
+    """
+    params = LatticeParams(n_sites=basis.n_modes // 4, U=theta)
+    _, h_int = ref_hamiltonians(params, basis)
+    evolve = ref_propagator(h_int, 1.0)
+    max_dev, checked = 0.0, 0
+    for k, occ in enumerate(ref_occupations(basis.n_modes, basis.total_bosons)):
+        rows = [occ[m] + occ[m + 1] for m in range(0, basis.n_modes, 2)]
+        if max(rows) > 2:
+            continue
+        max_dev = max(max_dev, float(abs(evolve[k, k] - cmath.exp(-1j * theta * rows.count(2)))))
+        checked += 1
+    return {"theta": theta, "max_deviation": max_dev, "checked_configs": checked, "passed": max_dev <= 1e-12}

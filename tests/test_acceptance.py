@@ -273,7 +273,7 @@ def test_criterion_09_interaction_phase():
     worst = 0.0
     for theta in (0.1, math.pi / 2, math.pi):
         rep = interaction_phase_check(U=theta, basis=basis)
-        worst = max(worst, rep.max_deviation)
+        worst = max(worst, rep["max_deviation"])
     ok = worst <= 1e-12
     assert report(
         9, "doubly occupied site-rows acquire exactly U per unit time", ok, f"worst deviation {worst:.2e}"

@@ -38,12 +38,14 @@ from puritynet.cli import (
     write_csv,
 )
 from puritynet import bs_network, cli, qstate, separability
+from puritynet.lattice import COUPLING_MAX, COUPLING_MIN, build_fock_basis
 from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
 from puritynet.states import cat_purity_closed_form, estimate_epsilon
 
 from conftest import (
     ref_cat_experiment,
     ref_end_to_end,
+    ref_interaction_phase,
     ref_lattice_checks,
     ref_loss_count_distribution,
     ref_subset_purity,
@@ -677,10 +679,22 @@ class TestLatticeValidateCommand:
             assert got["u_over_j"] == ref["u_over_j"]
             assert got["min_fidelity"] == pytest.approx(ref["min_fidelity"], rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("argv", [[], ["--j", "1.7", "--u", "0.3", "--seed", "12"]], ids=["defaults", "j-u-seed"])
+    def test_phase_entries_match_the_per_configuration_oracle(self, tmp_path, argv):
+        out = tmp_path / "lat.json"
+        assert run("lattice-validate", *argv, "--out", str(out)) == EXIT_OK
+        entries = json.loads(out.read_text())["interaction_phase"]
+        want = [ref_interaction_phase(theta, build_fock_basis(4, 2)) for theta in (0.1, math.pi / 2, math.pi)]
+        assert len(entries) == len(want)
+        for got, ref in zip(entries, want):
+            assert list(got) == list(ref)
+            assert got["max_deviation"] == pytest.approx(ref["max_deviation"], rel=0, abs=1e-12)
+            assert {**got, "max_deviation": None} == {**ref, "max_deviation": None}
+
     @pytest.mark.parametrize(
         "argv, checks",
-        [([], 4), (["--u", "0.3"], 5), (["--j", "2", "--u", "0.2"], 4)],
-        ids=["defaults", "u-off-the-sweep", "u-on-the-sweep"],
+        [([], 4), (["--u", "0.3"], 5), (["--j", "2", "--u", "0.2"], 4), (["--u", "-0.0"], 4)],
+        ids=["defaults", "u-off-the-sweep", "u-on-the-sweep", "signed-zero-u"],
     )
     def test_each_distinct_coupling_checked_once(self, tmp_path, monkeypatch, argv, checks):
         # --u and the sweep's U = ratio * J share one splitter check where they coincide
@@ -700,6 +714,41 @@ class TestLatticeValidateCommand:
         run("lattice-validate", "--out", str(a))
         run("lattice-validate", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_signed_zero_coupling_differs_only_in_params(self, tmp_path):
+        # -0.0 == 0.0, so --u -0.0 shares the U = 0 check and echoes its own sign
+        neg, pos = tmp_path / "neg.json", tmp_path / "pos.json"
+        assert run("lattice-validate", "--u", "-0.0", "--out", str(neg)) == EXIT_OK
+        assert run("lattice-validate", "--u", "0", "--out", str(pos)) == EXIT_OK
+        # numbers kept as their text, so a sign flip anywhere shows
+        neg_report, pos_report = (json.loads(p.read_text(), parse_int=str, parse_float=str) for p in (neg, pos))
+        assert (neg_report["params"]["U"], pos_report["params"]["U"]) == ("-0", "0")
+        neg_report["params"]["U"] = pos_report["params"]["U"]
+        assert neg_report == pos_report
+
+    def test_negative_exponent_coupling_after_equals_runs(self, tmp_path):
+        # argparse reads a bare -1e-05 as an option; --u=-1e-05 reaches the domain check
+        out = tmp_path / "lat.json"
+        assert run("lattice-validate", "--u=-1e-05", "--out", str(out)) == EXIT_OK
+        assert json.loads(out.read_text())["params"]["U"] == -1e-05
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        x=st.floats(-100, 100),
+        u=st.just(0.0) | st.builds(lambda sign, y: sign * 10.0**y, st.sampled_from([-1.0, 1.0]), st.floats(-100, 100)),
+    )
+    def test_whole_coupling_domain_gives_a_finite_passing_report(self, x, u):
+        # 10.0 ** x may round one ulp past the domain's ends, so J and |U| are clamped to them
+        j = min(max(10.0**x, COUPLING_MIN), COUPLING_MAX)
+        u = math.copysign(min(abs(u), COUPLING_MAX), u)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "lat.json"
+            assert main(["lattice-validate", f"--j={j!r}", f"--u={u!r}", "--out", str(out)]) == EXIT_OK
+            report = json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(f"{token} in the report"))
+        assert all(0.0 <= f <= 1 + 1e-12 for f in report["bs_check"]["fidelities"])
+        assert report["uj_sweep"][0]["min_fidelity"] == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert report["end_to_end_max_error"] <= 1e-12
+        assert all(entry["passed"] for entry in report["interaction_phase"])
 
 
 class TestCatExperimentCommand:

@@ -35,6 +35,7 @@ from conftest import (
     maximally_mixed,
     mode_index,
     ref_hamiltonians,
+    ref_interaction_phase,
     ref_mode_unitary_matrix,
     ref_occupancy_probabilities,
     ref_propagator,
@@ -616,15 +617,32 @@ class TestInteractionPhase:
     def test_double_occupancy_phase(self, theta):
         basis = build_fock_basis(4, 2)
         report = interaction_phase_check(U=theta, basis=basis)
-        assert report.theta == theta
-        assert report.passed
-        assert report.checked_configs == basis.dim
+        assert report["theta"] == theta
+        assert report["passed"]
+        assert report["checked_configs"] == basis.dim
 
     def test_beyond_double_occupancy_skipped(self):
         basis = build_fock_basis(4, 3)
         report = interaction_phase_check(U=0.9, basis=basis)
-        assert report.skipped_configs > 0
-        assert report.passed
+        assert report["checked_configs"] < basis.dim
+        assert report["passed"]
+
+    def test_entry_holds_plain_values_in_report_order(self):
+        # the JSON writer rejects numpy scalars, so the entry is written as it is
+        report = interaction_phase_check(U=0.1, basis=build_fock_basis(4, 2))
+        assert list(report) == ["theta", "max_deviation", "checked_configs", "passed"]
+        assert [type(v) for v in report.values()] == [float, float, int, bool]
+
+    @pytest.mark.parametrize("n_modes", [4, 8])
+    @pytest.mark.parametrize("theta", [0.1, math.pi / 2, math.pi, -2.3])
+    def test_matches_the_per_configuration_oracle(self, n_modes, theta):
+        # three bosons: configurations with a site-row beyond 2 are skipped
+        basis = build_fock_basis(n_modes, 3)
+        report = interaction_phase_check(U=theta, basis=basis)
+        want = ref_interaction_phase(theta, basis)
+        assert 0 < want["checked_configs"] < basis.dim
+        assert report["max_deviation"] == pytest.approx(want["max_deviation"], rel=0, abs=1e-12)
+        assert {**report, "max_deviation": None} == {**want, "max_deviation": None}
 
     def test_largest_finite_theta_runs(self):
         # |U| <= COUPLING_MAX keeps every phase finite, at 1 and at 2 columns
@@ -633,8 +651,8 @@ class TestInteractionPhase:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     report = interaction_phase_check(U=U, basis=build_fock_basis(n_modes, bosons))
-                assert report.theta == U
-                assert report.passed
+                assert report["theta"] == U
+                assert report["passed"]
 
 
 class TestEmbedTwoCopies:
