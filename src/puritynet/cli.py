@@ -8,10 +8,12 @@ fig2b             reduced cat-state purity vs distinctness (CSV)
 lattice-validate  splitter timing, interaction phase and end-to-end checks
 cat-experiment    Monte-Carlo distinctness estimation under particle loss
 
-All output is deterministic for fixed flags and seed: floats are written
-with 17 significant digits and key order is fixed, so reruns are
-byte-identical.  Exit codes: 0 success, 2 usage or spec parse error,
-3 capacity exceeded, 4 inversion not possible, 5 I/O failure.
+All output is deterministic for fixed flags and seed, so reruns are
+byte-identical: a JSON report is one line in fixed key order, each float
+its shortest round-trip repr (``python -m json.tool`` pretty-prints it),
+and a CSV float has 17 significant digits.  Exit codes: 0 success, 2
+usage or spec parse error, 3 capacity exceeded, 4 inversion not
+possible, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -59,6 +61,7 @@ from .separability import (
     fig2a_violations,
     left_to_right_chain,
     maximal_chains,
+    subset_order,
 )
 from .states import InversionError, cat_purity_closed_form, cat_state, cluster_family_state, estimate_epsilon, ghz
 
@@ -157,67 +160,17 @@ EXIT_CODES = {
 # deterministic serialization
 
 
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be written to a report")
-    return format(float(x), ".17g")
-
-
-def json_text(obj) -> str:
-    """Minimal JSON writer with 17-significant-digit floats.
-
-    The stdlib encoder offers no hook for float formatting, and shortest
-    round-trip reprs are not what the byte-identity contract asks for.
-    Everything else is laid out as ``json.dumps(obj, indent=2)`` would.
-    Raises ValueError on NaN or infinity, which JSON cannot represent.
-    """
-    parts: list[str] = []
-    _render(obj, "\n", parts)
-    return "".join(parts)
-
-
-def _render(obj, newline: str, out: list[str]) -> None:
-    """Append the parts of ``obj`` to ``out``; ``newline`` ends in its indent."""
-    if isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, (dict, list, tuple)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, dict):
-        inner, sep = newline + "  ", "{"
-        for key, value in obj.items():
-            out += (sep, inner, _quote(str(key)), ": ")
-            _render(value, inner, out)
-            sep = ","
-        out += (newline, "}")
-    elif isinstance(obj, (list, tuple)):
-        inner, sep = newline + "  ", "["
-        for value in obj:
-            out += (sep, inner)
-            _render(value, inner, out)
-            sep = ","
-        out += (newline, "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def write_json(path: str, obj) -> None:
-    """Write ``obj`` as JSON.  The text is rendered before the file is
-    opened, so a value that cannot be written leaves no file behind."""
-    text = json_text(obj) + "\n"
+    """Write ``obj`` as one line of JSON, floats as their shortest round-trip
+    repr.  The text is rendered before the file is opened, so a value that
+    cannot be written (NaN, infinity, a numpy integer) leaves no file behind."""
+    text = json.dumps(obj, allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Write a CSV table of floats, each as :func:`format_float` renders it.
+    """Write a CSV table of floats, each to 17 significant digits.
 
     Each row of the iterable ``rows``, one float per header column, is
     rendered as it arrives, through one ``%.17g`` format for the whole row,
@@ -228,7 +181,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
     text = bytearray((",".join(header) + "\n").encode())
     for row in rows:
         if not all(map(math.isfinite, row)):
-            format_float(next(v for v in row if not math.isfinite(v)))  # raises, naming the value
+            bad = next(v for v in row if not math.isfinite(v))
+            raise ValueError(f"non-finite value {bad!r} cannot be written to a report")
         text += line % tuple(row)
     with open(path, "wb") as fh:
         fh.write(text)
@@ -411,20 +365,6 @@ def parse_chains(text: str) -> list[tuple[tuple[int, ...], ...]]:
 # report rendering helpers
 
 
-def _subset_order(n: int) -> tuple[list[str], np.ndarray]:
-    """Keys and bitmasks of the nonempty subsets of 1..n in report order.
-
-    Keys are built in mask order, site s entering as the new top bit.  Site
-    1 is the top bit, so within one size lexicographic order is falling mask
-    order."""
-    keys, size = [""], np.zeros(1, dtype=int)
-    for s in range(n, 0, -1):
-        keys += [f"{s},{k}" if k else str(s) for k in keys]
-        size = np.concatenate([size, size + 1])
-    order = np.lexsort((-np.arange(2**n), size))[1:]
-    return [keys[m] for m in order], order
-
-
 def _chain_report_dict(report, key_of: dict[int, str]) -> dict:
     """``report`` with each site mask replaced by its key from ``key_of``;
     a violation is the same dict as its entry under ``links``."""
@@ -468,7 +408,7 @@ def run_probe(args) -> int:
     table = sign_probabilities_from_purities(purities)
 
     entangled = any(r.entangled for r in reports)
-    keys, order = _subset_order(n)
+    keys, order = subset_order(n)
     key_of = dict(zip(order.tolist(), keys))
     report = {
         "tool": "puritynet",

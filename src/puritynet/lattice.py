@@ -218,13 +218,6 @@ def _basis_plan(basis: FockBasis) -> _BasisPlan:
     return plan
 
 
-def _checked_plan(params: LatticeParams, basis: FockBasis) -> _BasisPlan:
-    """The plan of ``basis``, which must have the modes ``params`` imply."""
-    if basis.n_modes != params.n_modes:
-        raise ValueError(f"basis has {basis.n_modes} modes, params imply {params.n_modes}")
-    return _basis_plan(basis)
-
-
 def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Real (H_hop, H_int) on the given basis.
 
@@ -236,8 +229,11 @@ def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndar
     is ``h_bs + np.diag(h_int)``; ``h_bs + h_int`` would add ``h_int[j]``
     to every entry of column j.  The hop indices and factors and the pair
     counts are derived once per basis; a call scales and scatters them.
+    The basis must have the modes ``params`` imply.
     """
-    plan = _checked_plan(params, basis)
+    if basis.n_modes != params.n_modes:
+        raise ValueError(f"basis has {basis.n_modes} modes, params imply {params.n_modes}")
+    plan = _basis_plan(basis)
     h_bs = np.zeros((basis.dim, basis.dim))
     h_bs[plan.dst, plan.src] = -params.J * plan.factor
     return h_bs, (float(params.U) * plan.pairs).sum(axis=(1, 2))
@@ -384,18 +380,18 @@ def _ideal_splitter(basis: FockBasis) -> np.ndarray:
 def interaction_phase_check(U: float, basis: FockBasis) -> dict:
     """Verify e^{-i U} per doubly occupied site-row under H_int alone.
 
-    Evolves every basis configuration under H_int (hopping off) for unit
-    time and compares the acquired phase against theta * (number of
-    site-rows holding exactly two bosons), theta = U.  ``U`` must lie in
-    the coupling range, so no phase overflows.  Configurations with a
-    site-row beyond double occupancy fall outside the rule and are not
-    checked.  Returns the ``interaction_phase`` entry of
-    ``lattice-validate``: ``theta``, ``max_deviation``, ``checked_configs``
-    and ``passed`` (the deviation is at most 1e-12), as plain Python values.
+    Evolves every basis configuration under the H_int of
+    :func:`build_hamiltonians` (hopping off) for unit time and compares the
+    acquired phase against theta * (number of site-rows holding exactly two
+    bosons), theta = U.  ``U`` must lie in the coupling range, so no phase
+    overflows.  Configurations with a site-row beyond double occupancy fall
+    outside the rule and are not checked.  Returns the ``interaction_phase``
+    entry of ``lattice-validate``: ``theta``, ``max_deviation``,
+    ``checked_configs`` and ``passed`` (the deviation is at most 1e-12), as
+    plain Python values.
     """
-    params = LatticeParams(n_sites=basis.n_modes // 4, U=U)
-    pairs = _checked_plan(params, basis).pairs
-    h_int = (float(U) * pairs).sum(axis=(1, 2))
+    _, h_int = build_hamiltonians(LatticeParams(n_sites=basis.n_modes // 4, U=U), basis)
+    pairs = _basis_plan(basis).pairs
 
     # A site-row of n = 0, 1, 2, 3, ... bosons holds 0, 0, 1, 3, ... pairs:
     # n = 2 is one pair and n > 2 more than one.

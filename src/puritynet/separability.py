@@ -85,9 +85,25 @@ class SubsetPurityMap:
         return {s: self.purity(s) for s in self.subsets()}
 
     def subsets(self) -> list[tuple[int, ...]]:
-        """All nonempty subsets in (size, lexicographic) order."""
-        sites = range(1, self.n_sites + 1)
-        return [s for k in range(1, self.n_sites + 1) for s in itertools.combinations(sites, k)]
+        """All nonempty subsets in (size, lexicographic) order, the order of
+        :func:`subset_order`."""
+        n = self.n_sites
+        return [tuple(s for s in range(1, n + 1) if mask >> (n - s) & 1) for mask in subset_order(n)[1].tolist()]
+
+
+def subset_order(n: int) -> tuple[list[str], np.ndarray]:
+    """Keys ("1,3") and site masks of the nonempty subsets of 1..n in
+    (size, lexicographic) order, the order of every report.
+
+    Keys are built in mask order, site s entering as the new top bit.  Site
+    1 is the top bit, so within one size lexicographic order is falling mask
+    order."""
+    keys, size = [""], np.zeros(1, dtype=int)
+    for s in range(n, 0, -1):
+        keys += [f"{s},{k}" if k else str(s) for k in keys]
+        size = np.concatenate([size, size + 1])
+    order = np.lexsort((-np.arange(2**n), size))[1:]
+    return [keys[m] for m in order], order
 
 
 def all_subset_purities(state: PureState | DensityOperator, cap: int | None = None) -> SubsetPurityMap:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -30,12 +31,11 @@ from puritynet.cli import (
     SPEC_CHARS_PER_ENTRY,
     SPEC_HEADER_CHARS,
     SpecParseError,
-    format_float,
-    json_text,
     main,
     parse_chains,
     parse_state_spec,
     write_csv,
+    write_json,
 )
 from puritynet import bs_network, cli, qstate, separability
 from puritynet.lattice import COUPLING_MAX, COUPLING_MIN, build_fock_basis
@@ -196,45 +196,47 @@ def _trees(leaves):
     return st.recursive(leaves, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4))
 
 
-def _seventeen_digits(obj):
-    """``obj`` with every float rounded to the 17 significant digits written."""
+def _hex_floats(obj):
+    """``obj`` with every float replaced by its ``float.hex`` text, so an
+    equality test compares floats bit for bit, the sign of zero included."""
     if isinstance(obj, float):
-        return float(format(obj, ".17g"))
+        return ("float", obj.hex())
     if isinstance(obj, list):
-        return [_seventeen_digits(v) for v in obj]
+        return [_hex_floats(v) for v in obj]
     if isinstance(obj, dict):
-        return {k: _seventeen_digits(v) for k, v in obj.items()}
+        return {k: _hex_floats(v) for k, v in obj.items()}
     return obj
+
+
+def _written(tmp_path, obj):
+    out = tmp_path / "t.json"
+    write_json(str(out), obj)
+    return out.read_text()
 
 
 class TestSerialization:
     @settings(max_examples=200, deadline=None)
-    @given(_trees(_SCALARS))
-    def test_float_free_text_matches_the_stdlib(self, obj):
-        assert json_text(obj) == json.dumps(obj, indent=2)
-
-    @settings(max_examples=200, deadline=None)
     @given(_trees(_SCALARS | st.floats(allow_nan=False, allow_infinity=False)))
-    def test_floats_parse_back_at_17_digits(self, obj):
-        assert json.loads(json_text(obj)) == _seventeen_digits(obj)
+    def test_floats_parse_back_bit_identical(self, tmp_path_factory, obj):
+        text = _written(tmp_path_factory.mktemp("json"), obj)
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert _hex_floats(json.loads(text)) == _hex_floats(obj)
 
-    def test_float_17_digits(self):
-        assert format_float(1 / 3) == "0.33333333333333331"
-        assert format_float(0.5) == "0.5"
-
-    def test_json_round_trip(self):
-        obj = {"a": 1 / 3, "b": [True, None, 7], "c": {"k": "v"}}
-        parsed = json.loads(json_text(obj))
+    def test_json_round_trip(self, tmp_path):
+        obj = {"a": 1 / 3, "b": [True, None, 7], "c": {"k": "v"}, "d": [1.0, -0.0, 0.0]}
+        parsed = json.loads(_written(tmp_path, obj))
         assert parsed["a"] == 1 / 3
         assert parsed["b"] == [True, None, 7]
+        # an integral float stays a float, and -0.0 keeps its sign
+        assert [(type(v), math.copysign(1.0, v)) for v in parsed["d"]] == [(float, 1.0), (float, -1.0), (float, 1.0)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
-    def test_non_finite_never_serialized(self, bad):
+    def test_non_finite_never_serialized(self, tmp_path, bad):
         # bare NaN/Infinity tokens are not JSON
-        with pytest.raises(ValueError, match="non-finite"):
-            json_text({"ok": 1.0, "nested": [bad]})
-        with pytest.raises(ValueError, match="non-finite"):
-            format_float(bad)
+        out = tmp_path / "t.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(str(out), {"ok": 1.0, "nested": [bad]})
+        assert not out.exists()
 
 
 class TestWriteCsv:
@@ -245,7 +247,7 @@ class TestWriteCsv:
         rows = [tuple(values[i : i + 4]) for i in range(0, len(values), 4)]
         out = tmp_path / "t.csv"
         write_csv(str(out), ["a", "b", "c", "d"], iter(rows))
-        want = "a,b,c,d\n" + "".join(",".join(map(format_float, row)) + "\n" for row in rows)
+        want = "a,b,c,d\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
         assert out.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -722,9 +724,11 @@ class TestLatticeValidateCommand:
         assert run("lattice-validate", "--u", "0", "--out", str(pos)) == EXIT_OK
         # numbers kept as their text, so a sign flip anywhere shows
         neg_report, pos_report = (json.loads(p.read_text(), parse_int=str, parse_float=str) for p in (neg, pos))
-        assert (neg_report["params"]["U"], pos_report["params"]["U"]) == ("-0", "0")
+        assert (neg_report["params"]["U"], pos_report["params"]["U"]) == ("-0.0", "0.0")
         neg_report["params"]["U"] = pos_report["params"]["U"]
         assert neg_report == pos_report
+        signs = [math.copysign(1.0, json.loads(p.read_text())["params"]["U"]) for p in (neg, pos)]
+        assert signs == [-1.0, 1.0]
 
     def test_negative_exponent_coupling_after_equals_runs(self, tmp_path):
         # argparse reads a bare -1e-05 as an option; --u=-1e-05 reaches the domain check
@@ -749,6 +753,73 @@ class TestLatticeValidateCommand:
         assert report["uj_sweep"][0]["min_fidelity"] == pytest.approx(1.0, rel=0, abs=1e-12)
         assert report["end_to_end_max_error"] <= 1e-12
         assert all(entry["passed"] for entry in report["interaction_phase"])
+
+
+#: The Python types a report may hold; numpy scalars are not among them.
+_REPORT_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _python_values(obj) -> bool:
+    if type(obj) not in _REPORT_TYPES:
+        return False
+    values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return all(_python_values(v) for v in values)
+
+
+class TestReportValues:
+    def test_ghz4_probe_numbers_are_floats(self, tmp_path):
+        out = tmp_path / "ghz4.json"
+        assert run("probe", "--spec-text", "statespec v1\nkind = ghz\nn = 4\n", "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        links = [l for c in report["chains"] for l in c["links"] + c["violations"]]
+        numbers = [*report["purities"].values(), *report["sign_probabilities"].values()]
+        numbers += [l["violation"] for l in links]
+        # the integral ones included: the full purity 1, sign probabilities and violations 0
+        assert 1.0 in numbers and 0.0 in numbers
+        assert all(type(v) is float for v in numbers)
+
+    def test_lattice_validate_numbers_are_floats(self, tmp_path):
+        out = tmp_path / "lat.json"
+        assert run("lattice-validate", "--j", "1", "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        params = report["params"]
+        numbers = [params["J"], params["U"], params["t_bs"], *report["hom"].values()]
+        numbers += [*report["bs_check"]["fidelities"], report["bs_check"]["min_fidelity"]]
+        numbers += [s[key] for s in report["uj_sweep"] for key in ("u_over_j", "min_fidelity")]
+        numbers += [p[key] for p in report["interaction_phase"] for key in ("theta", "max_deviation")]
+        numbers += [e[key] for e in report["end_to_end"] for key in ("p_diff", "expected", "abs_error")]
+        assert (params["J"], params["U"]) == (1.0, 0.0)
+        assert all(type(v) is float for v in numbers)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["probe", "--spec-text", f"statespec v1\n{body}\n"] for body in THREE_SITE_SPECS.values()),
+            ["lattice-validate", "--j", "1.7", "--u=0.3", "--seed", "3"],
+            ["cat-experiment", "--epsilon", "0.6", "--runs", "50"],
+        ],
+        ids=[*THREE_SITE_SPECS, "lattice-validate", "cat-experiment"],
+    )
+    def test_every_report_holds_python_values(self, tmp_path, monkeypatch, argv):
+        written = []
+
+        def record(path, obj):
+            written.append(obj)
+            write_json(path, obj)
+
+        monkeypatch.setattr(cli, "write_json", record)
+        assert run(*argv, "--out", str(tmp_path / "r.json")) == EXIT_OK
+        assert len(written) == 1 and _python_values(written[0])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_subsets_follow_the_report_key_order(self, tmp_path, n):
+        out = tmp_path / "p.json"
+        spec = "statespec v1\nkind = product\nqubits = " + "; ".join(["0,0"] * n) + "\n"
+        assert run("probe", "--spec-text", spec, "--out", str(out)) == EXIT_OK
+        subsets = separability.SubsetPurityMap(n, np.ones(2**n)).subsets()
+        sites = range(1, n + 1)
+        assert subsets == [s for k in sites for s in itertools.combinations(sites, k)]
+        assert [",".join(map(str, s)) for s in subsets] == list(json.loads(out.read_text())["purities"])
 
 
 class TestCatExperimentCommand:

@@ -633,6 +633,21 @@ class TestInteractionPhase:
         assert list(report) == ["theta", "max_deviation", "checked_configs", "passed"]
         assert [type(v) for v in report.values()] == [float, float, int, bool]
 
+    def test_a_wrong_interaction_diagonal_fails(self, monkeypatch):
+        # the check evolves the H_int of build_hamiltonians, so an error there shows
+        build = lattice.build_hamiltonians
+
+        def shifted(params, basis):
+            h_bs, h_int = build(params, basis)
+            return h_bs, h_int + 1e-6 * np.arange(basis.dim)
+
+        basis = build_fock_basis(4, 2)
+        monkeypatch.setattr(lattice, "build_hamiltonians", shifted)
+        for theta in (0.1, math.pi / 2, math.pi):
+            report = interaction_phase_check(U=theta, basis=basis)
+            assert report["checked_configs"] == basis.dim
+            assert report["passed"] is False
+
     @pytest.mark.parametrize("n_modes", [4, 8])
     @pytest.mark.parametrize("theta", [0.1, math.pi / 2, math.pi, -2.3])
     def test_matches_the_per_configuration_oracle(self, n_modes, theta):
