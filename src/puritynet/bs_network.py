@@ -36,15 +36,17 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
 
     out[j] = sum_k (-1)^{popcount(j & k)} values[k]; self-inverse up to the
     factor len(values).  Viewed as a (2,)*N tensor, the transform is a
-    two-point butterfly (a, b) -> (a + b, a - b) along each axis in turn.
+    two-point butterfly (a, b) -> (a + b, a - b) along each axis in turn,
+    the most significant first; axis ``a`` is the middle axis of the
+    (2^a, 2, rest) view.
     """
     out = np.array(values, dtype=float)
     if out.ndim != 1 or out.size < 1 or out.size & (out.size - 1):
         raise ValueError("length must be a power of two")
-    t = out.reshape((2,) * (out.size.bit_length() - 1))
-    for axis in range(t.ndim):
-        pair = np.moveaxis(t, axis, 0)  # a view: writes land in ``out``
-        pair[0], pair[1] = pair[0] + pair[1], pair[0] - pair[1]
+    for axis in range(out.size.bit_length() - 1):
+        pair = out.reshape(2**axis, 2, -1)  # a view: writes land in ``out``
+        a, b = pair[:, 0], pair[:, 1]
+        a[...], b[...] = a + b, a - b
     return out
 
 

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +57,10 @@ from .qstate import (
 from .separability import (
     PURITY_ERROR,
     VIOLATION_THRESHOLD,
+    ChainLinks,
+    above_threshold,
     all_subset_purities,
-    check_chain,
+    chain_links,
     fig2a_violations,
     left_to_right_chain,
     maximal_chains,
@@ -364,20 +367,59 @@ def parse_chains(text: str) -> list[tuple[tuple[int, ...], ...]]:
 # ---------------------------------------------------------------------------
 # report rendering helpers
 
+#: Site counts whose report plan is kept per process; past this many the
+#: least recently used is dropped, so a raised ``--qubit-cap`` does not pin
+#: the 2^N keys of every size it ever saw.
+_REPORT_PLANS_KEPT = 4
 
-def _chain_report_dict(report, key_of: dict[int, str]) -> dict:
-    """``report`` with each site mask replaced by its key from ``key_of``;
-    a violation is the same dict as its entry under ``links``."""
-    links = {
-        l: {"larger": key_of[l.larger], "smaller": key_of[l.smaller], "violation": l.violation}
-        for l in report.links
-    }
-    return {
-        "chain": [key_of[m] for m in report.chain],
-        "links": list(links.values()),
-        "violations": [links[l] for l in report.violations],
-        "entangled": report.entangled,
-    }
+
+@dataclass(frozen=True, eq=False)
+class _ReportPlan:
+    """What every ``probe`` report on N sites shares, built once per N."""
+
+    keys: tuple[str, ...]  # subset keys ("1,3") in report order
+    order: np.ndarray  # their site masks, read-only
+    key_of: tuple[str, ...]  # the key of each site mask ("" for the empty one)
+    sign_keys: tuple[str, ...]  # "+-" strings in sign-table order: "-" sites are the mask's bits
+    default_chains: ChainLinks  # maximal chains at N <= 4, left to right above
+
+
+@functools.lru_cache(maxsize=_REPORT_PLANS_KEPT)
+def _report_plan(n: int) -> _ReportPlan:
+    keys, order = subset_order(n)
+    key_of = [""] * 2**n
+    for key, mask in zip(keys, order.tolist()):
+        key_of[mask] = key
+    order.flags.writeable = False
+    chains = [] if n == 1 else maximal_chains(n) if n <= 4 else [left_to_right_chain(n)]
+    return _ReportPlan(
+        tuple(keys),
+        order,
+        tuple(key_of),
+        tuple(map("".join, itertools.product("+-", repeat=n))),
+        chain_links(chains, n),
+    )
+
+
+def _chain_report_dicts(
+    links: ChainLinks, key_of: tuple[str, ...], violations: list[float], flags: list[bool]
+) -> list[dict]:
+    """One report dict per chain of ``links``, each site mask replaced by its
+    key; a violation is the same dict as its entry under ``links``."""
+    entries = [
+        {"larger": key_of[big], "smaller": key_of[small], "violation": v}
+        for big, small, v in zip(links.larger.tolist(), links.smaller.tolist(), violations)
+    ]
+    bounds = links.offsets.tolist()
+    return [
+        {
+            "chain": [key_of[m] for m in chain],
+            "links": entries[lo:hi],
+            "violations": list(itertools.compress(entries[lo:hi], flags[lo:hi])),
+            "entangled": any(flags[lo:hi]),
+        }
+        for chain, lo, hi in zip(links.chains, bounds, bounds[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -396,32 +438,25 @@ def run_probe(args) -> int:
     n = state.n_qubits
 
     purities = all_subset_purities(state, cap=args.qubit_cap)
-    if args.chains:
-        chains = parse_chains(args.chains)
-    elif n == 1:
-        chains = []
-    elif n <= 4:
-        chains = maximal_chains(n)
-    else:
-        chains = [left_to_right_chain(n)]
-    reports = [check_chain(purities, chain, threshold=args.threshold) for chain in chains]
+    plan = _report_plan(n)
+    links = chain_links(parse_chains(args.chains), n) if args.chains else plan.default_chains
+    # every link of every chain in one gather
+    violations = links.violations(purities)
+    flags = above_threshold(violations, args.threshold)
+    violations = violations.tolist()
     table = sign_probabilities_from_purities(purities)
 
-    entangled = any(r.entangled for r in reports)
-    keys, order = subset_order(n)
-    key_of = dict(zip(order.tolist(), keys))
     report = {
         "tool": "puritynet",
         "version": __version__,
         "input": {**echo, "text": text},
         "seed": None,
         "threshold": args.threshold,
-        "purities": dict(zip(keys, purities.values[order].tolist())),
-        # sign table index = mask of the "-" sites, site 1 the top bit
-        "sign_probabilities": dict(zip(map("".join, itertools.product("+-", repeat=n)), table.values.tolist())),
-        "chains": [_chain_report_dict(r, key_of) for r in reports],
-        "max_violation": max((r.max_violation for r in reports), default=0.0),
-        "verdict": "entangled_detected" if entangled else "no_violation",
+        "purities": dict(zip(plan.keys, purities.values[plan.order].tolist())),
+        "sign_probabilities": dict(zip(plan.sign_keys, table.values.tolist())),
+        "chains": _chain_report_dicts(links, plan.key_of, violations, flags.tolist()),
+        "max_violation": max(violations, default=0.0),
+        "verdict": "entangled_detected" if flags.any() else "no_violation",
     }
     write_json(args.out, report)
     return EXIT_OK
@@ -622,8 +657,33 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numeric_values(argv: list[str]) -> list[str]:
+    """``argv`` with each numeric flag of ``FLAG_DOMAINS`` and a following
+    token that parses as a float joined into ``--flag=value``.  argparse
+    reads a bare ``-1e-05`` (or ``-inf``) as an option, not as a value, so
+    the flag would never reach its domain check."""
+    flags = FLAG_DOMAINS.get(argv[0], {}) if argv else {}
+    joined, i = [], 0
+    while i < len(argv):
+        if argv[i] in flags and i + 1 < len(argv) and _parses_as_float(argv[i + 1]):
+            joined.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            joined.append(argv[i])
+            i += 1
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_numeric_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         for flag, domain in FLAG_DOMAINS[args.command].items():
             domain.check(flag, getattr(args, flag[2:].replace("-", "_")))

@@ -10,6 +10,7 @@ to compare detection power against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -27,6 +28,10 @@ PURITY_ERROR = 1e-12
 #: Purity differences below this are numerical noise, not violations: a
 #: factor-1000 margin over ``PURITY_ERROR``.
 VIOLATION_THRESHOLD = 1e-9
+
+#: Site counts whose pure-state root plan is kept per process; past this
+#: many the least recently used is dropped.
+_ROOT_PLANS_KEPT = 4
 
 
 def freeze_values(table, values: np.ndarray) -> None:
@@ -137,20 +142,99 @@ def all_subset_purities(state: PureState | DensityOperator, cap: int | None = No
             visit(trace_site(mat, j), mask ^ (1 << (n - 1 - depth - j)), j, stop - 1, depth + 1)
 
     if isinstance(state, PureState):
-        h, psi = n // 2, state.amplitudes.reshape((2,) * n)
+        psi = state.amplitudes.reshape((2,) * n)
         roots = (  # m holds the amplitudes with the root's axes first
-            (m @ m.conj().T, sum(1 << (n - 1 - a) for a in kept))
-            for kept in itertools.combinations(range(n), h)
-            if h and not (2 * h == n and kept[0])
-            for m in [psi.transpose(kept + tuple(a for a in range(n) if a not in kept)).reshape(2**h, -1)]
+            (m @ m.conj().T, mask, stop)
+            for axes, mask, stop in _pure_roots(n)
+            for m in [psi.transpose(axes).reshape(2 ** (n // 2), -1)]
         )
     else:
-        roots = [(state.matrix, 2**n - 1)]
-    for mat, mask in roots:
-        # stop: the position of the root's first missing site, the top bit of its missing mask
-        visit(mat, mask, 0, n - (mask ^ (2**n - 1)).bit_length(), 0)
+        roots = [(state.matrix, 2**n - 1, n)]
+    for mat, mask, stop in roots:
+        visit(mat, mask, 0, stop, 0)
     # entries still 0 are pure-state complements of set ones; values[::-1][m] is values[full ^ m]
     return SubsetPurityMap(n, np.where(values, values, values[::-1]))
+
+
+@functools.lru_cache(maxsize=_ROOT_PLANS_KEPT)
+def _pure_roots(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The Gram roots of a pure state on ``n`` sites, built once per ``n``:
+    each root's axis permutation (its h = floor(n/2) sites first), site mask
+    and ``stop``, the position of its first missing site (the top bit of its
+    missing mask)."""
+    h, full = n // 2, 2**n - 1
+    return tuple(
+        (kept + tuple(a for a in range(n) if a not in kept), mask, n - (mask ^ full).bit_length())
+        for kept in itertools.combinations(range(n), h)
+        if h and not (2 * h == n and kept[0])
+        for mask in [sum(1 << (n - 1 - a) for a in kept)]
+    )
+
+
+def check_threshold(threshold: float) -> float:
+    """``threshold`` once it is checked finite and at least ``PURITY_ERROR``
+    (``ValueError`` otherwise): below the purities' own rounding error,
+    separable states would read as entangled."""
+    if not (math.isfinite(threshold) and threshold >= PURITY_ERROR):
+        raise ValueError(
+            f"threshold must be finite and at least {PURITY_ERROR:g}, the arithmetic "
+            f"error of a purity, got {threshold}"
+        )
+    return threshold
+
+
+def above_threshold(violations, threshold: float) -> np.ndarray:
+    """The threshold rule: a link flags entanglement when its violation
+    exceeds ``threshold`` (checked by :func:`check_threshold`).  Returns one
+    flag per entry of ``violations``."""
+    return np.asarray(violations, dtype=float) > check_threshold(threshold)
+
+
+@dataclass(frozen=True, eq=False)
+class ChainLinks:
+    """The links of a list of strictly nested chains, flattened for one gather.
+
+    ``chains[c]`` is chain c's subsets as site masks, largest first; its
+    links are ``larger[k] > smaller[k]`` for ``k`` in
+    ``offsets[c]:offsets[c + 1]``.  The arrays are read-only.
+    """
+
+    chains: tuple[tuple[int, ...], ...]
+    larger: np.ndarray
+    smaller: np.ndarray
+    offsets: np.ndarray
+
+    def violations(self, purities: SubsetPurityMap) -> np.ndarray:
+        """purity(larger) - purity(smaller) of every link, in link order."""
+        return purities.values[self.larger] - purities.values[self.smaller]
+
+
+def chain_links(chains, n_sites: int) -> ChainLinks:
+    """Check and flatten ``chains``, each an iterable of subsets (site
+    labels) from largest to smallest.
+
+    The nesting rule: a chain has at least two subsets, and each is a strict
+    subset of its predecessor (``ValueError`` otherwise, as for any label
+    ``qstate.site_mask`` rejects).  Each subset's labels are converted to
+    its site mask once.
+    """
+    masks, larger, smaller, offsets = [], [], [], [0]
+    for chain in chains:
+        subsets = list(chain)
+        chain_masks = tuple(site_mask(s, n_sites) for s in subsets)
+        if len(chain_masks) < 2:
+            raise ValueError("a chain needs at least two subsets")
+        for (big, big_labels), (small, small_labels) in itertools.pairwise(zip(chain_masks, subsets)):
+            if small & ~big or small == big:
+                raise ValueError(f"chain not strictly nested: {small_labels} is not a strict subset of {big_labels}")
+            larger.append(big)
+            smaller.append(small)
+        masks.append(chain_masks)
+        offsets.append(len(larger))
+    arrays = [np.array(a, dtype=np.intp) for a in (larger, smaller, offsets)]
+    for a in arrays:
+        a.flags.writeable = False
+    return ChainLinks(tuple(masks), *arrays)
 
 
 @dataclass(frozen=True)
@@ -169,16 +253,12 @@ class ChainReport:
     threshold: float = VIOLATION_THRESHOLD
 
     def __post_init__(self):
-        if not (math.isfinite(self.threshold) and self.threshold >= PURITY_ERROR):
-            # below the purities' own rounding error, separable states would read as entangled
-            raise ValueError(
-                f"threshold must be finite and at least {PURITY_ERROR:g}, the arithmetic "
-                f"error of a purity, got {self.threshold}"
-            )
+        check_threshold(self.threshold)
 
     @property
     def violations(self) -> tuple[ChainLink, ...]:
-        return tuple(l for l in self.links if l.violation > self.threshold)
+        flags = above_threshold([l.violation for l in self.links], self.threshold)
+        return tuple(itertools.compress(self.links, flags))
 
     @property
     def entangled(self) -> bool:
@@ -192,23 +272,16 @@ class ChainReport:
 def check_chain(purities: SubsetPurityMap, chain, threshold: float = VIOLATION_THRESHOLD) -> ChainReport:
     """Evaluate the purity inequality along a strictly nested chain.
 
-    ``chain`` (any iterable) lists subsets from largest to smallest; each
-    must be a strict subset of its predecessor.  A separable state never
+    ``chain`` (any iterable) lists subsets from largest to smallest, under
+    the nesting rule of :func:`chain_links`.  A separable state never
     produces a link with purity(larger) > purity(smaller) beyond numerical
     noise, so any link above ``threshold`` flags entanglement.  ``threshold``
     must be finite and at least ``PURITY_ERROR`` (``ValueError`` otherwise).
     The report holds each subset as its site mask.
     """
-    subsets = list(chain)
-    masks = [site_mask(s, purities.n_sites) for s in subsets]
-    if len(masks) < 2:
-        raise ValueError("a chain needs at least two subsets")
-    values, links = purities.values, []
-    for (big, big_labels), (small, small_labels) in itertools.pairwise(zip(masks, subsets)):
-        if small & ~big or small == big:
-            raise ValueError(f"chain not strictly nested: {small_labels} is not a strict subset of {big_labels}")
-        links.append(ChainLink(big, small, float(values[big] - values[small])))
-    return ChainReport(tuple(masks), tuple(links), threshold)
+    links = chain_links([chain], purities.n_sites)
+    triples = zip(links.larger.tolist(), links.smaller.tolist(), links.violations(purities).tolist())
+    return ChainReport(links.chains[0], tuple(ChainLink(*t) for t in triples), threshold)
 
 
 def maximal_chains(n_sites: int) -> list[tuple[tuple[int, ...], ...]]:

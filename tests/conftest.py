@@ -92,6 +92,18 @@ def sign_probability(table, signs) -> float:
     return float(table.values[sum(1 << (n - i) for i, s in enumerate(signs, start=1) if s == -1)])
 
 
+def ref_walsh_hadamard(values) -> np.ndarray:
+    """The Walsh-Hadamard butterfly over a (2,)*N view, one axis at a time
+    through ``np.moveaxis``, most significant first: the same pairs in the
+    same order as ``bs_network.walsh_hadamard``, so the two agree bit for bit."""
+    out = np.array(values, dtype=float)
+    t = out.reshape((2,) * (out.size.bit_length() - 1))
+    for axis in range(t.ndim):
+        pair = np.moveaxis(t, axis, 0)  # a view: writes land in ``out``
+        pair[0], pair[1] = pair[0] + pair[1], pair[0] - pair[1]
+    return out
+
+
 def tensor(parts: list[DensityOperator], cap: int | None = None) -> DensityOperator:
     """Tensor product of density operators, in the given site order.
 

@@ -28,6 +28,7 @@ from conftest import (
     projector_expectation_oracle,
     random_pure_state,
     ref_reduced,
+    ref_walsh_hadamard,
     sign_probability,
     sign_vectors,
     triplet_singlet_weights,
@@ -240,6 +241,13 @@ class TestWalshHadamard:
             for j in range(size):
                 direct = sum((-1) ** bin(j & k).count("1") * v[k] for k in range(size))
                 assert out[j] == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_bit_identical_to_the_moveaxis_butterfly(self, n):
+        # the same pairs in the same order: not one bit may move
+        v = np.random.default_rng(n).standard_normal(2**n) * 10.0 ** np.random.default_rng(n + 50).uniform(-8, 8, 2**n)
+        got, want = walsh_hadamard(v), ref_walsh_hadamard(v)
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
 
     def test_rejects_non_power_of_two(self):
         for size in (0, 3, 6):

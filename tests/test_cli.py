@@ -1127,6 +1127,138 @@ def test_spec_text_ends_in_a_documented_exit(spec, chains):
             assert not out.exists()
 
 
+def _plan_specs() -> dict[str, tuple[str, str | None]]:
+    """(spec text, --chains or None) of ``ghz``, odd-N ``cluster_family`` and
+    ``product`` at N = 1..8 (each kind from its smallest N), and a ``raw``
+    N = 4 matrix given ragged chains of lengths 2..4, labels in random order."""
+    rng = np.random.default_rng(26)
+    specs = {}
+    for n in range(1, 9):
+        if n >= 2:
+            specs[f"ghz-{n}"] = (f"statespec v1\nkind = ghz\nn = {n}\n", None)
+        if n % 2 and n >= 3:
+            phi = rng.uniform(0.1, 6)
+            specs[f"cluster_family-{n}"] = (f"statespec v1\nkind = cluster_family\nn = {n}\nphi = {phi!r}\n", None)
+        qubits = "; ".join(f"{rng.uniform(0, 3)!r},{rng.uniform(0, 6)!r}" for _ in range(n))
+        specs[f"product-{n}"] = (f"statespec v1\nkind = product\nqubits = {qubits}\n", None)
+    rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in random_state(4, 3, seed=26).matrix)
+    chains = []
+    for length in (2, 3, 4, 3, 2):
+        sites = rng.permutation(np.arange(1, 5)).tolist()
+        sizes = sorted(rng.choice(np.arange(1, 5), size=length, replace=False).tolist(), reverse=True)
+        chains.append(">".join(",".join(map(str, rng.permutation(sites[:k]))) for k in sizes))
+    specs["raw-4-chains"] = (f"statespec v1\nkind = raw\nmatrix = {rows}\n", ";".join(chains))
+    return specs
+
+
+PLAN_SPECS = _plan_specs()
+
+
+def _probe_argv(name: str, out) -> list[str]:
+    spec, chains = PLAN_SPECS[name]
+    return ["probe", "--spec-text", spec, *(["--chains", chains] if chains else []), "--out", str(out)]
+
+
+def _subset_key(mask: int, n: int) -> str:
+    return ",".join(str(s) for s in range(1, n + 1) if mask >> (n - s) & 1)
+
+
+class TestProbePlans:
+    """``probe`` builds its per-N report plan and pure-state root plan once
+    per process; a report must not depend on whether they were cached."""
+
+    def test_warm_cold_and_fresh_process_reports_are_byte_identical(self, tmp_path):
+        cli._report_plan.cache_clear()
+        separability._pure_roots.cache_clear()
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for name in PLAN_SPECS:
+            runs = [tmp_path / f"{name}-{k}.json" for k in ("first", "second", "fresh")]
+            for out in runs[:2]:
+                assert main(_probe_argv(name, out)) == EXIT_OK
+            fresh = subprocess.run([sys.executable, "-m", "puritynet", *_probe_argv(name, runs[2])], env=env)
+            assert fresh.returncode == EXIT_OK
+            first, *others = (out.read_bytes() for out in runs)
+            assert others == [first, first], name
+
+    def test_chain_reports_match_check_chain_link_by_link(self, tmp_path):
+        spec, chains = PLAN_SPECS["raw-4-chains"]
+        out = tmp_path / "r.json"
+        assert main(_probe_argv("raw-4-chains", out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        purities = separability.all_subset_purities(parse_state_spec(spec)[0])
+        parsed = parse_chains(chains)
+        assert sorted(len(c) for c in parsed) == [2, 2, 3, 3, 4]
+        for got, chain in zip(report["chains"], parsed, strict=True):
+            want = separability.check_chain(purities, chain)
+            assert got["chain"] == [_subset_key(m, 4) for m in want.chain]
+            links = [
+                {"larger": _subset_key(l.larger, 4), "smaller": _subset_key(l.smaller, 4), "violation": l.violation}
+                for l in want.links
+            ]
+            assert got["links"] == links
+            assert got["violations"] == [links[want.links.index(l)] for l in want.violations]
+            assert got["entangled"] is want.entangled
+        assert report["max_violation"] == max(l["violation"] for c in report["chains"] for l in c["links"])
+
+    def test_cached_plans_cannot_be_mutated(self):
+        plan = cli._report_plan(4)
+        assert cli._report_plan(4) is plan
+        for array in (plan.order, *(getattr(plan.default_chains, a) for a in ("larger", "smaller", "offsets"))):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        for keys in (plan.keys, plan.key_of, plan.sign_keys, plan.default_chains.chains):
+            assert isinstance(keys, tuple)
+            with pytest.raises(TypeError):
+                keys[0] = keys[-1]
+
+    def test_default_chains(self):
+        # all 4! / 1! = 24 maximal chains at N = 4, one left-to-right chain above, none at N = 1
+        assert len(cli._report_plan(4).default_chains.chains) == 24
+        assert cli._report_plan(5).default_chains.chains == ((31, 30, 28, 24, 16),)
+        assert cli._report_plan(1).default_chains.chains == ()
+
+
+#: How a report echoes a numeric flag that may be given a negative value.
+_FLAG_ECHO = {("lattice-validate", "--u"): lambda report: report["params"]["U"]}
+
+#: Arguments that keep each command short besides the flag under test.
+_QUICK_ARGV = {**REQUIRED_ARGV, "lattice-validate": ["--end-to-end-states", "1"]}
+
+
+def _negative_text(kind: type) -> str:
+    """A negative value of the flag's type: exponent form for a float."""
+    return "-1e-05" if kind is float else "-3"
+
+
+def _check_negative_value(command, flag, kind, code, err, out) -> None:
+    text = _negative_text(kind)
+    if _expected_exit(FLAG_DOMAINS[command][flag], kind(text)) == EXIT_OK:
+        assert code == EXIT_OK and err == ""
+        # numbers kept as their text, so the echo is exact
+        assert _FLAG_ECHO[command, flag](json.loads(out.read_text(), parse_float=str)) == text
+    else:
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {flag} must ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, kind, dest", NUMERIC_FLAGS, ids=[f"{c}{f}" for c, f, _, _ in NUMERIC_FLAGS])
+def test_negative_value_after_a_space_reaches_the_domain_check(tmp_path, capsys, command, flag, kind, dest):
+    # argparse alone reads a bare -1e-05 as an option and stops at "expected one argument"
+    out = tmp_path / "r.out"
+    code = main([command, *_QUICK_ARGV.get(command, []), flag, _negative_text(kind), "--out", str(out)])
+    _check_negative_value(command, flag, kind, code, capsys.readouterr().err, out)
+
+
+def test_negative_values_after_a_space_in_fresh_processes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for k, (command, flag, kind, _) in enumerate(NUMERIC_FLAGS):
+        out = tmp_path / f"r{k}.out"
+        argv = [command, *_QUICK_ARGV.get(command, []), flag, _negative_text(kind), "--out", str(out)]
+        fresh = subprocess.run([sys.executable, "-m", "puritynet", *argv], env=env, capture_output=True, text=True)
+        _check_negative_value(command, flag, kind, fresh.returncode, fresh.stderr, out)
+
+
 class TestOneParserPerProcess:
     """``main`` reuses one argument parser, so no call may see another's
     options or defaults."""

@@ -19,6 +19,7 @@ from puritynet.separability import (
     ChainReport,
     SubsetPurityMap,
     all_subset_purities,
+    chain_links,
     check_chain,
     chsh_max,
     chsh_threshold_phi,
@@ -172,6 +173,22 @@ class TestPureSubsetPurities:
         with pytest.raises(CapacityError):
             all_subset_purities(random_pure_state(3, 0), cap=2)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cold_and_warm_root_plans_agree_bit_for_bit(self, n):
+        states = [random_pure_state(n, 11)] + list(family_states(n).values())
+        for psi in states:
+            separability._pure_roots.cache_clear()
+            cold = all_subset_purities(psi).values
+            warm = all_subset_purities(psi).values
+            assert separability._pure_roots.cache_info().hits == 1
+            assert list(map(float.hex, cold.tolist())) == list(map(float.hex, warm.tolist()))
+
+    def test_root_plan_is_immutable(self):
+        roots = separability._pure_roots(6)
+        assert len(roots) == 10  # C(6, 3) / 2: at even N only the roots holding site 1
+        with pytest.raises(TypeError):
+            roots[0] = roots[1]
+
 
 class TestCheckChain:
     def test_ghz_chain(self):
@@ -201,6 +218,25 @@ class TestCheckChain:
         assert rep.chain == (7, 3, 1)
         assert [(l.larger, l.smaller) for l in rep.links] == [(7, 3), (3, 1)]
         assert rep.links[0].violation == pm.values[7] - pm.values[3]
+
+    def test_ragged_chains_flatten_into_one_gather(self):
+        pm = all_subset_purities(random_pure_state(5, 2))
+        chains = [[(1, 2, 3, 4, 5), (2, 3), (3,)], [(5, 4), (4,)], [tuple(range(1, k + 1)) for k in range(5, 0, -1)]]
+        links = chain_links(chains, 5)
+        assert links.offsets.tolist() == [0, 2, 3, 7]
+        masks = [[sum(1 << (5 - site) for site in subset) for subset in chain] for chain in chains]
+        assert links.chains == tuple(map(tuple, masks))
+        pairs = [pair for chain in masks for pair in zip(chain, chain[1:])]
+        assert list(zip(links.larger.tolist(), links.smaller.tolist())) == pairs
+        assert links.violations(pm).tolist() == [float(pm.values[big] - pm.values[small]) for big, small in pairs]
+        for array in (links.larger, links.smaller, links.offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_no_chains_give_no_links(self):
+        links = chain_links([], 3)
+        assert links.chains == () and links.offsets.tolist() == [0]
+        assert links.violations(all_subset_purities(all_zero(3))).size == 0
 
     def test_non_nested_rejected(self):
         pm = all_subset_purities(all_zero(3))
