@@ -55,6 +55,7 @@ from .qstate import (
     random_state,
 )
 from .separability import (
+    PLAN_SIZES_KEPT,
     PURITY_ERROR,
     VIOLATION_THRESHOLD,
     ChainLinks,
@@ -367,12 +368,6 @@ def parse_chains(text: str) -> list[tuple[tuple[int, ...], ...]]:
 # ---------------------------------------------------------------------------
 # report rendering helpers
 
-#: Site counts whose report plan is kept per process; past this many the
-#: least recently used is dropped, so a raised ``--qubit-cap`` does not pin
-#: the 2^N keys of every size it ever saw.
-_REPORT_PLANS_KEPT = 4
-
-
 @dataclass(frozen=True, eq=False)
 class _ReportPlan:
     """What every ``probe`` report on N sites shares, built once per N."""
@@ -384,7 +379,7 @@ class _ReportPlan:
     default_chains: ChainLinks  # maximal chains at N <= 4, left to right above
 
 
-@functools.lru_cache(maxsize=_REPORT_PLANS_KEPT)
+@functools.lru_cache(maxsize=PLAN_SIZES_KEPT)
 def _report_plan(n: int) -> _ReportPlan:
     keys, order = subset_order(n)
     key_of = [""] * 2**n

@@ -29,9 +29,12 @@ PURITY_ERROR = 1e-12
 #: factor-1000 margin over ``PURITY_ERROR``.
 VIOLATION_THRESHOLD = 1e-9
 
-#: Site counts whose pure-state root plan is kept per process; past this
-#: many the least recently used is dropped.
-_ROOT_PLANS_KEPT = 4
+#: Site counts whose per-N plans (the pure-state root plan here, ``probe``'s
+#: report plan in ``cli``) are kept per process; past this many the least
+#: recently used is dropped, so a raised qubit cap does not pin the 2^N keys
+#: of every size it ever saw.  Eight hold N = 4..10, which one pass of
+#: interleaved probes at those sizes visits.
+PLAN_SIZES_KEPT = 8
 
 
 def freeze_values(table, values: np.ndarray) -> None:
@@ -156,7 +159,7 @@ def all_subset_purities(state: PureState | DensityOperator, cap: int | None = No
     return SubsetPurityMap(n, np.where(values, values, values[::-1]))
 
 
-@functools.lru_cache(maxsize=_ROOT_PLANS_KEPT)
+@functools.lru_cache(maxsize=PLAN_SIZES_KEPT)
 def _pure_roots(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """The Gram roots of a pure state on ``n`` sites, built once per ``n``:
     each root's axis permutation (its h = floor(n/2) sites first), site mask
@@ -171,23 +174,11 @@ def _pure_roots(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     )
 
 
-def check_threshold(threshold: float) -> float:
-    """``threshold`` once it is checked finite and at least ``PURITY_ERROR``
-    (``ValueError`` otherwise): below the purities' own rounding error,
-    separable states would read as entangled."""
-    if not (math.isfinite(threshold) and threshold >= PURITY_ERROR):
-        raise ValueError(
-            f"threshold must be finite and at least {PURITY_ERROR:g}, the arithmetic "
-            f"error of a purity, got {threshold}"
-        )
-    return threshold
-
-
-def above_threshold(violations, threshold: float) -> np.ndarray:
+def above_threshold(violations, threshold: float):
     """The threshold rule: a link flags entanglement when its violation
-    exceeds ``threshold`` (checked by :func:`check_threshold`).  Returns one
-    flag per entry of ``violations``."""
-    return np.asarray(violations, dtype=float) > check_threshold(threshold)
+    exceeds ``threshold`` (checked once by its caller, finite and at least
+    ``PURITY_ERROR``).  ``violations`` is one float or an array."""
+    return violations > threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +244,16 @@ class ChainReport:
     threshold: float = VIOLATION_THRESHOLD
 
     def __post_init__(self):
-        check_threshold(self.threshold)
+        if not (math.isfinite(self.threshold) and self.threshold >= PURITY_ERROR):
+            # below the purities' own rounding error, separable states would read as entangled
+            raise ValueError(
+                f"threshold must be finite and at least {PURITY_ERROR:g}, the arithmetic "
+                f"error of a purity, got {self.threshold}"
+            )
 
     @property
     def violations(self) -> tuple[ChainLink, ...]:
-        flags = above_threshold([l.violation for l in self.links], self.threshold)
-        return tuple(itertools.compress(self.links, flags))
+        return tuple(l for l in self.links if above_threshold(l.violation, self.threshold))
 
     @property
     def entangled(self) -> bool:

@@ -1211,6 +1211,18 @@ class TestProbePlans:
             with pytest.raises(TypeError):
                 keys[0] = keys[-1]
 
+    def test_interleaved_sizes_build_each_plan_once(self, tmp_path):
+        # probes at N = 4..10 taken in turn, twice over: every size's plans stay cached
+        cli._report_plan.cache_clear()
+        separability._pure_roots.cache_clear()
+        for _ in range(2):
+            for n in range(4, 11):
+                spec = f"statespec v1\nkind = ghz\nn = {n}\n"
+                assert main(["probe", "--spec-text", spec, "--out", str(tmp_path / "p.json")]) == EXIT_OK
+        for plan in (cli._report_plan, separability._pure_roots):
+            assert plan.cache_info().misses == 7
+            assert plan.cache_info().maxsize == separability.PLAN_SIZES_KEPT
+
     def test_default_chains(self):
         # all 4! / 1! = 24 maximal chains at N = 4, one left-to-right chain above, none at N = 1
         assert len(cli._report_plan(4).default_chains.chains) == 24
