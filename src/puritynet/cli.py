@@ -30,17 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bs_network import pair_projection_probabilities, sign_probabilities_from_purities
+from .bs_network import sign_probabilities_from_purities
 from .lattice import (
     COUPLING_MAX,
     COUPLING_MIN,
     LatticeParams,
-    build_hamiltonians,
     embed_two_copies_stack,
     hopping_bs_check,
     interaction_phase_check,
     occupancy_p_diff_stack,
-    propagator,
     sample_loss,
     standard_test_states,
 )
@@ -52,7 +50,7 @@ from .qstate import (
     check_normalized,
     check_qubit_capacity,
     product_amplitudes,
-    random_state,
+    random_states,
 )
 from .separability import (
     PLAN_SIZES_KEPT,
@@ -484,31 +482,24 @@ def run_fig2b(args) -> int:
 
 
 def run_lattice_validate(args) -> int:
-    params = LatticeParams(n_sites=1, J=args.j, U=args.u)
     basis, test_states = standard_test_states(seed=args.seed)
-    # one splitter check per distinct U: --u and the sweep's U = ratio * J can coincide
-    fidelities = {
-        u: hopping_bs_check(LatticeParams(n_sites=1, J=args.j, U=u), basis, test_states)
-        for u in dict.fromkeys([args.u] + [ratio * args.j for ratio in UJ_RATIOS])
-    }
-
-    h_bs, _ = build_hamiltonians(params, basis)
-    bs_prop = propagator(h_bs, params.t_bs)
+    # one splitter stack of every distinct U: --u and the sweep's U = ratio * J can coincide
+    couplings = list(dict.fromkeys([args.u] + [ratio * args.j for ratio in UJ_RATIOS]))
+    fidelities, propagators = hopping_bs_check(args.j, couplings, basis, test_states)
+    # the sweep starts at U = 0, whose member is the bare hopping splitter exp(-i h_bs t_bs)
+    bs_prop = propagators[couplings.index(0.0)]
     # the identical a-pair (row 0) and the singlet (row 2), each a pure ensemble of its own
     pair_p_diff, singlet_p_diff = occupancy_p_diff_stack(
         basis, np.arange(2), np.ones(2), test_states[[0, 2]] @ bs_prop.T, 1
     ).tolist()
     hom = {"identical_pair_p_diff": pair_p_diff, "singlet_p_diff": singlet_p_diff}
 
-    # Each state is drawn from its own seed; the states are then embedded,
-    # evolved and read out together, one array pass over all members.
+    # Each state is drawn from its own seed; the states are then built,
+    # embedded, evolved and read out together, one array pass over all members.
     seeds = range(args.seed + 1000, args.seed + 1000 + args.end_to_end_states)
-    matrices = np.empty((len(seeds), 2, 2), dtype=complex)
-    expected = []
-    for k, seed in enumerate(seeds):
-        rho = random_state(1, 1 + k % 2, seed=seed)
-        matrices[k] = rho.matrix
-        expected.append(pair_projection_probabilities(rho).p_minus)
+    matrices = random_states(1, [1 + k % 2 for k in range(len(seeds))], seeds)
+    # pair_projection_probabilities' P_- = (1 - tr rho^2) / 2 of every state
+    expected = ((1 - (matrices.conj() * matrices).real.sum(axis=(1, 2))) / 2).tolist()
     _, owner, weights, members = embed_two_copies_stack(matrices)
     check_normalized(members)  # bs_prop is unitary, so the evolved members keep the norm
     got = occupancy_p_diff_stack(basis, owner, weights, members @ bs_prop.T, 1).tolist()
@@ -520,18 +511,20 @@ def run_lattice_validate(args) -> int:
         "tool": "puritynet",
         "version": __version__,
         "seed": args.seed,
-        "params": {"n_sites": 1, "J": args.j, "U": args.u, "t_bs": params.t_bs},
+        "params": {"n_sites": 1, "J": args.j, "U": args.u, "t_bs": LatticeParams(n_sites=1, J=args.j).t_bs},
         "bs_check": {
             "include_interactions": args.u != 0.0,
-            "fidelities": fidelities[args.u].tolist(),
-            "min_fidelity": float(fidelities[args.u].min()),
+            # --u leads the stack
+            "fidelities": fidelities[0].tolist(),
+            "min_fidelity": float(fidelities[0].min()),
         },
         "hom": hom,
-        "interaction_phase": [interaction_phase_check(U=theta, basis=basis) for theta in (0.1, math.pi / 2, math.pi)],
+        "interaction_phase": interaction_phase_check((0.1, math.pi / 2, math.pi), basis),
         "end_to_end": end_to_end,
         "end_to_end_max_error": max(e["abs_error"] for e in end_to_end),
         "uj_sweep": [
-            {"u_over_j": ratio, "min_fidelity": float(fidelities[ratio * args.j].min())} for ratio in UJ_RATIOS
+            {"u_over_j": ratio, "min_fidelity": float(fidelities[couplings.index(ratio * args.j)].min())}
+            for ratio in UJ_RATIOS
         ],
     }
     write_json(args.out, report)
@@ -598,14 +591,16 @@ def run_cat_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes a prefix of a flag for the flag: every flag is spelled in full
     parser = argparse.ArgumentParser(
         prog="puritynet",
         description="Purity-based multipartite entanglement detection toolkit",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"puritynet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    probe = sub.add_parser("probe", help="run the detection pipeline on a state spec")
+    probe = sub.add_parser("probe", help="run the detection pipeline on a state spec", allow_abbrev=False)
     src = probe.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", help="path to a statespec file")
     src.add_argument("--spec-text", help="inline statespec text")
@@ -614,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
     probe.add_argument("--out", required=True)
 
-    fig2a = sub.add_parser("fig2a", help="three-site violation curves (CSV)")
+    fig2a = sub.add_parser("fig2a", help="three-site violation curves (CSV)", allow_abbrev=False)
     fig2a.add_argument("--n", type=int, default=3)
     fig2a.add_argument("--points", type=int, default=101)
     fig2a.add_argument(
@@ -625,20 +620,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig2a.add_argument("--out", required=True)
 
-    fig2b = sub.add_parser("fig2b", help="reduced cat-state purity vs epsilon (CSV)")
+    fig2b = sub.add_parser("fig2b", help="reduced cat-state purity vs epsilon (CSV)", allow_abbrev=False)
     fig2b.add_argument("--n", type=int, default=300)
     fig2b.add_argument("--m", default="1,7,14,20", help="comma-separated reduction counts")
     fig2b.add_argument("--points", type=int, default=101)
     fig2b.add_argument("--out", required=True)
 
-    lat = sub.add_parser("lattice-validate", help="splitter timing and phase checks")
+    lat = sub.add_parser("lattice-validate", help="splitter timing and phase checks", allow_abbrev=False)
     lat.add_argument("--j", type=float, default=1.0)
     lat.add_argument("--u", type=float, default=0.0)
     lat.add_argument("--seed", type=int, default=0)
     lat.add_argument("--end-to-end-states", type=int, default=10)
     lat.add_argument("--out", required=True)
 
-    cat = sub.add_parser("cat-experiment", help="distinctness estimation under loss")
+    cat = sub.add_parser("cat-experiment", help="distinctness estimation under loss", allow_abbrev=False)
     cat.add_argument("--n", type=int, default=300)
     cat.add_argument("--epsilon", type=float, required=True)
     cat.add_argument("--survival", type=float, default=0.95)

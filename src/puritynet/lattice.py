@@ -34,7 +34,10 @@ pattern of H and eigendecomposes each block on its own (at 2 columns,
 no entry outside a block exists, so nothing is approximated.  The blocks
 are found once per off-diagonal pattern, which every Hamiltonian of one
 basis shares, and blocks with byte-identical entries are decomposed once
-(at 2 columns and U = 0, 8 of the 35 are distinct).
+(at 2 columns and U = 0, 8 of the 35 are distinct).  Evolution takes a
+(K, dim, dim) stack of Hamiltonians as it takes one, so the checks evolve
+all their couplings at once: the splitter check one stack of every U, the
+phase check one stack of every theta.
 """
 
 from __future__ import annotations
@@ -241,17 +244,23 @@ def build_hamiltonians(params: LatticeParams, basis: FockBasis) -> tuple[np.ndar
 
 #: Block plans ``propagator`` keeps, one per off-diagonal nonzero pattern;
 #: past this many the least recently used is dropped.  Each holds its
-#: packed pattern, dim^2 / 8 bytes (2 MiB at the Fock cap), and dim indices.
-#: The lattice Hamiltonians of one basis share one pattern.
+#: packed pattern, dim^2 / 8 bytes (2 MiB at the Fock cap), and one index
+#: per block entry.  The lattice Hamiltonians of one basis share one pattern.
 _BLOCK_PLANS_KEPT = 8
 
 
+class _BlockPlan(NamedTuple):
+    """The diagonal blocks of one off-diagonal nonzero pattern."""
+
+    sizes: tuple[tuple[int, int], ...]  # (block size, number of blocks), sizes ascending
+    flat: np.ndarray  # read-only flat index row * dim + col of every block entry, block by block in ``sizes`` order
+
+
 @functools.lru_cache(maxsize=_BLOCK_PLANS_KEPT)
-def _block_plan(dim: int, pattern: bytes) -> tuple[np.ndarray, ...]:
+def _block_plan(dim: int, pattern: bytes) -> _BlockPlan:
     """The diagonal blocks of a dim x dim matrix with the off-diagonal
-    nonzero ``pattern`` (row major, packed by ``np.packbits``): per block
-    size, in ascending order, the read-only (blocks, size) array of each
-    block's member indices.  Built once per pattern."""
+    nonzero ``pattern`` (row major, packed by ``np.packbits``), grouped by
+    size.  Built once per pattern."""
     rows, cols = np.divmod(np.flatnonzero(np.unpackbits(np.frombuffer(pattern, np.uint8), count=dim * dim)), dim)
     # Every state takes the smallest label among the states an entry
     # couples it to, in either direction, and then its label's label, until
@@ -269,43 +278,57 @@ def _block_plan(dim: int, pattern: bytes) -> tuple[np.ndarray, ...]:
     sizes = np.bincount(labels)
     sizes = sizes[sizes > 0]
     starts = np.cumsum(sizes) - sizes
-    plan = tuple(order[starts[sizes == size, None] + np.arange(size)] for size in sorted(set(sizes.tolist())))
-    for members in plan:
-        members.flags.writeable = False
-    return plan
+    groups = [(size, order[starts[sizes == size, None] + np.arange(size)]) for size in sorted(set(sizes.tolist()))]
+    flat = np.concatenate([(members[:, :, None] * dim + members[:, None, :]).ravel() for _, members in groups])
+    flat.flags.writeable = False
+    return _BlockPlan(tuple((size, len(members)) for size, members in groups), flat)
 
 
 def propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) of a Hermitian H, one diagonal block at a time.
 
-    The lattice Hamiltonians are real symmetric, so their blocks go
-    through the real ``eigh``; the result is complex either way.
+    ``hamiltonian`` is a (dim, dim) matrix or a (K, dim, dim) stack of
+    them, evolved together for the one time ``t``; the result has its
+    shape.  The lattice Hamiltonians are real symmetric, so their blocks
+    go through the real ``eigh``; the result is complex either way.
 
-    The blocks are the connected components of the nonzero pattern of H.
-    No entry couples two of them, so exp(-i H t) is block diagonal with
-    the same blocks, and each comes from the eigendecomposition of its own
-    block of H.  A matrix without zeros is one block.  Diagonal entries
-    join no two blocks, so the blocks are found once per off-diagonal
-    pattern (``_block_plan``) and every H with that pattern reuses them.
-    Blocks of one size are decomposed together, and byte-identical blocks
-    share one eigendecomposition, which gives them identical results.
+    The blocks are the connected components of the nonzero pattern of H,
+    for a stack the union of its members' patterns.  No entry couples two
+    of them, so exp(-i H t) is block diagonal with the same blocks, and
+    each comes from the eigendecomposition of its own block of H.  A
+    matrix without zeros is one block.  Diagonal entries join no two
+    blocks, so the blocks are found once per off-diagonal pattern
+    (``_block_plan``) and every H with that pattern reuses them.  The
+    block entries of the whole stack are gathered by one ``np.take`` and
+    scattered back once.  Blocks of one size are decomposed together, and
+    byte-identical blocks, within a member or across the stack, share one
+    eigendecomposition, which gives them identical results.  So a member
+    of a stack whose members share one off-diagonal pattern (``h_bs`` plus
+    any diagonal) is its own 2-D call, bit for bit.
     """
-    dim = hamiltonian.shape[0]
-    pattern = hamiltonian != 0
+    dim = hamiltonian.shape[-1]
+    stack = hamiltonian.reshape(-1, dim * dim)
+    pattern = stack.any(axis=0).reshape(dim, dim)
     np.fill_diagonal(pattern, False)
-    u = np.zeros((dim, dim), dtype=complex)
-    for members in _block_plan(dim, np.packbits(pattern).tobytes()):
-        block = members[:, :, None], members[:, None, :]
-        blocks = hamiltonian[block]
+    plan = _block_plan(dim, np.packbits(pattern).tobytes())
+    entries = np.take(stack, plan.flat, axis=1)
+    evolved = np.empty(entries.shape, dtype=complex)
+    start = 0
+    for size, count in plan.sizes:
+        stop = start + count * size * size
+        blocks = entries[:, start:stop].reshape(-1, size, size)
         # each block's bytes, and its slot among the distinct ones
         raw = blocks.reshape(len(blocks), -1).view(np.dtype((np.void, blocks[0].nbytes))).ravel().tolist()
         slot: dict[bytes, int] = {}
-        copy = [slot.setdefault(entries, len(slot)) for entries in raw]
-        distinct = np.frombuffer(b"".join(slot), blocks.dtype).reshape(len(slot), *blocks.shape[1:])
+        copy = [slot.setdefault(block, len(slot)) for block in raw]
+        distinct = np.frombuffer(b"".join(slot), blocks.dtype).reshape(len(slot), size, size)
         energies, vectors = np.linalg.eigh(distinct)
         phases = np.exp(-1j * energies * t)[:, None, :]
-        u[block] = ((vectors * phases) @ vectors.conj().transpose(0, 2, 1))[copy]
-    return u
+        evolved[:, start:stop] = ((vectors * phases) @ vectors.conj().transpose(0, 2, 1))[copy].reshape(len(stack), -1)
+        start = stop
+    u = np.zeros(stack.shape, dtype=complex)
+    u[:, plan.flat] = evolved
+    return u.reshape(hamiltonian.shape)
 
 
 def ideal_bs_mode_matrix(n_sites: int) -> np.ndarray:
@@ -348,23 +371,32 @@ def mode_unitary_matrix(u: np.ndarray, basis: FockBasis) -> np.ndarray:
     return amplitude.T / np.outer(norm, norm)
 
 
-def hopping_bs_check(params: LatticeParams, basis: FockBasis, amplitudes: np.ndarray) -> np.ndarray:
-    """Fidelities of exp(-i (H_hop + H_int) t_bs) against the ideal mode-level splitter.
+def hopping_bs_check(J: float, us, basis: FockBasis, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelities of exp(-i (H_hop + H_int) t_bs) against the ideal mode-level splitter, for each U of ``us``.
 
-    ``amplitudes`` is a (k, dim) stack of k >= 1 state vectors on
-    ``basis``; each must be finite with unit norm, else a ValueError is
-    raised, as for any other shape.  Entry j of the returned float array
-    is |<ideal_j|evolved_j>|^2 for row j.  H_int vanishes when U = 0,
-    leaving the bare hopping splitter; nonzero interactions show how much
-    they degrade it (the ideal comparison target stays the same).
+    ``us`` is a non-empty sequence of on-site strengths; each makes a
+    ``LatticeParams`` with hopping ``J`` on ``basis``, so each must lie in
+    the coupling range, as must ``J``.  ``amplitudes`` is a (k, dim) stack
+    of k >= 1 state vectors on ``basis``; each must be finite with unit
+    norm, else a ValueError is raised, as for any other shape.  All
+    Hamiltonians evolve in one ``propagator`` call.  Returns the
+    (len(us), k) float array whose entry (i, j) is |<ideal_j|evolved_j>|^2
+    under U = us[i], and the (len(us), dim, dim) propagators.  H_int
+    vanishes when U = 0, leaving the bare hopping splitter (that member is
+    ``propagator(h_bs, t_bs)``, bit for bit); nonzero interactions show
+    how much they degrade it (the ideal comparison target stays the same).
     """
     if amplitudes.ndim != 2 or len(amplitudes) == 0 or amplitudes.shape[1] != basis.dim:
         raise ValueError(f"need a (k >= 1, {basis.dim}) stack of amplitude rows, got shape {amplitudes.shape}")
     check_normalized(amplitudes)
-    h_bs, h_int = build_hamiltonians(params, basis)
-    u_prop = propagator(h_bs + np.diag(h_int), params.t_bs)
+    couplings = [LatticeParams(n_sites=basis.n_modes // 4, J=J, U=u) for u in us]
+    if not couplings:
+        raise ValueError("need at least one coupling U")
+    hamiltonians = np.stack([h_bs + np.diag(h_int) for h_bs, h_int in (build_hamiltonians(p, basis) for p in couplings)])
+    u_prop = propagator(hamiltonians, couplings[0].t_bs)
     ideal = amplitudes @ _ideal_splitter(basis).T
-    return np.abs((ideal.conj() * (amplitudes @ u_prop.T)).sum(axis=1)) ** 2
+    fidelities = np.abs((ideal.conj() * (amplitudes @ u_prop.transpose(0, 2, 1))).sum(axis=2)) ** 2
+    return fidelities, u_prop
 
 
 @functools.cache
@@ -377,20 +409,22 @@ def _ideal_splitter(basis: FockBasis) -> np.ndarray:
     return u
 
 
-def interaction_phase_check(U: float, basis: FockBasis) -> dict:
-    """Verify e^{-i U} per doubly occupied site-row under H_int alone.
+def interaction_phase_check(thetas, basis: FockBasis) -> list[dict]:
+    """Verify e^{-i theta} per doubly occupied site-row under H_int alone, for each theta of ``thetas``.
 
     Evolves every basis configuration under the H_int of
-    :func:`build_hamiltonians` (hopping off) for unit time and compares the
-    acquired phase against theta * (number of site-rows holding exactly two
-    bosons), theta = U.  ``U`` must lie in the coupling range, so no phase
-    overflows.  Configurations with a site-row beyond double occupancy fall
-    outside the rule and are not checked.  Returns the ``interaction_phase``
-    entry of ``lattice-validate``: ``theta``, ``max_deviation``,
-    ``checked_configs`` and ``passed`` (the deviation is at most 1e-12), as
-    plain Python values.
+    :func:`build_hamiltonians` at U = theta (hopping off) for unit time,
+    all thetas in one ``propagator`` call, and compares the acquired phase
+    against theta * (number of site-rows holding exactly two bosons).
+    Each theta must lie in the coupling range of U, so no phase
+    overflows.  Configurations with a site-row beyond double occupancy
+    fall outside the rule and are not checked.  Returns, per theta, the
+    ``interaction_phase`` entry of ``lattice-validate``: ``theta``,
+    ``max_deviation``, ``checked_configs`` and ``passed`` (the deviation
+    is at most 1e-12), as plain Python values.
     """
-    _, h_int = build_hamiltonians(LatticeParams(n_sites=basis.n_modes // 4, U=U), basis)
+    n_sites = basis.n_modes // 4
+    h_int = [build_hamiltonians(LatticeParams(n_sites, U=theta), basis)[1] for theta in thetas]
     pairs = _basis_plan(basis).pairs
 
     # A site-row of n = 0, 1, 2, 3, ... bosons holds 0, 0, 1, 3, ... pairs:
@@ -400,15 +434,13 @@ def interaction_phase_check(U: float, basis: FockBasis) -> dict:
     # H_int is diagonal, so each configuration's phase is its own entry of
     # the propagator's diagonal.  The phases come from evolving the dense
     # diag(H_int), not from exp(-i h_int), so the check covers ``propagator``.
-    measured = np.diag(propagator(np.diag(h_int), 1.0))[ruled]
-    predicted = np.exp(-1j * U * doubles)
-    max_dev = float(np.max(np.abs(measured - predicted), initial=0.0))
-    return {
-        "theta": float(U),
-        "max_deviation": max_dev,
-        "checked_configs": int(ruled.sum()),
-        "passed": max_dev <= 1e-12,
-    }
+    measured = np.diagonal(propagator(np.stack([np.diag(h) for h in h_int]), 1.0), axis1=1, axis2=2)[:, ruled]
+    predicted = np.exp(-1j * np.array(thetas, dtype=float)[:, None] * doubles)
+    deviations = np.max(np.abs(measured - predicted), axis=1, initial=0.0).tolist()
+    return [
+        {"theta": float(theta), "max_deviation": dev, "checked_configs": int(ruled.sum()), "passed": dev <= 1e-12}
+        for theta, dev in zip(thetas, deviations)
+    ]
 
 
 @functools.cache

@@ -126,6 +126,21 @@ class PureState:
         return DensityOperator(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def check_density(matrices: np.ndarray) -> None:
+    """Raise ValueError unless every matrix (last two axes) is finite,
+    Hermitian to ``HERMITICITY_ATOL`` and of unit trace to ``TRACE_ATOL``:
+    a :class:`DensityOperator`'s conditions, for one matrix or a stack of
+    them.  A failure names the largest deviation of the stack."""
+    if not np.isfinite(matrices).all():
+        raise ValueError("matrix has non-finite entries")
+    herm = np.max(np.abs(matrices - np.swapaxes(matrices.conj(), -1, -2)))
+    if herm > HERMITICITY_ATOL:
+        raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
+    trace_error = np.max(np.abs(np.trace(matrices, axis1=-2, axis2=-1) - 1.0))
+    if trace_error > TRACE_ATOL:
+        raise ValueError(f"trace deviates from 1 by {trace_error:.3e}")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace operator on ``n_qubits`` qubits.
@@ -145,14 +160,7 @@ class DensityOperator:
         dim = 2**self.n_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix of shape {mat.shape} does not match {self.n_qubits} qubits")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix has non-finite entries")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITICITY_ATOL:
-            raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        check_density(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -182,21 +190,43 @@ def purity(rho: DensityOperator) -> float:
     return float(np.vdot(rho.matrix, rho.matrix).real)
 
 
+def random_states(n_qubits: int, ranks, seeds) -> np.ndarray:
+    """The matrices of :func:`random_state` for each pair of ``ranks`` and
+    ``seeds``, as one checked (K, 2^n, 2^n) stack.
+
+    Each state is drawn from its own ``default_rng(seed)``, one after the
+    other; its draws fill the first ``rank`` columns of a (2^n, max rank)
+    block whose other columns stay zero.  The normalization, Gram product,
+    symmetrization, trace division and the :class:`DensityOperator`
+    checks then run once over the stack.
+    """
+    dim = 2**n_qubits
+    ranks = list(ranks)
+    for rank in ranks:
+        if not 1 <= rank <= dim:
+            raise ValueError(f"rank must be in 1..{dim}, got {rank}")
+    block = np.zeros((len(ranks), dim, max(ranks)), dtype=complex)
+    for k, (rank, seed) in enumerate(zip(ranks, seeds, strict=True)):
+        rng = np.random.default_rng(seed)
+        block.real[k, :, :rank] = rng.standard_normal((dim, rank))
+        block.imag[k, :, :rank] = rng.standard_normal((dim, rank))
+    block /= np.linalg.norm(block, axis=(1, 2), keepdims=True)
+    mat = block @ block.conj().transpose(0, 2, 1)
+    mat = (mat + mat.conj().transpose(0, 2, 1)) / 2
+    mat /= np.trace(mat, axis1=1, axis2=2).real[:, None, None]
+    check_density(mat)
+    return mat
+
+
 def random_state(n_qubits: int, rank: int, seed: int) -> DensityOperator:
     """Seeded random density operator of the given rank.
 
     rank 1 yields a Haar-random pure state; rank r > 1 traces a Haar-random
     pure state on system x (r-dimensional ancilla) over the ancilla, the
-    standard construction for rank-controlled mixed states.  Output is
-    bitwise reproducible for a fixed seed.
+    standard construction for rank-controlled mixed states: a (2^n, r)
+    block of complex normals, real parts drawn before imaginary ones,
+    normalized, times its own adjoint.  Output is bitwise reproducible for
+    a fixed seed.  It is the one member of ``random_states(n_qubits,
+    [rank], [seed])``.
     """
-    dim = 2**n_qubits
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must be in 1..{dim}, got {rank}")
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    block /= np.linalg.norm(block)
-    mat = block @ block.conj().T
-    mat = (mat + mat.conj().T) / 2
-    mat /= mat.trace().real
-    return DensityOperator(n_qubits, mat)
+    return DensityOperator(n_qubits, random_states(n_qubits, [rank], [seed])[0])

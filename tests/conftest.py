@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from puritynet.lattice import INTERNALS, ROWS, FockState, LatticeParams, build_fock_basis, embed_two_copies
-from puritynet.qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity, random_state
+from puritynet.qstate import CapacityError, DensityOperator, PureState, check_qubit_capacity
 from puritynet.states import InversionError, cat_purity_closed_form, cat_state, estimate_epsilon
 
 
@@ -65,6 +65,23 @@ def maximally_mixed(n_qubits: int) -> DensityOperator:
 def ref_purity(mat: np.ndarray) -> float:
     """tr(m @ m) by explicit matrix multiplication."""
     return float(np.trace(mat @ mat).real)
+
+
+def ref_random_state(n_qubits: int, rank: int, seed: int) -> DensityOperator:
+    """``random_state(n_qubits, rank, seed)`` built on its own: a
+    (2^n, rank) block of complex normals from ``default_rng(seed)`` (real
+    parts drawn first), divided by its norm, times its own adjoint,
+    symmetrized and divided by its trace."""
+    dim = 2**n_qubits
+    if not 1 <= rank <= dim:
+        raise ValueError(f"rank must be in 1..{dim}, got {rank}")
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    block /= np.linalg.norm(block)
+    mat = block @ block.conj().T
+    mat = (mat + mat.conj().T) / 2
+    mat /= mat.trace().real
+    return DensityOperator(n_qubits, mat)
 
 
 def ref_subset_purity(mat: np.ndarray, n: int, subset) -> float:
@@ -463,8 +480,8 @@ def ref_occupancy_probabilities(ensemble, site: int) -> tuple[float, float]:
 def ref_end_to_end(n_states: int, J: float, seed: int) -> list[dict]:
     """The ``end_to_end`` entries of ``lattice-validate``, one state at a time.
 
-    State k is ``random_state(1, 1 + k % 2, seed + 1000 + k)``, as the
-    command draws it.  Each is embedded by ``embed_two_copies``, every
+    State k is :func:`ref_random_state` ``(1, 1 + k % 2, seed + 1000 + k)``,
+    as the command draws it.  Each is embedded by ``embed_two_copies``, every
     member is evolved by the dense hopping propagator at t_bs
     (:func:`ref_hamiltonians`, :func:`ref_propagator`) and the ensemble is
     read out by :func:`ref_occupancy_probabilities`; the expected value is
@@ -475,7 +492,7 @@ def ref_end_to_end(n_states: int, J: float, seed: int) -> list[dict]:
     bs_prop = ref_propagator(h_bs, params.t_bs)
     entries = []
     for k in range(n_states):
-        rho = random_state(1, 1 + k % 2, seed + 1000 + k)
+        rho = ref_random_state(1, 1 + k % 2, seed + 1000 + k)
         basis, ensemble = embed_two_copies(rho)
         evolved = [(w, FockState(basis, bs_prop @ state.amplitudes)) for w, state in ensemble]
         _, p_diff = ref_occupancy_probabilities(evolved, 1)

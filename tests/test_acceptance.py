@@ -247,7 +247,7 @@ def test_criterion_07_ghz_identification():
 def test_criterion_08_lattice_bs_timing():
     params = LatticeParams(n_sites=1)
     basis, states = standard_test_states()
-    min_fidelity = hopping_bs_check(params, basis, states).min()
+    min_fidelity = hopping_bs_check(params.J, [params.U], basis, states)[0].min()
 
     h_bs, _ = build_hamiltonians(params, basis)
     prop = propagator(h_bs, params.t_bs)
@@ -270,10 +270,7 @@ def test_criterion_08_lattice_bs_timing():
 
 def test_criterion_09_interaction_phase():
     basis, _ = standard_test_states()
-    worst = 0.0
-    for theta in (0.1, math.pi / 2, math.pi):
-        rep = interaction_phase_check(U=theta, basis=basis)
-        worst = max(worst, rep["max_deviation"])
+    worst = max(rep["max_deviation"] for rep in interaction_phase_check((0.1, math.pi / 2, math.pi), basis))
     ok = worst <= 1e-12
     assert report(
         9, "doubly occupied site-rows acquire exactly U per unit time", ok, f"worst deviation {worst:.2e}"

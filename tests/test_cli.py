@@ -37,7 +37,7 @@ from puritynet.cli import (
     write_csv,
     write_json,
 )
-from puritynet import bs_network, cli, qstate, separability
+from puritynet import bs_network, cli, lattice, qstate, separability
 from puritynet.lattice import COUPLING_MAX, COUPLING_MIN, build_fock_basis
 from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
 from puritynet.states import cat_purity_closed_form, estimate_epsilon
@@ -699,17 +699,26 @@ class TestLatticeValidateCommand:
         ids=["defaults", "u-off-the-sweep", "u-on-the-sweep", "signed-zero-u"],
     )
     def test_each_distinct_coupling_checked_once(self, tmp_path, monkeypatch, argv, checks):
-        # --u and the sweep's U = ratio * J share one splitter check where they coincide
-        real, couplings = cli.hopping_bs_check, []
+        # --u and the sweep's U = ratio * J share one member of the one
+        # splitter stack where they coincide
+        real_check, real_propagator, stacks, evolved = cli.hopping_bs_check, lattice.propagator, [], []
 
-        def counted(params, basis, amplitudes):
-            couplings.append(params.U)
-            return real(params, basis, amplitudes)
+        def check(J, us, basis, amplitudes):
+            stacks.append(list(us))
+            return real_check(J, us, basis, amplitudes)
 
-        monkeypatch.setattr(cli, "hopping_bs_check", counted)
+        def counted(hamiltonian, t):
+            evolved.append(hamiltonian.shape)
+            return real_propagator(hamiltonian, t)
+
+        monkeypatch.setattr(cli, "hopping_bs_check", check)
+        monkeypatch.setattr(lattice, "propagator", counted)
         out = tmp_path / "lat.json"
         assert run("lattice-validate", *argv, "--end-to-end-states", "1", "--out", str(out)) == EXIT_OK
+        [couplings] = stacks
         assert len(couplings) == len(set(couplings)) == checks
+        # one stack of every splitter coupling and one of the three phase checks
+        assert evolved == [(checks, 10, 10), (3, 10, 10)]
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -1269,6 +1278,37 @@ def test_negative_values_after_a_space_in_fresh_processes(tmp_path):
         argv = [command, *_QUICK_ARGV.get(command, []), flag, _negative_text(kind), "--out", str(out)]
         fresh = subprocess.run([sys.executable, "-m", "puritynet", *argv], env=env, capture_output=True, text=True)
         _check_negative_value(command, flag, kind, fresh.returncode, fresh.stderr, out)
+
+
+#: A prefix of a flag is not the flag: each is rejected by argparse as unrecognized.
+_ABBREVIATED_ARGV = [
+    ["probe", "--spec-text", GHZ_SPEC, "--thresh", "1e-5"],
+    ["probe", "--spec-text", GHZ_SPEC, "--thresh", "-1e-5"],
+    ["lattice-validate", "--end-to-end", "2"],
+    ["cat-experiment", "--epsilon", "0.5", "--surv", "0.9"],
+]
+
+
+@pytest.mark.parametrize("argv", _ABBREVIATED_ARGV, ids=["thresh", "thresh-negative", "end-to-end", "surv"])
+def test_abbreviated_flag_is_unrecognized(tmp_path, capsys, argv):
+    out = tmp_path / "r.out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_abbreviated_flags_are_unrecognized_in_fresh_processes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for k, argv in enumerate(_ABBREVIATED_ARGV):
+        out = tmp_path / f"r{k}.out"
+        fresh = subprocess.run(
+            [sys.executable, "-m", "puritynet", *argv, "--out", str(out)], env=env, capture_output=True, text=True
+        )
+        assert fresh.returncode == EXIT_USAGE
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in fresh.stderr
+        assert "Traceback" not in fresh.stderr and not out.exists()
 
 
 class TestOneParserPerProcess:

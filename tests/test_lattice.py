@@ -213,7 +213,7 @@ class TestHamiltonians:
         "call",
         [
             lambda: LatticeParams(n_sites=1, J=1e-320).t_bs,
-            lambda: hopping_bs_check(LatticeParams(n_sites=1, J=1e-307, U=1e100), *standard_test_states()),
+            lambda: hopping_bs_check(1e-307, [1e100], *standard_test_states()),
         ],
         ids=["t_bs-inf", "propagator-phase-overflow"],
     )
@@ -236,8 +236,8 @@ class TestHamiltonians:
     def test_coupling_range_edges_run_without_warning(self, J, U):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fidelities = hopping_bs_check(LatticeParams(n_sites=1, J=J, U=U), *standard_test_states())
-        assert np.isfinite(fidelities).all()
+            fidelities, propagators = hopping_bs_check(J, [U], *standard_test_states())
+        assert np.isfinite(fidelities).all() and np.isfinite(propagators).all()
 
 
 class TestPropagator:
@@ -364,11 +364,50 @@ class TestPropagator:
         np.fill_diagonal(pattern, False)
         plan = lattice._block_plan(basis.dim, np.packbits(pattern).tobytes())
         assert lattice._block_plan.cache_info().hits == hits + 1
-        assert [members.shape for members in plan] == [(4, 5), (12, 8), (6, 9), (12, 12), (1, 16)]
-        for members in plan:
-            assert not members.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                members[0, 0] = 1
+        assert plan.sizes == ((5, 4), (8, 12), (9, 6), (12, 12), (16, 1))
+        # every entry of every block once, and each block's entries in its own rows and columns
+        assert plan.flat.shape == (sum(size * size * count for size, count in plan.sizes),)
+        assert len(np.unique(plan.flat)) == len(plan.flat)
+        rows, cols = np.divmod(plan.flat, basis.dim)
+        assert np.count_nonzero(h_bs[rows, cols]) == np.count_nonzero(h_bs)
+        assert not plan.flat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            plan.flat[0] = 1
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_stack_members_equal_their_own_calls(self, n_sites):
+        # members sharing one off-diagonal pattern: h_bs plus any diagonal,
+        # and diagonals alone
+        basis = build_fock_basis(4 * n_sites, 2 * n_sites)
+        couplings = [LatticeParams(n_sites=n_sites, J=1.3, U=U) for U in (0.0, 0.45, -2.0, 0.0)]
+        h_bs = build_hamiltonians(couplings[0], basis)[0]
+        diagonals = [np.diag(build_hamiltonians(p, basis)[1]) for p in couplings]
+        for stack in (np.stack([h_bs + d for d in diagonals]), np.stack(diagonals)):
+            got = propagator(stack, 0.7)
+            assert got.shape == stack.shape and got.dtype == np.complex128
+            for member, h in zip(got, stack):
+                assert member.tobytes() == propagator(h, 0.7).tobytes()
+
+    def test_one_member_stack_is_the_matrix_call(self):
+        basis = build_fock_basis(8, 4)
+        params = LatticeParams(n_sites=2, J=0.8, U=0.3)
+        h_bs, h_int = build_hamiltonians(params, basis)
+        h = h_bs + np.diag(h_int)
+        got = propagator(h[None], params.t_bs)
+        assert got.shape == (1, basis.dim, basis.dim)
+        assert got[0].tobytes() == propagator(h, params.t_bs).tobytes()
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_mixed_pattern_stack_matches_dense_oracle(self, n_sites):
+        # diag(h_int) has no off-diagonal entry, so the stack's blocks are
+        # those of h_bs, and the diagonal member is decomposed in them
+        basis = build_fock_basis(4 * n_sites, 2 * n_sites)
+        params = LatticeParams(n_sites=n_sites, J=1.1, U=0.6)
+        h_bs, h_int = build_hamiltonians(params, basis)
+        stack = np.stack([np.diag(h_int), h_bs, h_bs + np.diag(h_int)])
+        got = propagator(stack, params.t_bs)
+        for member, h in zip(got, stack):
+            np.testing.assert_allclose(member, ref_propagator(h, params.t_bs), rtol=0, atol=1e-12)
 
 
 class TestEvolve:
@@ -502,8 +541,9 @@ class TestStandardTestStates:
 
 class TestHoppingBSCheck:
     def test_ideal_fidelities(self):
-        fidelities = hopping_bs_check(LatticeParams(n_sites=1), *standard_test_states())
-        assert fidelities.shape == (10,) and fidelities.dtype == np.float64
+        fidelities, propagators = hopping_bs_check(1.0, [0.0], *standard_test_states())
+        assert fidelities.shape == (1, 10) and fidelities.dtype == np.float64
+        assert propagators.shape == (1, 10, 10) and propagators.dtype == np.complex128
         assert fidelities.min() >= 1 - 1e-10
 
     def test_two_site_fidelities(self):
@@ -514,7 +554,7 @@ class TestHoppingBSCheck:
         occ[mode_index(2, "I", "b")] = 1
         occ[mode_index(2, "II", "b")] = 1
         states = basis_state(basis, tuple(occ)).amplitudes[None]
-        assert hopping_bs_check(LatticeParams(n_sites=2), basis, states).min() >= 1 - 1e-10
+        assert hopping_bs_check(1.0, [0.0], basis, states)[0].min() >= 1 - 1e-10
 
     def test_hom_probabilities_after_evolution(self):
         params = LatticeParams(n_sites=1)
@@ -537,13 +577,17 @@ class TestHoppingBSCheck:
             rng = np.random.default_rng(8)
             amps = rng.standard_normal((3, basis.dim)) + 1j * rng.standard_normal((3, basis.dim))
             states = amps / np.linalg.norm(amps, axis=1, keepdims=True)
-        for params in (LatticeParams(n_sites=n_sites, J=0.9), LatticeParams(n_sites=n_sites, J=0.9, U=0.4)):
+        us = (0.0, 0.4, -1.1)
+        fidelities, propagators = hopping_bs_check(0.9, us, basis, states)
+        assert fidelities.shape == (len(us), len(states))
+        u_ideal = mode_unitary_matrix(ideal_bs_mode_matrix(n_sites), basis)
+        for got, got_prop, U in zip(fidelities, propagators, us):
+            params = LatticeParams(n_sites=n_sites, J=0.9, U=U)
             h_bs, h_int = build_hamiltonians(params, basis)
             u_prop = propagator(h_bs + np.diag(h_int), params.t_bs)
-            u_ideal = mode_unitary_matrix(ideal_bs_mode_matrix(n_sites), basis)
+            # the members share h_bs's off-diagonal pattern, so each is its own call
+            assert got_prop.tobytes() == u_prop.tobytes()
             want = [abs(np.vdot(u_ideal @ s, u_prop @ s)) ** 2 for s in states]
-            got = hopping_bs_check(params, basis, states)
-            assert got.shape == (len(states),)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -562,7 +606,25 @@ class TestHoppingBSCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
-                hopping_bs_check(LatticeParams(n_sites=1), basis, bad(states[6:9]))
+                hopping_bs_check(1.0, [0.0], basis, bad(states[6:9]))
+
+    @pytest.mark.parametrize(
+        "J, us, message",
+        [(1.0, [], "at least one coupling"), (0.0, [0.0], "^J must lie in"), (1.0, [0.0, 2e100], "^U must lie in")],
+        ids=["no-coupling", "J-out-of-range", "U-out-of-range"],
+    )
+    def test_bad_couplings_rejected(self, J, us, message):
+        with pytest.raises(ValueError, match=message):
+            hopping_bs_check(J, us, *standard_test_states())
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_zero_coupling_member_is_the_hopping_propagator(self, n_sites):
+        # lattice-validate evolves the HOM and end-to-end states by this member
+        basis = build_fock_basis(4 * n_sites, 2 * n_sites)
+        params = LatticeParams(n_sites=n_sites, J=1.7)
+        _, propagators = hopping_bs_check(params.J, [0.3, 0.0, 1.7], basis, np.eye(basis.dim, dtype=complex)[:1])
+        h_bs, _ = build_hamiltonians(params, basis)
+        assert propagators[1].tobytes() == propagator(h_bs, params.t_bs).tobytes()
 
     @pytest.mark.parametrize("n_sites", [1, 2])
     def test_splitter_and_hamiltonian_plan_built_once_per_basis(self, monkeypatch, n_sites):
@@ -580,21 +642,20 @@ class TestHoppingBSCheck:
         monkeypatch.setattr(lattice, "mode_unitary_matrix", counted("mode_unitary_matrix", mode_unitary_matrix))
         monkeypatch.setattr(lattice.FockBasis, "positions", counted("positions", lattice.FockBasis.positions))
         # an earlier test may have built both for this basis already
-        hopping_bs_check(LatticeParams(n_sites=n_sites), basis, states)
+        hopping_bs_check(1.0, [0.0], basis, states)
         assert calls["mode_unitary_matrix"] <= 1 and calls["positions"] <= 1
         built = dict(calls)
+        hopping_bs_check(1.3, (0.0, 0.5, -1.0), basis, states)
         for U in (0.0, 0.5, -1.0):
-            params = LatticeParams(n_sites=n_sites, J=1.3, U=U)
-            hopping_bs_check(params, basis, states)
-            build_hamiltonians(params, build_fock_basis(4 * n_sites, 2 * n_sites))
-        interaction_phase_check(0.7, basis)
+            build_hamiltonians(LatticeParams(n_sites=n_sites, J=1.3, U=U), build_fock_basis(4 * n_sites, 2 * n_sites))
+        interaction_phase_check([0.7], basis)
         assert calls == built
 
     @pytest.mark.parametrize("n_sites", [1, 2])
     def test_cached_arrays_are_read_only(self, n_sites):
         basis = build_fock_basis(4 * n_sites, 2 * n_sites)
         build_hamiltonians(LatticeParams(n_sites=n_sites), basis)
-        hopping_bs_check(LatticeParams(n_sites=n_sites), basis, np.eye(basis.dim, dtype=complex)[:1])
+        hopping_bs_check(1.0, [0.0], basis, np.eye(basis.dim, dtype=complex)[:1])
         cached = [*lattice._basis_plan(basis), lattice._ideal_splitter(basis)]
         for array in cached:
             assert not array.flags.writeable
@@ -603,35 +664,33 @@ class TestHoppingBSCheck:
 
     def test_interaction_degrades_fidelity(self):
         basis, states = standard_test_states()
-        baseline = hopping_bs_check(LatticeParams(n_sites=1), basis, states).min()
-        minima = [baseline]
-        for ratio in [0.01, 0.1, 1.0]:
-            params = LatticeParams(n_sites=1, U=ratio)
-            minima.append(hopping_bs_check(params, basis, states).min())
+        minima = hopping_bs_check(1.0, [0.0, 0.01, 0.1, 1.0], basis, states)[0].min(axis=1)
         assert all(a >= b - 1e-12 for a, b in zip(minima, minima[1:]))
-        assert minima[-1] < baseline - 1e-3
+        assert minima[-1] < minima[0] - 1e-3
 
 
 class TestInteractionPhase:
     @pytest.mark.parametrize("theta", [0.1, math.pi / 2, math.pi])
     def test_double_occupancy_phase(self, theta):
         basis = build_fock_basis(4, 2)
-        report = interaction_phase_check(U=theta, basis=basis)
+        [report] = interaction_phase_check([theta], basis)
         assert report["theta"] == theta
         assert report["passed"]
         assert report["checked_configs"] == basis.dim
 
     def test_beyond_double_occupancy_skipped(self):
         basis = build_fock_basis(4, 3)
-        report = interaction_phase_check(U=0.9, basis=basis)
+        [report] = interaction_phase_check([0.9], basis)
         assert report["checked_configs"] < basis.dim
         assert report["passed"]
 
     def test_entry_holds_plain_values_in_report_order(self):
         # the JSON writer rejects numpy scalars, so the entry is written as it is
-        report = interaction_phase_check(U=0.1, basis=build_fock_basis(4, 2))
-        assert list(report) == ["theta", "max_deviation", "checked_configs", "passed"]
-        assert [type(v) for v in report.values()] == [float, float, int, bool]
+        reports = interaction_phase_check((0.1, 2), build_fock_basis(4, 2))
+        assert isinstance(reports, list) and len(reports) == 2
+        for report in reports:
+            assert list(report) == ["theta", "max_deviation", "checked_configs", "passed"]
+            assert [type(v) for v in report.values()] == [float, float, int, bool]
 
     def test_a_wrong_interaction_diagonal_fails(self, monkeypatch):
         # the check evolves the H_int of build_hamiltonians, so an error there shows
@@ -643,8 +702,9 @@ class TestInteractionPhase:
 
         basis = build_fock_basis(4, 2)
         monkeypatch.setattr(lattice, "build_hamiltonians", shifted)
-        for theta in (0.1, math.pi / 2, math.pi):
-            report = interaction_phase_check(U=theta, basis=basis)
+        reports = interaction_phase_check((0.1, math.pi / 2, math.pi), basis)
+        assert len(reports) == 3
+        for report in reports:
             assert report["checked_configs"] == basis.dim
             assert report["passed"] is False
 
@@ -653,7 +713,7 @@ class TestInteractionPhase:
     def test_matches_the_per_configuration_oracle(self, n_modes, theta):
         # three bosons: configurations with a site-row beyond 2 are skipped
         basis = build_fock_basis(n_modes, 3)
-        report = interaction_phase_check(U=theta, basis=basis)
+        [report] = interaction_phase_check([theta], basis)
         want = ref_interaction_phase(theta, basis)
         assert 0 < want["checked_configs"] < basis.dim
         assert report["max_deviation"] == pytest.approx(want["max_deviation"], rel=0, abs=1e-12)
@@ -661,13 +721,12 @@ class TestInteractionPhase:
 
     def test_largest_finite_theta_runs(self):
         # |U| <= COUPLING_MAX keeps every phase finite, at 1 and at 2 columns
-        for U in (COUPLING_MAX, -COUPLING_MAX):
-            for n_modes, bosons in ((4, 2), (8, 4)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    report = interaction_phase_check(U=U, basis=build_fock_basis(n_modes, bosons))
-                assert report["theta"] == U
-                assert report["passed"]
+        for n_modes, bosons in ((4, 2), (8, 4)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reports = interaction_phase_check((COUPLING_MAX, -COUPLING_MAX), build_fock_basis(n_modes, bosons))
+            assert [report["theta"] for report in reports] == [COUPLING_MAX, -COUPLING_MAX]
+            assert all(report["passed"] for report in reports)
 
 
 class TestEmbedTwoCopies:
@@ -852,7 +911,7 @@ class TestOccupancyProbabilities:
             occupancy_probabilities(ensemble, site)
             occupancy_probabilities(embed_two_copies(random_state(n_sites, 1, site))[1], site)
         build_hamiltonians(LatticeParams(n_sites=n_sites, U=0.2), basis)
-        interaction_phase_check(0.3, basis)
+        interaction_phase_check([0.3], basis)
         assert len(calls) == built
         plan = lattice._basis_plan(basis)
         assert lattice._basis_plan(basis) is plan

@@ -11,12 +11,14 @@ from puritynet.qstate import (
     DensityOperator,
     PureState,
     check_normalized,
+    check_density,
     purity,
     random_state,
+    random_states,
     trace_site,
 )
 
-from conftest import maximally_mixed, random_pure_state, ref_partial_trace, ref_purity, tensor
+from conftest import maximally_mixed, random_pure_state, ref_partial_trace, ref_purity, ref_random_state, tensor
 
 I2 = maximally_mixed(1)
 KET0 = DensityOperator(1, np.diag([1.0, 0.0]).astype(complex))
@@ -135,6 +137,37 @@ def test_random_state_rank_out_of_range():
         random_state(1, 3, 0)
     with pytest.raises(ValueError):
         random_state(1, 0, 0)
+    with pytest.raises(ValueError, match="rank must be in 1..2, got 3"):
+        random_states(1, [1, 3], [0, 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_states_match_the_per_seed_oracle(n):
+    # every rank, each at several seeds, in one stack of mixed ranks: the
+    # zero columns that pad the smaller ranks change nothing
+    ranks = [rank for rank in range(1, 2**n + 1) for _ in range(3)]
+    seeds = [1000 * n + 17 * k for k in range(len(ranks))]
+    stack = random_states(n, ranks, seeds)
+    assert stack.shape == (len(ranks), 2**n, 2**n)
+    for matrix, rank, seed in zip(stack, ranks, seeds):
+        want = ref_random_state(n, rank, seed).matrix
+        np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(random_state(n, rank, seed).matrix, want, rtol=0, atol=1e-15)
+        assert np.linalg.matrix_rank(matrix, tol=1e-10) == rank
+
+
+def test_check_density_checks_every_member_of_a_stack():
+    good = random_states(1, [1, 2], [3, 4])
+    check_density(good)
+    skewed = good.copy()
+    skewed[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"not Hermitian: max \|rho - rho\^dag\| = 1.000e-06"):
+        check_density(skewed)
+    scaled = good * [[[1.0]], [[1.5]]]
+    with pytest.raises(ValueError, match="trace deviates from 1 by 5.000e-01"):
+        check_density(scaled)
+    with pytest.raises(ValueError, match="non-finite"):
+        check_density(good + [[[0.0]], [[np.nan]]])
 
 
 def test_pure_state_validation():
