@@ -14,20 +14,17 @@ from .qstate import (
     CapacityError,
     DensityOperator,
     PureState,
-    purity,
     random_state,
 )
 from .separability import (
     SubsetPurityMap,
     all_subset_purities,
-    check_chain,
     chsh_max,
     fig2a_violations,
 )
 from .bs_network import (
     JointSignProbabilityTable,
     joint_sign_probabilities,
-    pair_projection_probabilities,
     purities_from_probabilities,
 )
 from .states import (

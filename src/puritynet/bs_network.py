@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityOperator, PureState, purity, site_mask
+from .qstate import DensityOperator, PureState, site_mask
 from .separability import SubsetPurityMap, all_subset_purities, freeze_values
 
 #: How far from 1 a probability table may sum and still be inverted.
@@ -90,25 +90,6 @@ class JointSignProbabilityTable:
         """Sum of the entries; inf or NaN when finite entries overflow it."""
         with np.errstate(over="ignore", invalid="ignore"):
             return float(self.values.sum())
-
-
-@dataclass(frozen=True)
-class PairProjectionProbabilities:
-    p_plus: float
-    p_minus: float
-
-
-def pair_projection_probabilities(rho_j: DensityOperator) -> PairProjectionProbabilities:
-    """Symmetric/antisymmetric projection probabilities for one site pair.
-
-    P_+/- = (1 +/- tr(rho_j^2)) / 2 on the two-copy state rho_j x rho_j.
-    Identical pure bosons never antisymmetrize (P_- = 0); the maximally
-    mixed qubit gives P_- = 1/4.
-    """
-    if rho_j.n_qubits != 1:
-        raise ValueError("expected a single-qubit state")
-    p = purity(rho_j)
-    return PairProjectionProbabilities((1 + p) / 2, (1 - p) / 2)
 
 
 def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProbabilityTable:

@@ -57,7 +57,6 @@ from .separability import (
     PURITY_ERROR,
     VIOLATION_THRESHOLD,
     ChainLinks,
-    above_threshold,
     all_subset_purities,
     chain_links,
     fig2a_violations,
@@ -435,7 +434,7 @@ def run_probe(args) -> int:
     links = chain_links(parse_chains(args.chains), n) if args.chains else plan.default_chains
     # every link of every chain in one gather
     violations = links.violations(purities)
-    flags = above_threshold(violations, args.threshold)
+    flags = violations > args.threshold
     violations = violations.tolist()
     table = sign_probabilities_from_purities(purities)
 
@@ -498,7 +497,7 @@ def run_lattice_validate(args) -> int:
     # embedded, evolved and read out together, one array pass over all members.
     seeds = range(args.seed + 1000, args.seed + 1000 + args.end_to_end_states)
     matrices = random_states(1, [1 + k % 2 for k in range(len(seeds))], seeds)
-    # pair_projection_probabilities' P_- = (1 - tr rho^2) / 2 of every state
+    # each state's antisymmetric-projection probability P_- = (1 - tr rho^2) / 2 on two copies
     expected = ((1 - (matrices.conj() * matrices).real.sum(axis=(1, 2))) / 2).tolist()
     _, owner, weights, members = embed_two_copies_stack(matrices)
     check_normalized(members)  # bs_prop is unitary, so the evolved members keep the norm

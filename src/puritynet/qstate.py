@@ -1,6 +1,6 @@
 """Dense linear algebra for finite-dimensional quantum states.
 
-Construction, reduction and purity of qubit density operators.
+Construction and reduction of qubit density operators.
 Sites are labelled 1..N and map big-endian onto the amplitude index: site 1
 is the most significant bit of the computational-basis index, so |x1 x2 x3>
 has index x1*4 + x2*2 + x3 for three qubits.
@@ -178,16 +178,6 @@ def trace_site(matrix: np.ndarray, position: int) -> np.ndarray:
     b = matrix.shape[0] // (2 * a)
     t = matrix.reshape(a, 2, b, a, 2, b)
     return (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(a * b, a * b)
-
-
-def purity(rho: DensityOperator) -> float:
-    """tr(rho^2), computed as the squared Frobenius norm.
-
-    For Hermitian rho, tr(rho^2) = sum_ij |rho_ij|^2, which avoids the
-    O(dim^3) matrix product.  Hermiticity is guaranteed by the
-    DensityOperator invariant.
-    """
-    return float(np.vdot(rho.matrix, rho.matrix).real)
 
 
 def random_states(n_qubits: int, ranks, seeds) -> np.ndarray:

@@ -174,13 +174,6 @@ def _pure_roots(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     )
 
 
-def above_threshold(violations, threshold: float):
-    """The threshold rule: a link flags entanglement when its violation
-    exceeds ``threshold`` (checked once by its caller, finite and at least
-    ``PURITY_ERROR``).  ``violations`` is one float or an array."""
-    return violations > threshold
-
-
 @dataclass(frozen=True, eq=False)
 class ChainLinks:
     """The links of a list of strictly nested chains, flattened for one gather.
@@ -226,57 +219,6 @@ def chain_links(chains, n_sites: int) -> ChainLinks:
     for a in arrays:
         a.flags.writeable = False
     return ChainLinks(tuple(masks), *arrays)
-
-
-@dataclass(frozen=True)
-class ChainLink:
-    larger: int  # site mask, the index of SubsetPurityMap.values
-    smaller: int
-    violation: float  # purity(larger) - purity(smaller)
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Purity differences along one nested chain of subsets, as site masks."""
-
-    chain: tuple[int, ...]
-    links: tuple[ChainLink, ...]
-    threshold: float = VIOLATION_THRESHOLD
-
-    def __post_init__(self):
-        if not (math.isfinite(self.threshold) and self.threshold >= PURITY_ERROR):
-            # below the purities' own rounding error, separable states would read as entangled
-            raise ValueError(
-                f"threshold must be finite and at least {PURITY_ERROR:g}, the arithmetic "
-                f"error of a purity, got {self.threshold}"
-            )
-
-    @property
-    def violations(self) -> tuple[ChainLink, ...]:
-        return tuple(l for l in self.links if above_threshold(l.violation, self.threshold))
-
-    @property
-    def entangled(self) -> bool:
-        return bool(self.violations)
-
-    @property
-    def max_violation(self) -> float:
-        return max((l.violation for l in self.links), default=0.0)
-
-
-def check_chain(purities: SubsetPurityMap, chain, threshold: float = VIOLATION_THRESHOLD) -> ChainReport:
-    """Evaluate the purity inequality along a strictly nested chain.
-
-    ``chain`` (any iterable) lists subsets from largest to smallest, under
-    the nesting rule of :func:`chain_links`.  A separable state never
-    produces a link with purity(larger) > purity(smaller) beyond numerical
-    noise, so any link above ``threshold`` flags entanglement.  ``threshold``
-    must be finite and at least ``PURITY_ERROR`` (``ValueError`` otherwise).
-    The report holds each subset as its site mask.
-    """
-    links = chain_links([chain], purities.n_sites)
-    triples = zip(links.larger.tolist(), links.smaller.tolist(), links.violations(purities).tolist())
-    return ChainReport(links.chains[0], tuple(ChainLink(*t) for t in triples), threshold)
 
 
 def maximal_chains(n_sites: int) -> list[tuple[tuple[int, ...], ...]]:

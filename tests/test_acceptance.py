@@ -22,7 +22,6 @@ import numpy as np
 
 from puritynet.bs_network import (
     joint_sign_probabilities,
-    pair_projection_probabilities,
     purities_from_probabilities,
 )
 from puritynet.cli import main as cli_main
@@ -39,8 +38,9 @@ from puritynet.lattice import (
 )
 from puritynet.qstate import DensityOperator, PureState, random_state
 from puritynet.separability import (
+    VIOLATION_THRESHOLD,
     all_subset_purities,
-    check_chain,
+    chain_links,
     chsh_max,
     chsh_threshold_phi,
     fig2a_violations,
@@ -59,6 +59,7 @@ from conftest import (
     projector_expectation_oracle,
     ref_chsh_max_pure,
     ref_epsilon_resolution,
+    ref_purity,
     ref_subset_purity,
     sign_probability,
     sign_vectors,
@@ -139,11 +140,12 @@ def test_criterion_04_chsh_threshold():
     # clause 2: purity detection covers every grid point where an
     # independent purity oracle sees a violation while CHSH is also checked
     purity_covers = True
+    links = chain_links([[(1, 2), (1,)]], 2)
     for phi in grid:
         rho = cluster_family_state(2, float(phi)).to_density()
         oracle_v = ref_subset_purity(rho.matrix, 2, [1, 2]) - ref_subset_purity(rho.matrix, 2, [1])
         if oracle_v > 1e-9:
-            detected = check_chain(all_subset_purities(rho), [(1, 2), (1,)]).entangled
+            detected = (links.violations(all_subset_purities(rho)) > VIOLATION_THRESHOLD).any()
             purity_covers = purity_covers and detected
 
     # The smallest violating phi is not an interior value near 0.7: for a
@@ -289,7 +291,7 @@ def test_criterion_10_end_to_end_pipeline():
             prop = propagator(h_bs, params.t_bs)
         evolved = [(w, FockState(basis, prop @ s.amplitudes)) for w, s in ensemble]
         got = occupancy_probabilities(evolved, 1).p_diff_mode
-        expected = pair_projection_probabilities(rho).p_minus
+        expected = (1 - ref_purity(rho.matrix)) / 2
         worst = max(worst, abs(got - expected))
     ok = worst <= 1e-9
     assert report(
@@ -360,7 +362,7 @@ def test_criterion_12_separable_non_detection():
             mat = term if mat is None else mat + term
         rho = DensityOperator(n, (mat + mat.conj().T) / 2)
         pm = all_subset_purities(rho)
-        if any(check_chain(pm, chain).entangled for chain in maximal_chains(n)):
+        if (chain_links(maximal_chains(n), n).violations(pm) > VIOLATION_THRESHOLD).any():
             flagged += 1
     ok = flagged == 0
     assert report(

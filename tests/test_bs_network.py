@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from puritynet.bs_network import (
     JointSignProbabilityTable,
-    pair_projection_probabilities,
     purities_from_probabilities,
     sign_probabilities_from_purities,
     joint_sign_probabilities,
@@ -17,7 +16,6 @@ from puritynet.bs_network import (
 from puritynet.qstate import (
     CapacityError,
     PureState,
-    purity,
     random_state,
 )
 from puritynet.separability import SubsetPurityMap, all_subset_purities
@@ -27,6 +25,7 @@ from conftest import (
     maximally_mixed,
     projector_expectation_oracle,
     random_pure_state,
+    ref_purity,
     ref_reduced,
     ref_walsh_hadamard,
     sign_probability,
@@ -34,34 +33,10 @@ from conftest import (
     triplet_singlet_weights,
 )
 
-SWAP4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-
-
 def all_zero(n):
     amps = np.zeros(2**n)
     amps[0] = 1.0
     return PureState(n, amps).to_density()
-
-
-class TestPairProjection:
-    def test_pure_state_never_antisymmetrizes(self):
-        out = pair_projection_probabilities(all_zero(1))
-        assert out.p_plus == pytest.approx(1.0, abs=1e-12)
-        assert out.p_minus == pytest.approx(0.0, abs=1e-12)
-
-    def test_maximally_mixed(self):
-        out = pair_projection_probabilities(maximally_mixed(1))
-        assert (out.p_plus, out.p_minus) == pytest.approx((0.75, 0.25), abs=1e-12)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_swap_matrix_oracle(self, seed):
-        # oracle: tr[(I +- V)/2 (rho x rho)] with the explicit 4x4 swap
-        rho = random_state(1, 2, seed)
-        two = np.kron(rho.matrix, rho.matrix)
-        p_plus = np.trace((np.eye(4) + SWAP4) / 2 @ two).real
-        out = pair_projection_probabilities(rho)
-        assert out.p_plus == pytest.approx(p_plus, abs=1e-12)
-        assert out.p_plus + out.p_minus == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTripletSingletWeights:
@@ -89,7 +64,7 @@ class TestTripletSingletWeights:
             expected = np.vdot(vec, two @ vec).real
             assert getattr(w, f"w_{name}") == pytest.approx(expected, abs=1e-12)
         assert w.total() == pytest.approx(1.0, abs=1e-10)
-        assert w.w_singlet == pytest.approx(pair_projection_probabilities(rho).p_minus, abs=1e-10)
+        assert w.w_singlet == pytest.approx((1 - ref_purity(rho.matrix)) / 2, abs=1e-10)
 
 
 class TestJointSignProbabilities:

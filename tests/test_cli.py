@@ -39,7 +39,7 @@ from puritynet.cli import (
 )
 from puritynet import bs_network, cli, lattice, qstate, separability
 from puritynet.lattice import COUPLING_MAX, COUPLING_MIN, build_fock_basis
-from puritynet.qstate import CapacityError, DensityOperator, PureState, purity, random_state
+from puritynet.qstate import CapacityError, DensityOperator, PureState, random_state
 from puritynet.states import cat_purity_closed_form, estimate_epsilon
 
 from conftest import (
@@ -48,6 +48,7 @@ from conftest import (
     ref_interaction_phase,
     ref_lattice_checks,
     ref_loss_count_distribution,
+    ref_purity,
     ref_subset_purity,
     tensor,
 )
@@ -74,7 +75,7 @@ class TestStateSpecParsing:
     def test_ghz(self):
         state, echo = parse_state_spec(GHZ_SPEC)
         assert echo["kind"] == "ghz" and echo["n_sites"] == 3
-        assert purity(state.to_density()) == pytest.approx(1.0, abs=1e-12)
+        assert ref_purity(state.to_density().matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_bloch_angles(self):
         state, _ = parse_state_spec(PRODUCT_SPEC)
@@ -83,7 +84,7 @@ class TestStateSpecParsing:
     def test_cluster_family(self):
         state, echo = parse_state_spec("statespec v1\nkind = cluster_family\nn = 2\nphi = 3.141592653589793\n")
         assert echo["phi"] == pytest.approx(math.pi)
-        assert purity(state.to_density()) == pytest.approx(1.0, abs=1e-12)
+        assert ref_purity(state.to_density().matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_cat_with_bloch_angles(self):
         text = "statespec v1\nkind = cat\nn = 3\nphi1 = 0,0\nphi2 = 3.141592653589793,0\n"
@@ -94,7 +95,7 @@ class TestStateSpecParsing:
         amps = np.array([1, 0, 0, 1]) / math.sqrt(2) * (1 + 5e-7)
         text = "statespec v1\nkind = raw\namplitudes = " + " ".join(str(complex(a)) for a in amps)
         state, _ = parse_state_spec(text)
-        assert purity(state.to_density()) == pytest.approx(1.0, abs=1e-10)
+        assert ref_purity(state.to_density().matrix) == pytest.approx(1.0, abs=1e-10)
 
     def test_raw_amplitudes_rejected_when_norm_off(self):
         with pytest.raises(SpecParseError, match="norm"):
@@ -106,7 +107,7 @@ class TestStateSpecParsing:
         )
         rows = ";".join(" ".join(str(complex(v)) for v in row) for row in mixture)
         rho, _ = parse_state_spec(f"statespec v1\nkind = raw\nmatrix = {rows}\n")
-        assert purity(rho) == pytest.approx(0.5, abs=1e-12)
+        assert ref_purity(rho.matrix) == pytest.approx(0.5, abs=1e-12)
 
     def test_raw_matrix_negative_rejected(self):
         rows = "1.2+0j 0j;0j -0.2+0j"
@@ -317,6 +318,8 @@ class TestProbeCommand:
                 expected = ref_subset_purity(rho.matrix, n, big) - ref_subset_purity(rho.matrix, n, small)
                 assert link["violation"] == pytest.approx(expected, abs=1e-12)
             assert got["violations"] == [l for l in got["links"] if l["violation"] > threshold]
+            assert got["entangled"] is bool(got["violations"])
+        assert report["max_violation"] == max(l["violation"] for c in report["chains"] for l in c["links"])
 
     def test_separable_mixture_via_matrix(self, tmp_path):
         rho = tensor([random_state(1, 2, 3), random_state(1, 2, 4)])
@@ -1168,10 +1171,6 @@ def _probe_argv(name: str, out) -> list[str]:
     return ["probe", "--spec-text", spec, *(["--chains", chains] if chains else []), "--out", str(out)]
 
 
-def _subset_key(mask: int, n: int) -> str:
-    return ",".join(str(s) for s in range(1, n + 1) if mask >> (n - s) & 1)
-
-
 class TestProbePlans:
     """``probe`` builds its per-N report plan and pure-state root plan once
     per process; a report must not depend on whether they were cached."""
@@ -1190,23 +1189,24 @@ class TestProbePlans:
             assert others == [first, first], name
 
     def test_chain_reports_match_check_chain_link_by_link(self, tmp_path):
+        # each link checked against purities of an independent partial trace
         spec, chains = PLAN_SPECS["raw-4-chains"]
         out = tmp_path / "r.json"
         assert main(_probe_argv("raw-4-chains", out)) == EXIT_OK
         report = json.loads(out.read_text())
-        purities = separability.all_subset_purities(parse_state_spec(spec)[0])
+        rho = parse_state_spec(spec)[0].matrix
         parsed = parse_chains(chains)
         assert sorted(len(c) for c in parsed) == [2, 2, 3, 3, 4]
         for got, chain in zip(report["chains"], parsed, strict=True):
-            want = separability.check_chain(purities, chain)
-            assert got["chain"] == [_subset_key(m, 4) for m in want.chain]
-            links = [
-                {"larger": _subset_key(l.larger, 4), "smaller": _subset_key(l.smaller, 4), "violation": l.violation}
-                for l in want.links
-            ]
-            assert got["links"] == links
-            assert got["violations"] == [links[want.links.index(l)] for l in want.violations]
-            assert got["entangled"] is want.entangled
+            keys = [",".join(map(str, s)) for s in chain]
+            assert got["chain"] == keys
+            links = got["links"]
+            assert [(l["larger"], l["smaller"]) for l in links] == list(zip(keys, keys[1:]))
+            for link, big, small in zip(links, chain, chain[1:]):
+                want = ref_subset_purity(rho, 4, big) - ref_subset_purity(rho, 4, small)
+                assert link["violation"] == pytest.approx(want, abs=1e-12)
+            assert got["violations"] == [l for l in links if l["violation"] > report["threshold"]]
+            assert got["entangled"] is bool(got["violations"])
         assert report["max_violation"] == max(l["violation"] for c in report["chains"] for l in c["links"])
 
     def test_cached_plans_cannot_be_mutated(self):

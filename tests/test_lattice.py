@@ -27,7 +27,6 @@ from puritynet.lattice import (
     sample_loss,
     standard_test_states,
 )
-from puritynet.bs_network import pair_projection_probabilities
 from puritynet.qstate import DensityOperator, random_state
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     ref_mode_unitary_matrix,
     ref_occupancy_probabilities,
     ref_propagator,
+    ref_purity,
     ref_reduced,
     ref_test_states,
     superpose,
@@ -756,9 +756,9 @@ class TestEmbedTwoCopies:
         u = propagator(h_bs, params.t_bs)
         evolved = [(w, FockState(basis, u @ s.amplitudes)) for w, s in ensemble]
         out = occupancy_probabilities(evolved, 1)
-        expected = pair_projection_probabilities(rho)
-        assert out.p_diff_mode == pytest.approx(expected.p_minus, abs=1e-9)
-        assert out.p_same_mode == pytest.approx(expected.p_plus, abs=1e-9)
+        p = ref_purity(rho.matrix)
+        assert out.p_diff_mode == pytest.approx((1 - p) / 2, abs=1e-9)
+        assert out.p_same_mode == pytest.approx((1 + p) / 2, abs=1e-9)
 
     # the ranks the lattice_two_column benchmark feeds the 2-column pipeline
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -771,9 +771,9 @@ class TestEmbedTwoCopies:
         u = propagator(h_bs, params.t_bs)
         evolved = [(w, FockState(basis, u @ s.amplitudes)) for w, s in ensemble]
         for site in [1, 2]:
-            expected = pair_projection_probabilities(ref_reduced(rho, [site]))
+            expected = (1 - ref_purity(ref_reduced(rho, [site]).matrix)) / 2
             got = occupancy_probabilities(evolved, site)
-            assert got.p_diff_mode == pytest.approx(expected.p_minus, abs=1e-9)
+            assert got.p_diff_mode == pytest.approx(expected, abs=1e-9)
 
     def test_three_sites_beyond_the_fock_cap(self):
         # a refused layout is not cached: the second call is refused too

@@ -12,11 +12,11 @@ from puritynet.qstate import (
     PureState,
     check_normalized,
     check_density,
-    purity,
     random_state,
     random_states,
     trace_site,
 )
+from puritynet.separability import all_subset_purities
 
 from conftest import maximally_mixed, random_pure_state, ref_partial_trace, ref_purity, ref_random_state, tensor
 
@@ -44,7 +44,7 @@ def test_tensor_purity_multiplicative(seed):
     b = random_state(1, 2, seed + 100)
     prod = tensor([a, b])
     # oracle: direct matrix multiplication on each factor
-    assert purity(prod) == pytest.approx(ref_purity(a.matrix) * ref_purity(b.matrix), abs=1e-12)
+    assert all_subset_purities(prod).values[-1] == pytest.approx(ref_purity(a.matrix) * ref_purity(b.matrix), abs=1e-12)
 
 
 def test_tensor_capacity():
@@ -107,9 +107,10 @@ def test_tensor_partial_trace_round_trip(seed):
 
 
 def test_purity_trivial_values():
-    assert purity(I2) == pytest.approx(0.5, abs=1e-15)
-    assert purity(maximally_mixed(2)) == pytest.approx(0.25, abs=1e-15)
-    assert purity(KET0) == pytest.approx(1.0, abs=1e-15)
+    # the full set's entry of the table, tr(rho^2) of the whole state
+    assert all_subset_purities(I2).values[-1] == pytest.approx(0.5, abs=1e-15)
+    assert all_subset_purities(maximally_mixed(2)).values[-1] == pytest.approx(0.25, abs=1e-15)
+    assert all_subset_purities(KET0).values[-1] == pytest.approx(1.0, abs=1e-15)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 3))
@@ -117,7 +118,7 @@ def test_purity_trivial_values():
 def test_purity_bounds_and_reference(seed, n):
     rank = 1 + seed % (2**n)
     rho = random_state(n, rank, seed)
-    p = purity(rho)
+    p = all_subset_purities(rho).values[-1]
     assert 1 / 2**n - 1e-12 <= p <= 1 + 1e-12
     assert p == pytest.approx(ref_purity(rho.matrix), abs=1e-12)
 
@@ -126,7 +127,7 @@ def test_random_state_determinism_and_rank():
     a = random_state(2, 3, 42)
     b = random_state(2, 3, 42)
     assert np.array_equal(a.matrix, b.matrix)
-    assert purity(random_state(1, 1, 5)) == pytest.approx(1.0, abs=1e-12)
+    assert ref_purity(random_state(1, 1, 5).matrix) == pytest.approx(1.0, abs=1e-12)
     eigs = np.linalg.eigvalsh(random_state(2, 2, 11).matrix)
     assert np.sum(eigs > 1e-10) == 2
     assert np.linalg.eigvalsh(random_state(2, 1, 7).matrix).min() > -1e-12
@@ -177,7 +178,7 @@ def test_pure_state_validation():
         with pytest.raises(ValueError, match=f"length {length} is not a power of two"):
             PureState.from_amplitudes(np.ones(length))
     psi = random_pure_state(2, 3)
-    assert purity(psi.to_density()) == pytest.approx(1.0, abs=1e-12)
+    assert ref_purity(psi.to_density().matrix) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_operator_validation():

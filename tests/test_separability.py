@@ -11,16 +11,13 @@ from puritynet.qstate import (
     CapacityError,
     DensityOperator,
     PureState,
-    purity,
     random_state,
 )
 from puritynet.separability import (
-    PURITY_ERROR,
-    ChainReport,
+    VIOLATION_THRESHOLD,
     SubsetPurityMap,
     all_subset_purities,
     chain_links,
-    check_chain,
     chsh_max,
     chsh_threshold_phi,
     correlation_matrix,
@@ -33,8 +30,8 @@ from puritynet.states import cluster_family_state, ghz, linear_cluster
 from conftest import random_pure_state, ref_subset_purity, tensor
 
 
-#: A product state whose computed purities differ by rounding (~1e-16).
-SEPARABLE_ROUNDING_SPEC = "statespec v1\nkind = product\nqubits = 0,0; 0,0; 1.5708,0\n"
+#: Every maximal chain of three sites, as one gather.
+MAXIMAL_CHAINS_3 = chain_links(maximal_chains(3), 3)
 
 
 def all_zero(n):
@@ -93,7 +90,7 @@ class TestAllSubsetPurities:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
-        # a non-finite purity would reach check_chain as a violation of +-inf or NaN
+        # a non-finite purity would reach a chain's violations as +-inf or NaN
         with pytest.raises(ValueError, match="non-finite"):
             SubsetPurityMap(2, [1.0, bad, 0.5, 0.5])
         with pytest.raises(ValueError, match="non-finite"):
@@ -191,33 +188,33 @@ class TestPureSubsetPurities:
 
 
 class TestCheckChain:
+    """The one route from a purity table to a verdict: ``chain_links``'
+    nesting rule, then one gather of every link's violation."""
+
     def test_ghz_chain(self):
         pm = all_subset_purities(ghz(3).to_density())
-        rep = check_chain(pm, [(1, 2, 3), (1, 2), (1,)])
-        assert rep.links[0].violation == pytest.approx(0.5, abs=1e-12)
-        assert rep.links[1].violation == pytest.approx(0.0, abs=1e-12)
-        assert rep.entangled
-        assert len(rep.violations) == 1
+        violations = chain_links([[(1, 2, 3), (1, 2), (1,)]], 3).violations(pm)
+        assert violations[0] == pytest.approx(0.5, abs=1e-12)
+        assert violations[1] == pytest.approx(0.0, abs=1e-12)
+        assert (violations > VIOLATION_THRESHOLD).tolist() == [True, False]
 
     def test_product_state_no_flag(self):
         pm = all_subset_purities(all_zero(3))
-        for chain in maximal_chains(3):
-            assert not check_chain(pm, chain).entangled
+        assert not (MAXIMAL_CHAINS_3.violations(pm) > VIOLATION_THRESHOLD).any()
 
     def test_cluster_family_pi_first_link(self):
         pm = all_subset_purities(cluster_family_state(3, math.pi).to_density())
-        rep = check_chain(pm, [(1, 2, 3), (1, 2)])
-        assert rep.links[0].violation == pytest.approx(0.5, abs=1e-10)
+        violations = chain_links([[(1, 2, 3), (1, 2)]], 3).violations(pm)
+        assert violations[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_links_hold_site_masks_and_any_iterable_is_a_chain(self):
         pm = all_subset_purities(ghz(3))
         # a generator, its subsets' labels in any order
-        rep = check_chain(pm, ((3, 2, 1)[:k] for k in (3, 2, 1)))
-        assert rep == check_chain(pm, [(1, 2, 3), (2, 3), (3,)])
+        links = chain_links([((3, 2, 1)[:k] for k in (3, 2, 1))], 3)
         # site 1 is the top bit: {1,2,3} = 0b111, {2,3} = 0b011, {3} = 0b001
-        assert rep.chain == (7, 3, 1)
-        assert [(l.larger, l.smaller) for l in rep.links] == [(7, 3), (3, 1)]
-        assert rep.links[0].violation == pm.values[7] - pm.values[3]
+        assert links.chains == ((7, 3, 1),)
+        assert list(zip(links.larger.tolist(), links.smaller.tolist())) == [(7, 3), (3, 1)]
+        assert links.violations(pm)[0] == pm.values[7] - pm.values[3]
 
     def test_ragged_chains_flatten_into_one_gather(self):
         pm = all_subset_purities(random_pure_state(5, 2))
@@ -239,34 +236,17 @@ class TestCheckChain:
         assert links.violations(all_subset_purities(all_zero(3))).size == 0
 
     def test_non_nested_rejected(self):
-        pm = all_subset_purities(all_zero(3))
         with pytest.raises(ValueError, match="nested"):
-            check_chain(pm, [(1, 2), (1, 3)])
+            chain_links([[(1, 2), (1, 3)]], 3)
         with pytest.raises(ValueError):
-            check_chain(pm, [(1, 2)])
+            chain_links([[(1, 2)]], 3)
 
     def test_bad_subsets_rejected(self):
-        pm = all_subset_purities(all_zero(2))
         for bad in [(), (3,), (1, 1), (0,)]:
             with pytest.raises(ValueError, match="subset|site labels"):
-                check_chain(pm, [(1, 2), bad])
+                chain_links([[(1, 2), bad]], 2)
             with pytest.raises(ValueError, match="subset|site labels"):
-                check_chain(pm, [bad, (1,)])
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_threshold_below_purity_error_or_non_finite_rejected(self, bad):
-        # at threshold 0 the rounding of this separable state's purities reads as entangled
-        pm = all_subset_purities(parse_state_spec(SEPARABLE_ROUNDING_SPEC)[0])
-        with pytest.raises(ValueError, match="threshold"):
-            check_chain(pm, ((1, 2, 3), (1, 2), (1,)), threshold=bad)
-        with pytest.raises(ValueError, match="threshold"):
-            ChainReport(((1, 2), (1,)), (), bad)
-
-    def test_threshold_at_purity_error_accepted(self):
-        pm = all_subset_purities(parse_state_spec(SEPARABLE_ROUNDING_SPEC)[0])
-        report = check_chain(pm, ((1, 2, 3), (1, 2), (1,)), threshold=PURITY_ERROR)
-        assert report.threshold == PURITY_ERROR
-        assert not report.entangled
+                chain_links([[bad, (1,)]], 2)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -274,16 +254,15 @@ class TestCheckChain:
         # every product state satisfies the purity chain on every maximal chain
         factors = [random_state(1, 1 + (seed + k) % 2, seed + 10 * k) for k in range(3)]
         pm = all_subset_purities(tensor(factors))
-        for chain in maximal_chains(3):
-            assert not check_chain(pm, chain).entangled
+        assert not (MAXIMAL_CHAINS_3.violations(pm) > VIOLATION_THRESHOLD).any()
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_pure_first_link_is_one_minus_reduction(self, seed):
         rho = random_pure_state(3, seed).to_density()
         pm = all_subset_purities(rho)
-        rep = check_chain(pm, left_to_right_chain(3))
-        assert rep.links[0].violation == pytest.approx(1.0 - pm.purity((1, 2)), abs=1e-10)
+        violations = chain_links([left_to_right_chain(3)], 3).violations(pm)
+        assert violations[0] == pytest.approx(1.0 - pm.purity((1, 2)), abs=1e-10)
 
 
 def fig2a_oracle_row(family: str, phi: float) -> tuple[float, float, float]:
@@ -406,6 +385,6 @@ class TestChshMax:
             rho = cluster_family_state(2, phi).to_density()
             pm = all_subset_purities(rho)
             chsh_detects = chsh_max(rho) > 2 + 1e-9
-            purity_detects = check_chain(pm, [(1, 2), (1,)]).entangled
+            purity_detects = (chain_links([[(1, 2), (1,)]], 2).violations(pm) > VIOLATION_THRESHOLD).any()
             if chsh_detects:
                 assert purity_detects
