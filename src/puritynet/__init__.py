@@ -14,7 +14,6 @@ from .qstate import (
     CapacityError,
     DensityOperator,
     PureState,
-    random_state,
 )
 from .separability import (
     SubsetPurityMap,
@@ -24,11 +23,9 @@ from .separability import (
 )
 from .bs_network import (
     JointSignProbabilityTable,
-    joint_sign_probabilities,
     purities_from_probabilities,
 )
 from .states import (
-    CatSpec,
     InversionError,
     cat_purity_closed_form,
     cat_state,

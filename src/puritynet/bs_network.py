@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityOperator, PureState, site_mask
-from .separability import SubsetPurityMap, all_subset_purities, freeze_values
+from .qstate import site_mask
+from .separability import SubsetPurityMap, freeze_values
 
 #: How far from 1 a probability table may sum and still be inverted.
 NORM_ATOL = 1e-8
@@ -102,12 +102,6 @@ def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProb
     """
     n = purities.n_sites
     return JointSignProbabilityTable(n, walsh_hadamard(purities.values) / 2**n)
-
-
-def joint_sign_probabilities(state: PureState | DensityOperator) -> JointSignProbabilityTable:
-    """Joint +/- outcome probabilities of the N-splitter network on two copies
-    of ``state``; a pure state is read from its amplitudes alone."""
-    return sign_probabilities_from_purities(all_subset_purities(state))
 
 
 def purities_from_probabilities(table: JointSignProbabilityTable) -> SubsetPurityMap:

@@ -85,6 +85,10 @@ MAX_RUNS = 1_000_000
 MAX_END_TO_END_STATES = 100_000
 MAX_ATOMS = 10**9
 
+#: Cap of ``probe --qubit-cap``: a 31-qubit pure state alone takes 32 GiB,
+#: and no spec text reaches its length bound at 30 qubits.
+MAX_QUBIT_CAP = 30
+
 #: Characters a spec may spend per density-matrix entry at the qubit cap
 #: (4^cap entries), plus a fixed allowance for the header, keys and
 #: comments.  A 17-digit complex literal and its separator take under 50.
@@ -126,7 +130,7 @@ class Domain:
 #: this order before the command's handler runs.
 FLAG_DOMAINS = {
     # below the purities' own rounding error, separable states would read as entangled
-    "probe": {"--threshold": Domain(PURITY_ERROR), "--qubit-cap": Domain(1)},
+    "probe": {"--threshold": Domain(PURITY_ERROR), "--qubit-cap": Domain(1, cap=MAX_QUBIT_CAP)},
     "fig2a": {"--n": Domain(3, 3), "--points": Domain(1, cap=MAX_POINTS)},
     "fig2b": {"--points": Domain(1, cap=MAX_POINTS), "--n": Domain(2, cap=MAX_ATOMS)},
     "lattice-validate": {
@@ -236,8 +240,8 @@ def _raw_qubits(dim: int, cap: int | None) -> int:
 def _check_spec_length(length: int, cap: int | None) -> None:
     """Raise :class:`CapacityError` for a spec longer than the cap allows."""
     cap = DEFAULT_QUBIT_CAP if cap is None else cap
-    # no text reaches the bound at 30 qubits, and 4^cap beyond it only costs time
-    limit = SPEC_HEADER_CHARS + SPEC_CHARS_PER_ENTRY * 4 ** max(0, min(cap, 30))
+    # no text reaches the bound at MAX_QUBIT_CAP, and 4^cap beyond it only costs time
+    limit = SPEC_HEADER_CHARS + SPEC_CHARS_PER_ENTRY * 4 ** max(0, min(cap, MAX_QUBIT_CAP))
     if length > limit:
         raise CapacityError(f"spec is longer than the {limit} characters allowed at the qubit cap of {cap}")
 
@@ -299,8 +303,7 @@ def parse_state_spec(
         echo["phi"] = phi
     elif kind == "cat":
         n = need("n", int)
-        state, cat = cat_state(n, _parse_bloch(need("phi1")), _parse_bloch(need("phi2")), cap)
-        echo["epsilon"] = cat.epsilon
+        state, echo["epsilon"] = cat_state(n, _parse_bloch(need("phi1")), _parse_bloch(need("phi2")), cap)
     elif kind == "product":
         qubits = [q.strip() for q in need("qubits").split(";") if q.strip()]
         if not qubits:
@@ -679,7 +682,7 @@ def main(argv=None) -> int:
         # looked up at call time, so a replaced handler is the one that runs
         return globals()["run_" + args.command.replace("-", "_")](args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 

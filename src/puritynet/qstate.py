@@ -147,8 +147,8 @@ class DensityOperator:
 
     Hermiticity and trace are checked on construction (O(dim^2)); the
     positivity of the spectrum is not, since an eigendecomposition on every
-    construction would dominate run time.  :func:`random_state` builds a
-    positive matrix by construction, and the ``raw`` spec parser checks
+    construction would dominate run time.  :func:`random_states` builds
+    positive matrices by construction, and the ``raw`` spec parser checks
     the spectrum of a matrix it is given.
     """
 
@@ -181,14 +181,17 @@ def trace_site(matrix: np.ndarray, position: int) -> np.ndarray:
 
 
 def random_states(n_qubits: int, ranks, seeds) -> np.ndarray:
-    """The matrices of :func:`random_state` for each pair of ``ranks`` and
-    ``seeds``, as one checked (K, 2^n, 2^n) stack.
+    """Seeded random density matrices of the given ranks, one for each pair
+    of ``ranks`` and ``seeds``, as one checked (K, 2^n, 2^n) stack;
+    bitwise reproducible for fixed seeds.
 
-    Each state is drawn from its own ``default_rng(seed)``, one after the
-    other; its draws fill the first ``rank`` columns of a (2^n, max rank)
-    block whose other columns stay zero.  The normalization, Gram product,
-    symmetrization, trace division and the :class:`DensityOperator`
-    checks then run once over the stack.
+    Rank 1 is a Haar-random pure state, rank r a Haar-random pure state on
+    the system and an r-dimensional ancilla with the ancilla traced out.
+    Each state is drawn from its own ``default_rng(seed)`` (real parts
+    before imaginary ones), one after the other; its draws fill the first
+    ``rank`` columns of a (2^n, max rank) block whose other columns stay
+    zero.  The normalization, Gram product, symmetrization, trace division
+    and the :class:`DensityOperator` checks then run once over the stack.
     """
     dim = 2**n_qubits
     ranks = list(ranks)
@@ -207,16 +210,3 @@ def random_states(n_qubits: int, ranks, seeds) -> np.ndarray:
     check_density(mat)
     return mat
 
-
-def random_state(n_qubits: int, rank: int, seed: int) -> DensityOperator:
-    """Seeded random density operator of the given rank.
-
-    rank 1 yields a Haar-random pure state; rank r > 1 traces a Haar-random
-    pure state on system x (r-dimensional ancilla) over the ancilla, the
-    standard construction for rank-controlled mixed states: a (2^n, r)
-    block of complex normals, real parts drawn before imaginary ones,
-    normalized, times its own adjoint.  Output is bitwise reproducible for
-    a fixed seed.  It is the one member of ``random_states(n_qubits,
-    [rank], [seed])``.
-    """
-    return DensityOperator(n_qubits, random_states(n_qubits, [rank], [seed])[0])

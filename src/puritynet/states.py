@@ -11,7 +11,6 @@ its inversion back to the distinctness parameter epsilon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,25 +102,9 @@ def ghz(n: int, cap: int | None = None) -> PureState:
     return PureState(n, amps)
 
 
-@dataclass(frozen=True)
-class CatSpec:
-    """Derived parameters of a two-branch macroscopic superposition.
-
-    gamma = |<phi1|phi2>|^2, epsilon^2 = 1 - gamma, K is the squared norm
-    of the unnormalized branch sum, and S = n * epsilon^2 is the effective
-    size relative to an n-party GHZ state (for which epsilon = 1).
-    """
-
-    n_sites: int
-    overlap: complex
-    gamma: float
-    epsilon: float
-    K: float
-    effective_size: float
-
-
-def cat_state(n: int, phi1: PureState, phi2: PureState, cap: int | None = None) -> tuple[PureState, CatSpec]:
-    """Superposition (|phi1>^n + |phi2>^n)/sqrt(K) of two product branches.
+def cat_state(n: int, phi1: PureState, phi2: PureState, cap: int | None = None) -> tuple[PureState, float]:
+    """Superposition (|phi1>^n + |phi2>^n)/sqrt(K) of two product branches,
+    and its distinctness epsilon = sqrt(1 - |<phi1|phi2>|^2).
 
     K = 2 + 2 Re(<phi1|phi2>^n) is exactly the squared norm of the branch
     sum, so dividing by sqrt(K) normalizes.  Raises ValueError when the
@@ -140,17 +123,8 @@ def cat_state(n: int, phi1: PureState, phi2: PureState, cap: int | None = None) 
 
     amps = (product_amplitudes([phi1.amplitudes] * n) + product_amplitudes([phi2.amplitudes] * n)) / math.sqrt(K)
 
-    gamma = abs(overlap) ** 2
-    epsilon = math.sqrt(max(0.0, 1.0 - gamma))
-    spec = CatSpec(
-        n_sites=n,
-        overlap=overlap,
-        gamma=gamma,
-        epsilon=epsilon,
-        K=K,
-        effective_size=n * epsilon**2,
-    )
-    return PureState(n, amps / np.linalg.norm(amps)), spec
+    epsilon = math.sqrt(max(0.0, 1.0 - abs(overlap) ** 2))
+    return PureState(n, amps / np.linalg.norm(amps)), epsilon
 
 
 def cat_purity_closed_form(n: int, m: int, gamma: float) -> float:

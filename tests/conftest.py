@@ -68,7 +68,7 @@ def ref_purity(mat: np.ndarray) -> float:
 
 
 def ref_random_state(n_qubits: int, rank: int, seed: int) -> DensityOperator:
-    """``random_state(n_qubits, rank, seed)`` built on its own: a
+    """``random_states(n_qubits, [rank], [seed])[0]`` built on its own: a
     (2^n, rank) block of complex normals from ``default_rng(seed)`` (real
     parts drawn first), divided by its norm, times its own adjoint,
     symmetrized and divided by its trace."""

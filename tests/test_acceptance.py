@@ -21,8 +21,8 @@ import time
 import numpy as np
 
 from puritynet.bs_network import (
-    joint_sign_probabilities,
     purities_from_probabilities,
+    sign_probabilities_from_purities,
 )
 from puritynet.cli import main as cli_main
 from puritynet.lattice import (
@@ -36,7 +36,7 @@ from puritynet.lattice import (
     standard_test_states,
     hopping_bs_check,
 )
-from puritynet.qstate import DensityOperator, PureState, random_state
+from puritynet.qstate import DensityOperator, PureState
 from puritynet.separability import (
     VIOLATION_THRESHOLD,
     all_subset_purities,
@@ -60,6 +60,7 @@ from conftest import (
     ref_chsh_max_pure,
     ref_epsilon_resolution,
     ref_purity,
+    ref_random_state,
     ref_subset_purity,
     sign_probability,
     sign_vectors,
@@ -81,9 +82,9 @@ def test_criterion_01_round_trip_inversion():
     for n in range(1, 5):
         for seed in range(100):
             rank = 1 if seed % 2 == 0 else 2 + seed % (2**n - 1) if 2**n > 1 else 1
-            rho = random_state(n, rank, seed)
+            rho = ref_random_state(n, rank, seed)
             direct = all_subset_purities(rho)
-            recovered = purities_from_probabilities(joint_sign_probabilities(rho))
+            recovered = purities_from_probabilities(sign_probabilities_from_purities(all_subset_purities(rho)))
             for subset in direct.subsets():
                 worst = max(worst, abs(recovered.purity(subset) - direct.purity(subset)))
     elapsed = time.perf_counter() - start
@@ -100,8 +101,8 @@ def test_criterion_02_projector_oracle_equivalence():
     worst = 0.0
     for n in (2, 3):
         for seed in range(25):
-            rho = random_state(n, 1 + seed % 2**n, 1000 + seed)
-            table = joint_sign_probabilities(rho)
+            rho = ref_random_state(n, 1 + seed % 2**n, 1000 + seed)
+            table = sign_probabilities_from_purities(all_subset_purities(rho))
             for signs in sign_vectors(n):
                 worst = max(
                     worst, abs(sign_probability(table, signs) - projector_expectation_oracle(rho, signs))
@@ -284,7 +285,7 @@ def test_criterion_10_end_to_end_pipeline():
     worst = 0.0
     prop = None
     for seed in range(20):
-        rho = random_state(1, 1 + seed % 2, 500 + seed)
+        rho = ref_random_state(1, 1 + seed % 2, 500 + seed)
         basis, ensemble = embed_two_copies(rho)
         if prop is None:
             h_bs, _ = build_hamiltonians(params, basis)
@@ -357,7 +358,7 @@ def test_criterion_12_separable_non_detection():
         weights = rng.dirichlet(np.ones(terms))
         mat = None
         for t in range(terms):
-            factors = [random_state(1, int(rng.integers(1, 3)), int(rng.integers(0, 2**31))) for _ in range(n)]
+            factors = [ref_random_state(1, int(rng.integers(1, 3)), int(rng.integers(0, 2**31))) for _ in range(n)]
             term = tensor(factors).matrix * weights[t]
             mat = term if mat is None else mat + term
         rho = DensityOperator(n, (mat + mat.conj().T) / 2)

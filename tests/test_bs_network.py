@@ -10,14 +10,9 @@ from puritynet.bs_network import (
     JointSignProbabilityTable,
     purities_from_probabilities,
     sign_probabilities_from_purities,
-    joint_sign_probabilities,
     walsh_hadamard,
 )
-from puritynet.qstate import (
-    CapacityError,
-    PureState,
-    random_state,
-)
+from puritynet.qstate import CapacityError, PureState
 from puritynet.separability import SubsetPurityMap, all_subset_purities
 from puritynet.states import ghz
 
@@ -26,6 +21,7 @@ from conftest import (
     projector_expectation_oracle,
     random_pure_state,
     ref_purity,
+    ref_random_state,
     ref_reduced,
     ref_walsh_hadamard,
     sign_probability,
@@ -51,7 +47,7 @@ class TestTripletSingletWeights:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_projector_oracle_and_sums_to_one(self, seed):
-        rho = random_state(1, 2, seed)
+        rho = ref_random_state(1, 2, seed)
         w = triplet_singlet_weights(rho)
         two = np.kron(rho.matrix, rho.matrix)
         vecs = {
@@ -69,20 +65,20 @@ class TestTripletSingletWeights:
 
 class TestJointSignProbabilities:
     def test_pure_product_concentrates_on_all_plus(self):
-        table = joint_sign_probabilities(all_zero(3))
+        table = sign_probabilities_from_purities(all_subset_purities(all_zero(3)))
         assert sign_probability(table, (1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
         for signs in sign_vectors(3)[1:]:
             assert sign_probability(table, signs) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_site_maximally_mixed(self):
-        table = joint_sign_probabilities(maximally_mixed(1))
+        table = sign_probabilities_from_purities(all_subset_purities(maximally_mixed(1)))
         assert sign_probability(table, (1,)) == pytest.approx(0.75, abs=1e-12)
         assert sign_probability(table, (-1,)) == pytest.approx(0.25, abs=1e-12)
 
     @given(st.integers(0, 10**6), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_entries_form_distribution(self, seed, n):
-        table = joint_sign_probabilities(random_state(n, 1 + seed % 2**n, seed))
+        table = sign_probabilities_from_purities(all_subset_purities(ref_random_state(n, 1 + seed % 2**n, seed)))
         for p in table.values:
             assert -1e-12 <= p <= 1 + 1e-12
         assert table.total() == pytest.approx(1.0, abs=1e-10)
@@ -90,8 +86,8 @@ class TestJointSignProbabilities:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_projector_oracle(self, seed, n):
-        rho = random_state(n, 2, seed)
-        table = joint_sign_probabilities(rho)
+        rho = ref_random_state(n, 2, seed)
+        table = sign_probabilities_from_purities(all_subset_purities(rho))
         for signs in sign_vectors(n):
             assert sign_probability(table, signs) == pytest.approx(
                 projector_expectation_oracle(rho, signs), abs=1e-10
@@ -101,9 +97,9 @@ class TestJointSignProbabilities:
     def test_marginal_consistency(self, seed):
         # summing out the sign of site 3 reproduces the table of the
         # 2-site reduction
-        rho = random_state(3, 2, seed)
-        table3 = joint_sign_probabilities(rho)
-        table2 = joint_sign_probabilities(ref_reduced(rho, [1, 2]))
+        rho = ref_random_state(3, 2, seed)
+        table3 = sign_probabilities_from_purities(all_subset_purities(rho))
+        table2 = sign_probabilities_from_purities(all_subset_purities(ref_reduced(rho, [1, 2])))
         for signs in sign_vectors(2):
             marginal = sum(sign_probability(table3, signs + (s,)) for s in (1, -1))
             assert marginal == pytest.approx(sign_probability(table2, signs), abs=1e-10)
@@ -135,7 +131,7 @@ class TestInversion:
             assert pm.purity(subset) == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_table_inverts_to_half_purities(self):
-        pm = purities_from_probabilities(joint_sign_probabilities(ghz(3).to_density()))
+        pm = purities_from_probabilities(sign_probabilities_from_purities(all_subset_purities(ghz(3).to_density())))
         assert pm.purity((1, 2, 3)) == pytest.approx(1.0, abs=1e-10)
         for subset in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]:
             assert pm.purity(subset) == pytest.approx(0.5, abs=1e-10)
@@ -143,9 +139,9 @@ class TestInversion:
     @given(st.integers(0, 10**6), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_on_random_states(self, seed, n):
-        rho = random_state(n, 1 + seed % 2**n, seed)
+        rho = ref_random_state(n, 1 + seed % 2**n, seed)
         direct = all_subset_purities(rho)
-        recovered = purities_from_probabilities(joint_sign_probabilities(rho))
+        recovered = purities_from_probabilities(sign_probabilities_from_purities(all_subset_purities(rho)))
         for subset in direct.subsets():
             assert recovered.purity(subset) == pytest.approx(direct.purity(subset), abs=1e-10)
 
@@ -197,7 +193,7 @@ class TestInversion:
 
     def test_pure_state_full_purity_recovered(self):
         rho = random_pure_state(3, 9).to_density()
-        pm = purities_from_probabilities(joint_sign_probabilities(rho))
+        pm = purities_from_probabilities(sign_probabilities_from_purities(all_subset_purities(rho)))
         assert pm.purity((1, 2, 3)) == pytest.approx(1.0, abs=1e-10)
 
 

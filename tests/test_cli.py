@@ -27,6 +27,7 @@ from puritynet.cli import (
     MAX_END_TO_END_STATES,
     MAX_M_VALUES,
     MAX_POINTS,
+    MAX_QUBIT_CAP,
     MAX_RUNS,
     SPEC_CHARS_PER_ENTRY,
     SPEC_HEADER_CHARS,
@@ -37,9 +38,9 @@ from puritynet.cli import (
     write_csv,
     write_json,
 )
-from puritynet import bs_network, cli, lattice, qstate, separability
+from puritynet import cli, lattice, qstate, separability
 from puritynet.lattice import COUPLING_MAX, COUPLING_MIN, build_fock_basis
-from puritynet.qstate import CapacityError, DensityOperator, PureState, random_state
+from puritynet.qstate import CapacityError, DensityOperator, PureState
 from puritynet.states import cat_purity_closed_form, estimate_epsilon
 
 from conftest import (
@@ -49,6 +50,7 @@ from conftest import (
     ref_lattice_checks,
     ref_loss_count_distribution,
     ref_purity,
+    ref_random_state,
     ref_subset_purity,
     tensor,
 )
@@ -296,7 +298,7 @@ class TestProbeCommand:
     def test_chain_reports_keyed_and_valued_per_subset(self, tmp_path, n):
         # seeded strictly nested chains, each subset's labels in a random order
         rng = np.random.default_rng(100 + n)
-        rho = random_state(n, 1 + n % 2, seed=n)
+        rho = ref_random_state(n, 1 + n % 2, seed=n)
         rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in rho.matrix)
         chains = []
         for _ in range(4):
@@ -322,7 +324,7 @@ class TestProbeCommand:
         assert report["max_violation"] == max(l["violation"] for c in report["chains"] for l in c["links"])
 
     def test_separable_mixture_via_matrix(self, tmp_path):
-        rho = tensor([random_state(1, 2, 3), random_state(1, 2, 4)])
+        rho = tensor([ref_random_state(1, 2, 3), ref_random_state(1, 2, 4)])
         rows = ";".join(" ".join(str(complex(v)) for v in row) for row in rho.matrix)
         out = tmp_path / "mix.json"
         assert (
@@ -376,6 +378,26 @@ class TestProbeCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_memory_error_without_text_names_its_class(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_probe", out_of_memory)
+        assert run("probe", "--spec-text", GHZ_SPEC, "--out", str(tmp_path / "x.json")) == EXIT_CAPACITY
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize(
+        "qubit_cap, message",
+        [(MAX_QUBIT_CAP, "63 qubits (dimension 2^63) exceeds the cap of 30"), (1000, "--qubit-cap 1000 is beyond")],
+    )
+    def test_cluster_family_beyond_int64_exits_capacity(self, tmp_path, capsys, qubit_cap, message):
+        # 2^63 basis indices overflow int64, so no amplitude may be built
+        out = tmp_path / "x.json"
+        spec = "statespec v1\nkind = cluster_family\nn = 63\nphi = 1.0\n"
+        assert run("probe", "--spec-text", spec, "--qubit-cap", str(qubit_cap), "--out", str(out)) == EXIT_CAPACITY
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_exit_code(self):
         assert run("probe", "--spec-text", GHZ_SPEC, "--out", "/nonexistent-dir/x.json") == 5
 
@@ -386,7 +408,7 @@ class TestProbeCommand:
             calls.append(args)
             return real(*args, **kwargs)
 
-        for module in (separability, bs_network, cli):
+        for module in (separability, cli):
             monkeypatch.setattr(module, "all_subset_purities", counting)
         assert run("probe", "--spec-text", GHZ_SPEC, "--out", str(tmp_path / "x.json")) == EXIT_OK
         assert len(calls) == 1
@@ -976,11 +998,13 @@ def test_seed_survival_and_epsilon_name_the_flag(tmp_path, capsys, argv, flag):
         (CAT_ARGV + ["--n"], MAX_ATOMS + 1),
         (CAT_ARGV + ["--n"], 10**20),
         (CAT_ARGV + ["--n"], 10**400),
+        (["probe", "--spec-text", GHZ_SPEC, "--qubit-cap"], MAX_QUBIT_CAP + 1),
     ],
     ids=[
         "runs-cap+1", "runs-1e10", "states-cap+1", "states-1e10",
         "fig2b-atoms-cap+1", "fig2b-atoms-1e20", "fig2b-atoms-1e400",
         "cat-atoms-cap+1", "cat-atoms-1e20", "cat-atoms-1e400",
+        "qubit-cap-cap+1",
     ],
 )
 def test_run_counts_beyond_cap_rejected(tmp_path, capsys, argv, count):
@@ -1153,7 +1177,7 @@ def _plan_specs() -> dict[str, tuple[str, str | None]]:
             specs[f"cluster_family-{n}"] = (f"statespec v1\nkind = cluster_family\nn = {n}\nphi = {phi!r}\n", None)
         qubits = "; ".join(f"{rng.uniform(0, 3)!r},{rng.uniform(0, 6)!r}" for _ in range(n))
         specs[f"product-{n}"] = (f"statespec v1\nkind = product\nqubits = {qubits}\n", None)
-    rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in random_state(4, 3, seed=26).matrix)
+    rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in ref_random_state(4, 3, seed=26).matrix)
     chains = []
     for length in (2, 3, 4, 3, 2):
         sites = rng.permutation(np.arange(1, 5)).tolist()

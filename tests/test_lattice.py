@@ -27,7 +27,7 @@ from puritynet.lattice import (
     sample_loss,
     standard_test_states,
 )
-from puritynet.qstate import DensityOperator, random_state
+from puritynet.qstate import DensityOperator
 
 from conftest import (
     basis_state,
@@ -39,6 +39,7 @@ from conftest import (
     ref_occupancy_probabilities,
     ref_propagator,
     ref_purity,
+    ref_random_state,
     ref_reduced,
     ref_test_states,
     superpose,
@@ -510,7 +511,7 @@ class TestStandardTestStates:
         assert lattice._structured_test_states() is rows
         assert calls == built
         # the register basis of the two-copy embedding, shared with it
-        assert first_basis is second_basis is embed_two_copies(random_state(1, 1, 0))[0]
+        assert first_basis is second_basis is embed_two_copies(ref_random_state(1, 1, 0))[0]
         assert first[:6].tobytes() == second[:6].tobytes() == rows.tobytes()
         assert not rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -749,7 +750,7 @@ class TestEmbedTwoCopies:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_end_to_end_single_site(self, seed):
-        rho = random_state(1, 2, seed)
+        rho = ref_random_state(1, 2, seed)
         basis, ensemble = embed_two_copies(rho)
         params = LatticeParams(n_sites=1)
         h_bs, _ = build_hamiltonians(params, basis)
@@ -764,7 +765,7 @@ class TestEmbedTwoCopies:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_end_to_end_two_sites(self, seed, rank):
-        rho = random_state(2, rank, seed)
+        rho = ref_random_state(2, rank, seed)
         basis, ensemble = embed_two_copies(rho)
         params = LatticeParams(n_sites=2)
         h_bs, _ = build_hamiltonians(params, basis)
@@ -779,7 +780,7 @@ class TestEmbedTwoCopies:
         # a refused layout is not cached: the second call is refused too
         for _ in range(2):
             with pytest.raises(CapacityError):
-                embed_two_copies(random_state(3, 1, 0))
+                embed_two_copies(ref_random_state(3, 1, 0))
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     def test_layout_built_once_per_qubit_count(self, monkeypatch, n_qubits):
@@ -795,10 +796,10 @@ class TestEmbedTwoCopies:
         monkeypatch.setattr(lattice, "build_fock_basis", counted("build_fock_basis", build_fock_basis))
         monkeypatch.setattr(lattice.FockBasis, "positions", counted("positions", lattice.FockBasis.positions))
         # an earlier test may have built this layout already
-        first_basis, first = embed_two_copies(random_state(n_qubits, 2, 0))
+        first_basis, first = embed_two_copies(ref_random_state(n_qubits, 2, 0))
         assert calls["build_fock_basis"] == calls["positions"] <= 1
         built = dict(calls)
-        second_basis, second = embed_two_copies(random_state(n_qubits, 2, 1))
+        second_basis, second = embed_two_copies(ref_random_state(n_qubits, 2, 1))
         assert calls == built
         assert second_basis is first_basis
         assert all(state.basis is first_basis for _, state in first + second)
@@ -807,7 +808,7 @@ class TestEmbedTwoCopies:
     def test_members_match_a_fresh_basis(self, n_qubits):
         # every member, through the shared layout, against amplitudes placed
         # by basis_state on a freshly built basis
-        rho = random_state(n_qubits, 2, 7)
+        rho = ref_random_state(n_qubits, 2, 7)
         basis, ensemble = embed_two_copies(rho)
         fresh = build_fock_basis(4 * n_qubits, 2 * n_qubits)
         assert basis == fresh and np.array_equal(basis.occupations, fresh.occupations)
@@ -830,7 +831,7 @@ class TestEmbedTwoCopies:
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     def test_stack_matches_one_state_at_a_time(self, n_qubits):
-        rhos = [random_state(n_qubits, rank, 30 + rank) for rank in range(1, 2**n_qubits + 1)] * 2
+        rhos = [ref_random_state(n_qubits, rank, 30 + rank) for rank in range(1, 2**n_qubits + 1)] * 2
         basis, owner, weights, amplitudes = embed_two_copies_stack(np.stack([rho.matrix for rho in rhos]))
         for k, rho in enumerate(rhos):
             one_basis, ensemble = embed_two_copies(rho)
@@ -878,7 +879,7 @@ class TestOccupancyProbabilities:
                 amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
                 ensemble.append((float(rng.uniform(0.1, 3.0)), FockState(basis, amps / np.linalg.norm(amps))))
         else:
-            basis, members = embed_two_copies(random_state(2, rank, int(rng.integers(1000))))
+            basis, members = embed_two_copies(ref_random_state(2, rank, int(rng.integers(1000))))
             params = LatticeParams(n_sites=2, J=0.8, U=0.3)
             h_bs, h_int = build_hamiltonians(params, basis)
             u = propagator(h_bs + np.diag(h_int), params.t_bs)
@@ -901,7 +902,7 @@ class TestOccupancyProbabilities:
             calls.append(basis)
             return positions(basis, occupations)
 
-        basis, ensemble = embed_two_copies(random_state(n_sites, 2, 3))
+        basis, ensemble = embed_two_copies(ref_random_state(n_sites, 2, 3))
         monkeypatch.setattr(lattice.FockBasis, "positions", counted)
         # an earlier test may have built the plan of this basis already
         occupancy_probabilities(ensemble, 1)
@@ -909,7 +910,7 @@ class TestOccupancyProbabilities:
         built = len(calls)
         for site in range(1, n_sites + 1):
             occupancy_probabilities(ensemble, site)
-            occupancy_probabilities(embed_two_copies(random_state(n_sites, 1, site))[1], site)
+            occupancy_probabilities(embed_two_copies(ref_random_state(n_sites, 1, site))[1], site)
         build_hamiltonians(LatticeParams(n_sites=n_sites, U=0.2), basis)
         interaction_phase_check([0.3], basis)
         assert len(calls) == built
@@ -932,7 +933,7 @@ class TestOccupancyProbabilities:
     @pytest.mark.parametrize("n_sites", [1, 2])
     def test_site_outside_the_columns_rejected(self, n_sites):
         # site - 1 indexes the column axis, so 0 and -1 would wrap around
-        _, ensemble = embed_two_copies(random_state(n_sites, 1, 0))
+        _, ensemble = embed_two_copies(ref_random_state(n_sites, 1, 0))
         for site in (0, -1, n_sites + 1):
             with pytest.raises(ValueError, match=f"site {site} outside 1..{n_sites}"):
                 occupancy_probabilities(ensemble, site)

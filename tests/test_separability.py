@@ -11,7 +11,6 @@ from puritynet.qstate import (
     CapacityError,
     DensityOperator,
     PureState,
-    random_state,
 )
 from puritynet.separability import (
     VIOLATION_THRESHOLD,
@@ -27,7 +26,7 @@ from puritynet.separability import (
 )
 from puritynet.states import cluster_family_state, ghz, linear_cluster
 
-from conftest import random_pure_state, ref_subset_purity, tensor
+from conftest import random_pure_state, ref_random_state, ref_subset_purity, tensor
 
 
 #: Every maximal chain of three sites, as one gather.
@@ -57,7 +56,7 @@ class TestAllSubsetPurities:
     def test_matches_reference_oracle(self, seed):
         # every depth of the depth-first recursion, on mixed and pure states
         for n in range(2, 6):
-            for rho in (random_state(n, 3, seed), random_pure_state(n, seed).to_density()):
+            for rho in (ref_random_state(n, 3, seed), random_pure_state(n, seed).to_density()):
                 pm = all_subset_purities(rho)
                 for subset in pm.subsets():
                     assert pm.purity(subset) == pytest.approx(
@@ -103,7 +102,7 @@ class TestAllSubsetPurities:
         calls = []
         trace = separability.trace_site
         monkeypatch.setattr(separability, "trace_site", lambda mat, j: calls.append(j) or trace(mat, j))
-        psi, rho = random_pure_state(n, n), random_state(n, 2, n)
+        psi, rho = random_pure_state(n, n), ref_random_state(n, 2, n)
         dense = psi.to_density()
         cases = [
             (psi, dense.matrix, sum(math.comb(n, j) for j in range(1, n // 2))),
@@ -125,6 +124,16 @@ class TestAllSubsetPurities:
         pm = SubsetPurityMap(2, {(1,): 0.25, (2,): 0.5, (1, 2): 0.75})
         np.testing.assert_array_equal(pm.values, [1.0, 0.5, 0.25, 0.75])
         assert SubsetPurityMap(2, pm.values).entries == pm.entries
+
+    def test_raw_product_table_is_the_outer_product(self):
+        # two rank-2 N = 5 matrices parsed from raw specs; site 1 is the most
+        # significant bit, so the N = 10 mask of (mask_a, mask_b) is mask_a << 5 | mask_b
+        factors = []
+        for seed in (5, 6):
+            rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in ref_random_state(5, 2, seed).matrix)
+            factors.append(parse_state_spec(f"statespec v1\nkind = raw\nmatrix = {rows}\n")[0])
+        want = np.outer(*(all_subset_purities(f).values for f in factors)).ravel()
+        np.testing.assert_allclose(all_subset_purities(tensor(factors)).values, want, rtol=0, atol=1e-12)
 
 
 def family_states(n):
@@ -185,6 +194,25 @@ class TestPureSubsetPurities:
         assert len(roots) == 10  # C(6, 3) / 2: at even N only the roots holding site 1
         with pytest.raises(TypeError):
             roots[0] = roots[1]
+
+    @pytest.mark.parametrize("n_a, n_b", [(6, 7), (7, 7)])
+    def test_product_table_at_the_cap_is_the_outer_product(self, n_a, n_b):
+        # the N = n_a + n_b mask of (mask_a, mask_b) is mask_a << n_b | mask_b
+        a, b = random_pure_state(n_a, n_a), random_pure_state(n_b, 100 + n_b)
+        product = PureState(n_a + n_b, np.kron(a.amplitudes, b.amplitudes))
+        want = np.outer(all_subset_purities(a).values, all_subset_purities(b).values).ravel()
+        np.testing.assert_allclose(all_subset_purities(product).values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_site_permutation_at_the_cap_permutes_the_masks(self, n):
+        # new site k + 1 is old site perm[k] + 1: new bit n - 1 - k is old bit n - 1 - perm[k]
+        perm = np.random.default_rng(n).permutation(n)
+        psi = random_pure_state(n, n)
+        moved = PureState(n, psi.amplitudes.reshape((2,) * n).transpose(perm).ravel())
+        masks = np.arange(2**n)
+        old = sum(((masks >> (n - 1 - k)) & 1) << (n - 1 - perm[k]) for k in range(n))
+        want = all_subset_purities(psi).values[old]
+        np.testing.assert_allclose(all_subset_purities(moved).values, want, rtol=0, atol=1e-12)
 
 
 class TestCheckChain:
@@ -252,7 +280,7 @@ class TestCheckChain:
     @settings(max_examples=30, deadline=None)
     def test_separable_products_never_flagged(self, seed):
         # every product state satisfies the purity chain on every maximal chain
-        factors = [random_state(1, 1 + (seed + k) % 2, seed + 10 * k) for k in range(3)]
+        factors = [ref_random_state(1, 1 + (seed + k) % 2, seed + 10 * k) for k in range(3)]
         pm = all_subset_purities(tensor(factors))
         assert not (MAXIMAL_CHAINS_3.violations(pm) > VIOLATION_THRESHOLD).any()
 
@@ -345,7 +373,7 @@ class TestChshMax:
             q, r = np.linalg.qr(z)
             return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
-        rho = random_state(2, 2, seed)
+        rho = ref_random_state(2, 2, seed)
         u = np.kron(haar_u2(), haar_u2())
         rotated = DensityOperator(2, u @ rho.matrix @ u.conj().T)
         assert chsh_max(rotated) == pytest.approx(chsh_max(rho), abs=1e-9)
@@ -353,14 +381,14 @@ class TestChshMax:
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_bounded_by_tsirelson(self, seed):
-        rho = random_state(2, 1 + seed % 4, seed)
+        rho = ref_random_state(2, 1 + seed % 4, seed)
         assert chsh_max(rho) <= 2 * math.sqrt(2) + 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_against_settings_search_oracle(self, seed):
         # coarse search over measurement directions can only approach the
         # closed form from below
-        rho = random_state(2, 2, seed)
+        rho = ref_random_state(2, 2, seed)
         T = correlation_matrix(rho)
         rng = np.random.default_rng(seed)
         best = 0.0

@@ -104,28 +104,25 @@ class TestGhz:
             assert ref_purity(ref_reduced(rho, list(range(1, n))).matrix) == pytest.approx(0.5, abs=1e-12)
 
     def test_equals_cat_of_orthogonal_branches(self):
-        psi, spec = cat_state(3, KET0, KET1)
+        psi, epsilon = cat_state(3, KET0, KET1)
         np.testing.assert_allclose(psi.amplitudes, ghz(3).amplitudes, atol=1e-15)
-        assert spec.epsilon == pytest.approx(1.0, abs=1e-12)
-        assert spec.effective_size == pytest.approx(3.0, abs=1e-12)
+        assert epsilon == 1.0
 
 
 class TestCatState:
     def test_identical_branches_are_product(self):
-        psi, spec = cat_state(4, KET0, KET0)
-        assert spec.gamma == pytest.approx(1.0, abs=1e-12)
-        assert spec.epsilon == pytest.approx(0.0, abs=1e-12)
+        psi, epsilon = cat_state(4, KET0, KET0)
+        assert epsilon == 0.0
         rho = psi.to_density()
         for m in [1, 2, 3]:
             assert ref_purity(ref_reduced(rho, list(range(1, 5 - m))).matrix) == pytest.approx(1.0, abs=1e-12)
 
-    def test_spec_fields_consistent(self):
-        phi2 = bloch(1.1, 0.4)
-        _, spec = cat_state(5, KET0, phi2)
-        assert spec.gamma == pytest.approx(abs(spec.overlap) ** 2, abs=1e-12)
-        assert spec.epsilon**2 + spec.gamma == pytest.approx(1.0, abs=1e-12)
-        assert spec.K == pytest.approx(2 + 2 * (spec.overlap**5).real, abs=1e-12)
-        assert spec.effective_size == pytest.approx(5 * spec.epsilon**2, abs=1e-12)
+    def test_epsilon_from_branch_overlap(self):
+        phi1, phi2 = bloch(0.3, 1.1), bloch(2.0, 0.4)
+        _, epsilon = cat_state(5, phi1, phi2)
+        gamma = abs(np.vdot(phi1.amplitudes, phi2.amplitudes)) ** 2
+        assert 0.0 < epsilon < 1.0
+        assert epsilon**2 == pytest.approx(1.0 - gamma, abs=1e-12)
 
     def test_degenerate_superposition_rejected(self):
         # antipodal branches at odd n: |phi2> = -|phi1| up to phase, K ~ 0
