@@ -110,11 +110,11 @@ class SpecParseError(ValueError):
 
 
 class Domain:
-    """The values a numeric flag accepts: ``low <= value <= high`` and, for a
-    float, finite (exit 2 otherwise); above ``cap`` the command exits 3."""
+    """A numeric flag's ``type``, ``default`` (``None``: required) and values:
+    ``low <= value <= high`` and, for a float, finite (exit 2 otherwise); exit 3 above ``cap``."""
 
-    def __init__(self, low, high=math.inf, cap=math.inf):
-        self.low, self.high, self.cap = low, high, cap
+    def __init__(self, type, default, low, high=math.inf, cap=math.inf):
+        self.type, self.default, self.low, self.high, self.cap = type, default, low, high, cap
 
     def check(self, flag: str, value) -> None:
         if isinstance(value, float) and not math.isfinite(value):
@@ -126,27 +126,31 @@ class Domain:
             raise CapacityError(f"{flag} {value} is beyond the cap of {self.cap}")
 
 
-#: The domain of every ``int`` and ``float`` flag, by command, checked in
+#: The one declaration of every ``int`` and ``float`` flag, by command:
+#: ``build_parser`` adds each from here, and ``main`` checks each domain in
 #: this order before the command's handler runs.
 FLAG_DOMAINS = {
-    # below the purities' own rounding error, separable states would read as entangled
-    "probe": {"--threshold": Domain(PURITY_ERROR), "--qubit-cap": Domain(1, cap=MAX_QUBIT_CAP)},
-    "fig2a": {"--n": Domain(3, 3), "--points": Domain(1, cap=MAX_POINTS)},
-    "fig2b": {"--points": Domain(1, cap=MAX_POINTS), "--n": Domain(2, cap=MAX_ATOMS)},
+    "probe": {
+        # below the purities' own rounding error, separable states would read as entangled
+        "--threshold": Domain(float, VIOLATION_THRESHOLD, PURITY_ERROR),
+        "--qubit-cap": Domain(int, DEFAULT_QUBIT_CAP, 1, cap=MAX_QUBIT_CAP),
+    },
+    "fig2a": {"--n": Domain(int, 3, 3, 3), "--points": Domain(int, 101, 1, cap=MAX_POINTS)},
+    "fig2b": {"--points": Domain(int, 101, 1, cap=MAX_POINTS), "--n": Domain(int, 300, 2, cap=MAX_ATOMS)},
     "lattice-validate": {
-        "--end-to-end-states": Domain(1, cap=MAX_END_TO_END_STATES),
-        "--seed": Domain(0),
+        "--end-to-end-states": Domain(int, 10, 1, cap=MAX_END_TO_END_STATES),
+        "--seed": Domain(int, 0, 0),
         # past these, float64 overflows in the splitter time pi/(4J) or the evolution
-        "--j": Domain(COUPLING_MIN, COUPLING_MAX),
-        "--u": Domain(-COUPLING_MAX, COUPLING_MAX),
+        "--j": Domain(float, 1.0, COUPLING_MIN, COUPLING_MAX),
+        "--u": Domain(float, 0.0, -COUPLING_MAX, COUPLING_MAX),
     },
     "cat-experiment": {
-        "--epsilon": Domain(0, 1),
-        "--survival": Domain(0, 1),
-        "--runs": Domain(1, cap=MAX_RUNS),
-        "--seed": Domain(0),
+        "--epsilon": Domain(float, None, 0, 1),
+        "--survival": Domain(float, 0.95, 0, 1),
+        "--runs": Domain(int, 1000, 1, cap=MAX_RUNS),
+        "--seed": Domain(int, 0, 0),
         # an informative run keeps 0 < n < N atoms, which needs N >= 2
-        "--n": Domain(2, cap=MAX_ATOMS),
+        "--n": Domain(int, 300, 2, cap=MAX_ATOMS),
     },
 }
 
@@ -251,25 +255,25 @@ def parse_state_spec(
 ) -> tuple[PureState | DensityOperator, dict]:
     """Parse the key-value state grammar into a state.
 
-    Format: a ``statespec v1`` header line, then ``key = value`` lines;
-    ``#`` starts a comment.  Each key may appear once, and only the keys
-    of ``SPEC_FIELDS`` for the given kind are accepted.  The site count of
-    every kind is checked against the qubit cap (default
-    ``DEFAULT_QUBIT_CAP``) before the state is built.  Returns the state
-    and an echo dict for reports.  Every kind but ``raw`` with ``matrix``
-    describes a pure state and yields a :class:`PureState` (2^N
-    amplitudes); a raw ``matrix`` yields a :class:`DensityOperator`.  No
-    pure kind ever builds the 4^N density matrix.  Text longer than
-    ``SPEC_HEADER_CHARS + SPEC_CHARS_PER_ENTRY * 4^cap`` characters raises
-    :class:`CapacityError` before it is split.
+    Format: a ``statespec v1`` header line, then ``key = value`` lines; ``#``
+    starts a comment anywhere on a line, and errors number lines as in
+    ``text``.  Each key may appear once, and only the keys of ``SPEC_FIELDS``
+    for the given kind are accepted.  The site count of every kind is checked
+    against the qubit cap (default ``DEFAULT_QUBIT_CAP``) before the state is
+    built.  Returns the state and an echo dict for reports.  Every kind but
+    ``raw`` with ``matrix`` describes a pure state and yields a
+    :class:`PureState` (2^N amplitudes); a raw ``matrix`` yields a
+    :class:`DensityOperator`.  No pure kind ever builds the 4^N density
+    matrix.  Text longer than ``SPEC_HEADER_CHARS + SPEC_CHARS_PER_ENTRY
+    * 4^cap`` characters raises :class:`CapacityError` before it is split.
     """
     _check_spec_length(len(text), cap)
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != SPEC_HEADER:
+    lines = [(ln_no, ln.partition("#")[0].strip()) for ln_no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(ln_no, ln) for ln_no, ln in lines if ln]
+    if not lines or lines[0][1] != SPEC_HEADER:
         raise SpecParseError(f"first line must be {SPEC_HEADER!r}")
     fields: dict[str, str] = {}
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         if "=" not in ln:
             raise SpecParseError(f"line {ln_no}: expected 'key = value', got {ln!r}")
         key, value = (part.strip() for part in ln.split("=", 1))
@@ -602,46 +606,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"puritynet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    probe = sub.add_parser("probe", help="run the detection pipeline on a state spec", allow_abbrev=False)
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        """The parser of one command, holding its ``FLAG_DOMAINS`` flags and ``--out``."""
+        cmd = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag, domain in FLAG_DOMAINS[name].items():
+            cmd.add_argument(flag, type=domain.type, default=domain.default, required=domain.default is None)
+        cmd.add_argument("--out", required=True)
+        return cmd
+
+    probe = command("probe", "run the detection pipeline on a state spec")
     src = probe.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", help="path to a statespec file")
     src.add_argument("--spec-text", help="inline statespec text")
     probe.add_argument("--chains", help="chain spec, e.g. '1,2,3>1,2>1;1,2>2'")
-    probe.add_argument("--threshold", type=float, default=VIOLATION_THRESHOLD)
-    probe.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
-    probe.add_argument("--out", required=True)
-
-    fig2a = sub.add_parser("fig2a", help="three-site violation curves (CSV)", allow_abbrev=False)
-    fig2a.add_argument("--n", type=int, default=3)
-    fig2a.add_argument("--points", type=int, default=101)
-    fig2a.add_argument(
+    command("fig2a", "three-site violation curves (CSV)").add_argument(
         "--family",
         choices=["collision", "superposition"],
         default="collision",
         help="interpolating family: controlled-phase dynamics or two-term superposition",
     )
-    fig2a.add_argument("--out", required=True)
-
-    fig2b = sub.add_parser("fig2b", help="reduced cat-state purity vs epsilon (CSV)", allow_abbrev=False)
-    fig2b.add_argument("--n", type=int, default=300)
-    fig2b.add_argument("--m", default="1,7,14,20", help="comma-separated reduction counts")
-    fig2b.add_argument("--points", type=int, default=101)
-    fig2b.add_argument("--out", required=True)
-
-    lat = sub.add_parser("lattice-validate", help="splitter timing and phase checks", allow_abbrev=False)
-    lat.add_argument("--j", type=float, default=1.0)
-    lat.add_argument("--u", type=float, default=0.0)
-    lat.add_argument("--seed", type=int, default=0)
-    lat.add_argument("--end-to-end-states", type=int, default=10)
-    lat.add_argument("--out", required=True)
-
-    cat = sub.add_parser("cat-experiment", help="distinctness estimation under loss", allow_abbrev=False)
-    cat.add_argument("--n", type=int, default=300)
-    cat.add_argument("--epsilon", type=float, required=True)
-    cat.add_argument("--survival", type=float, default=0.95)
-    cat.add_argument("--runs", type=int, default=1000)
-    cat.add_argument("--seed", type=int, default=0)
-    cat.add_argument("--out", required=True)
+    command("fig2b", "reduced cat-state purity vs epsilon (CSV)").add_argument(
+        "--m", default="1,7,14,20", help="comma-separated reduction counts"
+    )
+    command("lattice-validate", "splitter timing and phase checks")
+    command("cat-experiment", "distinctness estimation under loss")
     return parser
 
 

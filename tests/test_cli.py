@@ -41,7 +41,7 @@ from puritynet.cli import (
 from puritynet import cli, lattice, qstate, separability
 from puritynet.lattice import COUPLING_MAX, COUPLING_MIN, build_fock_basis
 from puritynet.qstate import CapacityError, DensityOperator, PureState
-from puritynet.states import cat_purity_closed_form, estimate_epsilon
+from puritynet.states import cat_purity_closed_form, estimate_epsilon, ghz
 
 from conftest import (
     ref_cat_experiment,
@@ -132,6 +132,20 @@ class TestStateSpecParsing:
         state, _ = parse_state_spec("statespec v1\n# a comment\n\nkind = ghz\nn = 2\n")
         assert state.n_qubits == 2
 
+    def test_readme_example_spec_parses_to_ghz3(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme[readme.index("### State spec format") :].split("```")[1]
+        assert "kind = ghz          # cluster_family" in example  # its inline comment included
+        state, echo = parse_state_spec(example)
+        assert echo == {"source": "inline", "kind": "ghz", "n_sites": 3}
+        np.testing.assert_array_equal(state.amplitudes, ghz(3).amplitudes)
+
+    def test_trailing_comment_on_a_raw_matrix_line(self):
+        rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in ref_random_state(2, 3, seed=4).matrix)
+        plain, _ = parse_state_spec(f"statespec v1\nkind = raw\nmatrix = {rows}\n")
+        commented, _ = parse_state_spec(f"statespec v1\nkind = raw\nmatrix = {rows}  # a rank-3 mixture\n")
+        np.testing.assert_array_equal(commented.matrix, plain.matrix)
+
     @pytest.mark.parametrize(
         "body, message",
         [
@@ -144,6 +158,9 @@ class TestStateSpecParsing:
             pytest.param("kind = raw\namplitudes = 1+0j", "at least one site", id="raw-one-amplitude"),
             pytest.param("kind = raw\nmatrix = 1 0 0 0;0 0 0 0", "not square: 2 rows of 4", id="raw-2x4"),
             pytest.param("kind = raw\nmatrix = 1 x;0 0", "bad complex literal in field 'matrix'", id="raw-bad-literal"),
+            # a line is numbered as it stands in the text, comment and blank lines counted
+            pytest.param("# a comment\n\nkind ghz", "line 4: expected 'key = value', got 'kind ghz'", id="line-4"),
+            pytest.param("# a comment\n\nkind = ghz\nkind = ghz", "line 5: duplicate key 'kind'", id="line-5"),
         ],
     )
     def test_strict_grammar_names_the_bad_input(self, body, message):
@@ -867,6 +884,20 @@ class TestCatExperimentCommand:
         assert report["abs_error"] <= 0.02
         assert report["informative_runs"] == 200
 
+    def test_missing_epsilon_exits_usage_naming_it(self, tmp_path):
+        # --epsilon has no default: argparse's usage error, in a fresh process
+        out = tmp_path / "cat.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "puritynet", "cat-experiment", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert fresh.returncode == EXIT_USAGE
+        assert "error: the following arguments are required: --epsilon" in fresh.stderr
+        assert "Traceback" not in fresh.stderr and not out.exists()
+
     def test_no_loss_is_rejected(self, tmp_path):
         code = run(
             "cat-experiment", "--epsilon", "0.6", "--survival", "1.0", "--out", str(tmp_path / "x.json")
@@ -1038,6 +1069,17 @@ def test_every_numeric_flag_has_one_domain():
 
 #: What each command requires besides ``--out`` and the flag under test.
 REQUIRED_ARGV = {"probe": ["--spec-text", GHZ_SPEC], "cat-experiment": ["--epsilon", "0.5"]}
+
+
+@pytest.mark.parametrize("command", FLAG_DOMAINS)
+def test_minimal_argv_gives_each_numeric_flag_its_declared_default(command):
+    required = REQUIRED_ARGV.get(command, [])
+    args = cli.build_parser().parse_args([command, *required, "--out", os.devnull])
+    for flag, domain in FLAG_DOMAINS[command].items():
+        # a required flag (default None) takes the value its REQUIRED_ARGV entry gives
+        want = domain.type(required[required.index(flag) + 1]) if domain.default is None else domain.default
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert type(value) is domain.type and value == want, flag
 
 
 def _flag_texts(kind: type, domain) -> st.SearchStrategy[str]:

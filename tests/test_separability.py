@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puritynet import separability
+from puritynet.bs_network import sign_probabilities_from_purities
 from puritynet.cli import parse_state_spec
 from puritynet.qstate import (
     CapacityError,
     DensityOperator,
     PureState,
+    random_states,
 )
 from puritynet.separability import (
     VIOLATION_THRESHOLD,
@@ -135,6 +137,15 @@ class TestAllSubsetPurities:
         want = np.outer(*(all_subset_purities(f).values for f in factors)).ravel()
         np.testing.assert_allclose(all_subset_purities(tensor(factors)).values, want, rtol=0, atol=1e-12)
 
+    def test_raw_product_table_at_eleven_sites_is_the_outer_product(self):
+        # rank-2 N = 5 and N = 6 matrices parsed from raw specs; the N = 11 mask is mask_a << 6 | mask_b
+        factors = []
+        for n, seed in ((5, 7), (6, 8)):
+            rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in random_states(n, [2], [seed])[0])
+            factors.append(parse_state_spec(f"statespec v1\nkind = raw\nmatrix = {rows}\n")[0])
+        want = np.outer(*(all_subset_purities(f).values for f in factors)).ravel()
+        np.testing.assert_allclose(all_subset_purities(tensor(factors)).values, want, rtol=0, atol=1e-12)
+
 
 def family_states(n):
     """One pure state of every spec family at n sites, parsed from its spec."""
@@ -213,6 +224,42 @@ class TestPureSubsetPurities:
         old = sum(((masks >> (n - 1 - k)) & 1) << (n - 1 - perm[k]) for k in range(n))
         want = all_subset_purities(psi).values[old]
         np.testing.assert_allclose(all_subset_purities(moved).values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_local_unitaries_at_the_cap_leave_the_table_unchanged(self, n):
+        rng = np.random.default_rng(200 + n)
+        psi = random_pure_state(n, n)
+        amps = psi.amplitudes.reshape((2,) * n)
+        for site in range(n):
+            # a Haar 2x2 unitary: the Q of a complex Gaussian matrix
+            u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            amps = np.moveaxis(np.tensordot(u, amps, axes=(1, site)), 0, site)
+        moved = PureState(n, amps.ravel())
+        np.testing.assert_allclose(
+            all_subset_purities(moved).values, all_subset_purities(psi).values, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n_a, n_b", [(6, 7), (7, 7)])
+    def test_product_sign_table_at_the_cap_is_the_outer_product(self, n_a, n_b):
+        # a product state's two-copy sign outcomes are independent across the factors
+        a, b = random_pure_state(n_a, 300 + n_a), random_pure_state(n_b, 400 + n_b)
+        product = PureState(n_a + n_b, np.kron(a.amplitudes, b.amplitudes))
+        tables = [sign_probabilities_from_purities(all_subset_purities(s)).values for s in (a, b, product)]
+        np.testing.assert_allclose(tables[2], np.outer(tables[0], tables[1]).ravel(), rtol=0, atol=1e-12)
+
+    def test_table_at_twelve_sites_matches_an_extended_precision_gram_purity(self):
+        # tr(rho_A^2) = ||G||_F^2 for the Gram matrix G of the amplitudes split
+        # into A and the rest, the smaller side kept, all in np.clongdouble
+        n = 12
+        psi = random_pure_state(n, 12)
+        values = all_subset_purities(psi).values
+        amps = psi.amplitudes.astype(np.clongdouble).reshape((2,) * n)
+        for mask in np.random.default_rng(12).choice(np.arange(1, 2**n), size=200, replace=False).tolist():
+            kept = [k for k in range(n) if mask >> (n - 1 - k) & 1]
+            split = amps.transpose(kept + [k for k in range(n) if k not in kept]).reshape(2 ** len(kept), -1)
+            gram = split @ split.conj().T if 2 * len(kept) <= n else split.conj().T @ split
+            want = (gram.real**2 + gram.imag**2).sum()
+            assert abs(values[mask] - want) <= 1e-12, mask
 
 
 class TestCheckChain:
