@@ -262,6 +262,31 @@ def ref_epsilon_resolution(n_sites: int, n_lost: int, eps: float) -> float:
     return float(np.spacing(num / den) / abs(dpi_deps))
 
 
+def ref_estimate_epsilon(purity_measured: float, n_sites: int, n_lost: float) -> float:
+    """epsilon from the reduced cat purity by plain bisection in gamma.
+
+    Halves [0, 1] until it is 1e-10 wide, keeping the half where
+    ``cat_purity_closed_form`` crosses the measured purity, and returns
+    sqrt(1 - gamma) at the last midpoint.  It raises ``InversionError``
+    where ``estimate_epsilon`` does, reading the band's ends from the
+    closed form.
+    """
+    if not 0 < n_lost < n_sites:
+        raise InversionError(f"reduction count n={n_lost} outside (0, {n_sites})")
+    lo_val = cat_purity_closed_form(n_sites, n_lost, 0.0)
+    hi_val = cat_purity_closed_form(n_sites, n_lost, 1.0)
+    if not lo_val - 1e-9 <= purity_measured <= hi_val + 1e-9:
+        raise InversionError(f"purity {purity_measured} outside the achievable band [{lo_val}, {hi_val}]")
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = (lo + hi) / 2
+        if cat_purity_closed_form(n_sites, n_lost, mid) < purity_measured:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(max(0.0, 1.0 - (lo + hi) / 2))
+
+
 def ref_cat_experiment(n: int, epsilon: float, survival: float, runs: int, seed: int) -> dict:
     """The ``cat-experiment`` report fields from a literal per-run loop.
 

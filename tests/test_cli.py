@@ -38,7 +38,7 @@ from puritynet.cli import (
     write_csv,
     write_json,
 )
-from puritynet import cli, lattice, qstate, separability
+from puritynet import cli, lattice, qstate, separability, states
 from puritynet.lattice import COUPLING_MAX, COUPLING_MIN, build_fock_basis
 from puritynet.qstate import CapacityError, DensityOperator, PureState
 from puritynet.states import cat_purity_closed_form, estimate_epsilon, ghz
@@ -987,6 +987,43 @@ class TestCatExperimentCommand:
         counts = set(losses.max(axis=1).tolist()) - {0, 300}
         # one inversion per distinct informative count, plus the mean-purity diagnostic
         assert len(calls) == len(counts) + 1
+
+    def test_median_inversion_takes_at_most_two_evaluations(self, tmp_path, monkeypatch):
+        # estimate_epsilon's Newton solve evaluates the closed form and its
+        # slope through one private helper, at most 64 times (its loop guard)
+        evaluations, per_inversion = [], []
+        helper = states._cat_purity_and_slope
+
+        def counted_helper(*args):
+            evaluations.append(args)
+            return helper(*args)
+
+        def counted(*args):
+            before = len(evaluations)
+            value = estimate_epsilon(*args)
+            per_inversion.append(len(evaluations) - before)
+            return value
+
+        monkeypatch.setattr(states, "_cat_purity_and_slope", counted_helper)
+        monkeypatch.setattr(cli, "estimate_epsilon", counted)
+        argv = ["--n", "300", "--epsilon", "0.6", "--survival", "0.95", "--runs", "1000", "--seed", "0"]
+        assert run("cat-experiment", *argv, "--out", str(tmp_path / "cat.json")) == EXIT_OK
+        assert per_inversion and float(np.median(per_inversion)) <= 2
+        assert max(per_inversion) < 64
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["--epsilon", "0"], 0.0), (["--epsilon", "1"], 1.0), (["--n", "1000000000", "--epsilon", "0.5"], 1.0)],
+        ids=["epsilon-0", "epsilon-1", "underflow"],
+    )
+    def test_epsilon_at_the_ends_of_its_range(self, tmp_path, argv, expected):
+        # Pi is exactly 1 at epsilon = 0 and exactly 1/2 at epsilon = 1 (or once
+        # gamma^n underflows), and the band's ends invert exactly
+        out = tmp_path / "cat.json"
+        assert run("cat-experiment", *argv, "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["epsilon_estimated"] == expected
+        assert report["epsilon_from_mean_purity"] == expected
 
 
 CAT_ARGV = ["cat-experiment", "--epsilon", "0.6"]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puritynet import states
+from puritynet.cli import MAX_ATOMS
 from puritynet.qstate import PureState
 from puritynet.states import (
     InversionError,
@@ -17,7 +19,14 @@ from puritynet.states import (
     linear_cluster,
 )
 
-from conftest import cat_reduced_purity_brute_force, ref_purity, ref_reduced, ref_subset_purity
+from conftest import (
+    cat_reduced_purity_brute_force,
+    ref_epsilon_resolution,
+    ref_estimate_epsilon,
+    ref_purity,
+    ref_reduced,
+    ref_subset_purity,
+)
 
 KET0 = PureState.from_amplitudes([1.0, 0.0])
 KET1 = PureState.from_amplitudes([0.0, 1.0])
@@ -164,13 +173,17 @@ class TestCatPurityClosedForm:
 
 
 class TestEstimateEpsilon:
+    # The band's ends are exactly Pi(0) = 1/2 and Pi(1) = 1 for every
+    # 0 < n < N, so they invert to exactly epsilon = 1 and 0.
+    END_CASES = [(20, 1), (300, 7), (300, 7.5), (300, 0.37), (300, 299.5), (10**9, 5 * 10**7)]
+
     def test_purity_one_gives_zero(self):
-        # the purity is quartically flat in epsilon at the pure end, so
-        # float64 pins epsilon only to ~1e-5 there
-        assert estimate_epsilon(1.0, 300, 7) == pytest.approx(0.0, abs=1e-4)
+        for n_sites, n_lost in self.END_CASES:
+            assert estimate_epsilon(1.0, n_sites, n_lost) == 0.0, (n_sites, n_lost)
 
     def test_purity_half_gives_one(self):
-        assert estimate_epsilon(0.5, 300, 7) == pytest.approx(1.0, abs=1e-5)
+        for n_sites, n_lost in self.END_CASES:
+            assert estimate_epsilon(0.5, n_sites, n_lost) == 1.0, (n_sites, n_lost)
 
     def test_round_trip_spec_example(self):
         pi = cat_purity_closed_form(300, 15, 1 - 0.36)
@@ -219,3 +232,50 @@ class TestEstimateEpsilon:
             estimate_epsilon(0.4, 300, 7)
         with pytest.raises(InversionError):
             estimate_epsilon(1.2, 300, 7)
+
+    def test_matches_bisection_oracle_on_grid(self):
+        # The Newton solve and the bisection may part only where a float64
+        # purity no longer pins epsilon (r, the oracle's resolution), or by
+        # the bisection's own 1e-10 tolerance in gamma.
+        for n_sites in (20, 300, 3000):
+            lost = [n for n in range(1, 80) if n < n_sites] + [0.37, 2.5, 17.2, n_sites - 1.0, n_sites - 0.5]
+            for n_lost in lost:
+                for eps in (np.arange(1, 100) / 100).tolist():
+                    pi = cat_purity_closed_form(n_sites, n_lost, 1.0 - eps**2)
+                    got, want = estimate_epsilon(pi, n_sites, n_lost), ref_estimate_epsilon(pi, n_sites, n_lost)
+                    bound = max(4 * ref_epsilon_resolution(n_sites, n_lost, eps), 2e-9)
+                    assert abs(got - want) <= bound, (n_sites, n_lost, eps, got, want)
+
+    def test_step_below_an_ulp_ends_the_solve(self, monkeypatch):
+        # Here every Newton iterate lands above the root, so lo stays 0: a
+        # last step too small to move gamma must end the solve, not send it
+        # bisecting from [0, gamma] (38 evaluations without that stop).
+        evaluations = []
+        helper = states._cat_purity_and_slope
+
+        def counted(*args):
+            evaluations.append(args)
+            return helper(*args)
+
+        monkeypatch.setattr(states, "_cat_purity_and_slope", counted)
+        pi = cat_purity_closed_form(300, 22, 1.0 - 0.21**2)
+        assert estimate_epsilon(pi, 300, 22) == pytest.approx(0.21, abs=1e-12)
+        assert len(evaluations) <= 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_sites=st.integers(2, MAX_ATOMS),
+        fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        purity=st.floats(0.5 - 2e-9, 1.0 + 2e-9) | st.sampled_from([0.5 - 1e-9, 0.5, 1.0, 1.0 + 1e-9]),
+    )
+    def test_always_ends_in_range_or_documented_error(self, n_sites, fraction, purity):
+        # any RuntimeWarning fails the test (pyproject.toml filterwarnings)
+        n_lost = n_sites * fraction
+        if not 0 < n_lost < n_sites:
+            return
+        try:
+            eps = estimate_epsilon(purity, n_sites, n_lost)
+        except InversionError as exc:
+            assert "achievable band" in str(exc) and not 0.5 - 1e-9 <= purity <= 1.0 + 1e-9
+        else:
+            assert math.isfinite(eps) and 0.0 <= eps <= 1.0
