@@ -22,7 +22,8 @@ import numpy as np
 #: (~4 GiB), which only mixed input (a raw matrix) ever builds; beyond that
 #: dense storage stops being sensible.  A pure state keeps its 2^N
 #: amplitudes (256 KiB at 14 qubits), and there the cap bounds run time:
-#: its subset-purity table grows about 3.5x per qubit, to about 1 s at 14.
+#: its subset-purity table grows about 3.5x per qubit, to about 0.6 s at 14
+#: on a shared 2-vCPU VM, nearly all of it in the Gram products.
 DEFAULT_QUBIT_CAP = 14
 
 #: Tolerances for the structural invariants of a density operator.
@@ -166,18 +167,20 @@ class DensityOperator:
 
 
 def trace_site(matrix: np.ndarray, position: int) -> np.ndarray:
-    """Trace one site out of a 2^k x 2^k operator on k sites.
+    """Trace one site out of a 2^k x 2^k operator on k sites, or out of
+    each operator of a (..., 2^k, 2^k) stack.
 
     ``position`` is the 0-based place of the site in the operator's own
     big-endian order.  Viewed as an (a, 2, b, a, 2, b) tensor with
     a = 2^position, the reduced operator is the sum of the two diagonal
     blocks of the traced axis pair; it acts on the other k - 1 sites in
-    their order.
+    their order.  Each operator of a stack is reduced as it would be alone,
+    bit for bit.
     """
     a = 2**position
-    b = matrix.shape[0] // (2 * a)
-    t = matrix.reshape(a, 2, b, a, 2, b)
-    return (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(a * b, a * b)
+    b = matrix.shape[-1] // (2 * a)
+    t = matrix.reshape(-1, a, 2, b, a, 2, b)
+    return (t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]).reshape(matrix.shape[:-2] + (a * b, a * b))
 
 
 def random_states(n_qubits: int, ranks, seeds) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,12 @@ VIOLATION_THRESHOLD = 1e-9
 #: of every size it ever saw.  Eight hold N = 4..10, which one pass of
 #: interleaved probes at those sizes visits.
 PLAN_SIZES_KEPT = 8
+
+#: Bytes one stack of the subset-purity table's roots may take while it is
+#: built (at least one root a stack): 32 of a pure state's 126 roots at
+#: N = 10, 2 of its 1716 at N = 14.  A pure table builds every stack in one
+#: buffer of this size.
+_ROOT_STACK_BYTES = 3 * 2**19
 
 
 def freeze_values(table, values: np.ndarray) -> None:
@@ -118,60 +124,107 @@ def all_subset_purities(state: PureState | DensityOperator, cap: int | None = No
     """Purity of every reduction of ``state``, including the full set.
 
     One depth-first recursion serves both types; the type only chooses the
-    roots.  Each reduced operator is traced from its parent's by one more
-    site (``qstate.trace_site``), at or after the position its parent
-    removed and before the root's ``stop``, so every subset is reached once.
-    A :class:`DensityOperator` has one root, its matrix, with ``stop = N``:
-    2^N - 2 ``trace_site`` calls, about 4 * 5^N operations, O(4^N) memory.
-    A :class:`PureState` never becomes a density matrix.  Its roots are the
-    Gram matrices M M^dag of the h = floor(N/2)-site subsets (at even N only
-    those holding site 1), M the amplitudes with the subset's axes first,
-    and ``stop`` is the position of the first site a root lacks: a smaller
-    subset S is reached only from S plus the smallest sites not in S.  That
-    is C(N, h) Gram products (half at even N) and sum_{1 <= j < h} C(N, j)
-    ``trace_site`` calls in O(2^N) memory; Schmidt symmetry (T and its
-    complement share one purity) fills the rest.
+    roots.  Each node of the recursion is a stack of reduced operators, one
+    per root, each traced from its parent by one more site: at or after the
+    position its parent removed, and before its root's ``stop``, the
+    position of the first site the root lacks.  So every subset is reached
+    once.  The roots are sorted by ``stop``, largest first, so the roots
+    that still trace a position are a prefix of the stack, and a node costs
+    one batched ``qstate.trace_site``, one batched purity and one masked
+    write.  A :class:`DensityOperator`'s roots are its N reductions by one
+    site: 2^N - 2 traced operators in all, about 4 * 5^N operations, O(4^N)
+    memory.  A :class:`PureState` never becomes a density matrix.  Its roots
+    are the Gram matrices M M^dag of the h = floor(N/2)-site subsets (at
+    even N only those holding site 1), M the amplitudes with the subset's
+    axes first, so a smaller subset S is reached only from S plus the
+    smallest sites not in S.  That is C(N, h) Gram products (half at even N)
+    and sum_{1 <= j < h} C(N, j) traced operators in O(2^N) memory; Schmidt
+    symmetry (T and its complement share one purity) fills the rest.  Either
+    type's roots are built and traced in stacks of ``_ROOT_STACK_BYTES``.
     """
     n = state.n_qubits
     check_qubit_capacity(n, cap)
     values = np.zeros(2**n)
     values[0] = 1.0
+    # below[path:][c] is values[full - path - c]: for c a root's complement mask and
+    # path some sites the root holds, the mask of the root less those sites
+    below = values[::-1]
 
-    def visit(mat: np.ndarray, mask: int, start: int, stop: int, depth: int) -> None:
-        # mat is its root less ``depth`` sites, all traced at root positions below
-        # start + depth, so position j in [start, stop) holds axis j + depth
-        values[mask] = np.vdot(mat, mat).real
-        for j in range(start, stop if len(mat) > 2 else 0):
-            visit(trace_site(mat, j), mask ^ (1 << (n - 1 - depth - j)), j, stop - 1, depth + 1)
+    def visit(mats: np.ndarray, comps: np.ndarray, path: int, reach: Sequence[int], start: int, depth: int) -> None:
+        # mats[r] is root r less ``depth`` sites, all traced at root positions below
+        # start + depth, so position j in [start, stop_r - depth) holds axis j + depth;
+        # reach[s] is how many roots, a prefix of the stack, have stop_r > s
+        flat = mats.reshape(len(mats), -1)
+        below[path:][comps] = np.vecdot(flat, flat).real
+        for j in range(start, len(reach) - depth if mats.shape[-1] > 2 else 0):
+            k = reach[j + depth]
+            visit(trace_site(mats[:k], j), comps[:k], path | (1 << (n - 1 - depth - j)), reach, j, depth + 1)
 
     if isinstance(state, PureState):
         psi = state.amplitudes.reshape((2,) * n)
-        roots = (  # m holds the amplitudes with the root's axes first
-            (m @ m.conj().T, mask, stop)
-            for axes, mask, stop in _pure_roots(n)
-            for m in [psi.transpose(axes).reshape(2 ** (n // 2), -1)]
-        )
+        stacks = _pure_roots(n)
+        d, e = 2 ** (n // 2), 2 ** (n - n // 2)
+        # one buffer for every stack in turn: its amplitude copies (m[r] the amplitudes with
+        # root r's sites first), their conjugates and the Gram matrices, so that no stack
+        # allocates (and page-faults) memory of its own
+        work = np.empty(len(stacks[0][0]) * (2 * d * e + d * d) if stacks else 0, dtype=complex)
+        for perms, comps, reach in stacks:
+            k, size = len(perms), len(perms) * d * e
+            m = work[:size].reshape(k, *psi.shape)
+            for r, perm in enumerate(perms):
+                m[r] = psi.transpose(perm)
+            m = m.reshape(k, d, e)
+            mc = np.conjugate(m, out=work[size : 2 * size].reshape(k, d, e))
+            gram = np.matmul(m, mc.mT, out=work[2 * size : 2 * size + k * d * d].reshape(k, d, d))
+            visit(gram, comps, 0, reach, 0, 0)
     else:
-        roots = [(state.matrix, 2**n - 1, n)]
-    for mat, mask, stop in roots:
-        visit(mat, mask, 0, stop, 0)
-    # entries still 0 are pure-state complements of set ones; values[::-1][m] is values[full ^ m]
-    return SubsetPurityMap(n, np.where(values, values, values[::-1]))
+        rho = state.matrix[None]
+        visit(rho, np.zeros(1, dtype=np.intp), 0, (), 0, 0)  # the full set
+        # the root lacking the site at position s has stop = s
+        per_stack = max(1, _ROOT_STACK_BYTES // (rho.itemsize * 4 ** (n - 1)))
+        work = np.empty((min(per_stack, n), 2 ** (n - 1), 2 ** (n - 1)), dtype=rho.dtype) if per_stack > 1 else None
+        for top in range(n - 1, -1, -per_stack) if n > 1 else ():
+            stops = range(top, max(top - per_stack, -1), -1)
+            if len(stops) == 1:  # a stack of one root is that root's trace as it stands
+                mats = trace_site(rho, top)
+            else:  # several are gathered, one at a time, in one buffer allocated once per table
+                mats = work[: len(stops)]
+                for r, s in enumerate(stops):
+                    mats[r] = trace_site(rho, s)[0]
+            # top - s roots have stop > s, or the whole stack, which is what mats[:top - s] takes
+            visit(mats, np.array([1 << (n - 1 - s) for s in stops]), 0, range(top, 0, -1), 0, 0)
+    # entries still 0 are pure-state complements of set ones; below[m] is values[full ^ m]
+    return SubsetPurityMap(n, np.where(values, values, below))
 
 
 @functools.lru_cache(maxsize=PLAN_SIZES_KEPT)
-def _pure_roots(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """The Gram roots of a pure state on ``n`` sites, built once per ``n``:
-    each root's axis permutation (its h = floor(n/2) sites first), site mask
-    and ``stop``, the position of its first missing site (the top bit of its
-    missing mask)."""
+def _pure_roots(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray, tuple[int, ...]], ...]:
+    """The Gram roots of a pure state on ``n`` sites, built once per ``n``,
+    sorted by ``stop``, largest first, in stacks of ``_ROOT_STACK_BYTES``
+    (each root takes its amplitude copy, that copy's conjugate and its Gram
+    matrix).  Each stack holds its roots' axis permutations (a root's
+    h = floor(n/2) sites first), their complement masks as a read-only
+    array, and ``reach``: ``reach[s]`` counts the roots with ``stop`` > s,
+    ``stop`` being the position of a root's first missing site (the top bit
+    of its complement mask)."""
     h, full = n // 2, 2**n - 1
-    return tuple(
-        (kept + tuple(a for a in range(n) if a not in kept), mask, n - (mask ^ full).bit_length())
-        for kept in itertools.combinations(range(n), h)
-        if h and not (2 * h == n and kept[0])
-        for mask in [sum(1 << (n - 1 - a) for a in kept)]
+    roots = sorted(
+        (
+            (kept + tuple(a for a in range(n) if a not in kept), comp, n - comp.bit_length())
+            for kept in itertools.combinations(range(n), h)
+            if h and not (2 * h == n and kept[0])
+            for comp in [full ^ sum(1 << (n - 1 - a) for a in kept)]
+        ),
+        key=lambda root: -root[2],
     )
+    per_stack = max(1, _ROOT_STACK_BYTES // (np.dtype(complex).itemsize * (2 * 2**n + 4**h)))
+    stacks = []
+    for first in range(0, len(roots), per_stack):
+        perms, comps, stops = zip(*roots[first : first + per_stack])
+        comps = np.array(comps)
+        comps.flags.writeable = False
+        stacks.append((perms, comps, tuple(sum(stop > s for stop in stops) for s in range(stops[0]))))
+    return tuple(stacks)
 
 
 @dataclass(frozen=True, eq=False)

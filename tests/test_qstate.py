@@ -17,7 +17,15 @@ from puritynet.qstate import (
 )
 from puritynet.separability import all_subset_purities
 
-from conftest import maximally_mixed, random_pure_state, ref_partial_trace, ref_purity, ref_random_state, tensor
+from conftest import (
+    maximally_mixed,
+    random_pure_state,
+    ref_partial_trace,
+    ref_purity,
+    ref_random_state,
+    ref_reduced,
+    tensor,
+)
 
 I2 = maximally_mixed(1)
 KET0 = DensityOperator(1, np.diag([1.0, 0.0]).astype(complex))
@@ -84,6 +92,22 @@ def test_partial_trace_matches_reference(seed):
                 got = trace_to(rho.matrix, n, keep)
                 want = ref_partial_trace(rho.matrix, n, keep)
                 np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_site_reduces_each_member_of_a_stack_alone(seed):
+    # a (2, 3) stack of random 4-site operators of ranks 1..3, traced at every position
+    n = 4
+    states = [ref_random_state(n, 1 + k % 3, 6 * seed + k) for k in range(6)]
+    stack = np.stack([rho.matrix for rho in states]).reshape(2, 3, 2**n, 2**n)
+    for position in range(n):
+        got = trace_site(stack, position)
+        assert got.shape == (2, 3, 2 ** (n - 1), 2 ** (n - 1))
+        for k, rho in enumerate(states):
+            alone = trace_site(rho.matrix, position)
+            assert got[divmod(k, 3)].tobytes() == alone.tobytes()
+            keep = [site for site in range(1, n + 1) if site != position + 1]
+            np.testing.assert_allclose(alone, ref_reduced(rho, keep).matrix, rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 10**6))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,11 +100,12 @@ class TestAllSubsetPurities:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_subset_reached_once(self, n, monkeypatch):
-        # one trace_site call per subset below the roots: the subsets under
-        # half size for a pure state, all proper nonempty ones for a mixed one
+        # one traced operator per subset below the roots, counted over every
+        # stack trace_site reduces: the subsets under half size for a pure
+        # state, all proper nonempty ones for a mixed one
         calls = []
         trace = separability.trace_site
-        monkeypatch.setattr(separability, "trace_site", lambda mat, j: calls.append(j) or trace(mat, j))
+        monkeypatch.setattr(separability, "trace_site", lambda mats, j: calls.append(len(mats)) or trace(mats, j))
         psi, rho = random_pure_state(n, n), ref_random_state(n, 2, n)
         dense = psi.to_density()
         cases = [
@@ -115,7 +117,7 @@ class TestAllSubsetPurities:
         for state, mat, count in cases:
             calls.clear()
             pm = all_subset_purities(state)
-            assert len(calls) == count
+            assert sum(calls) == count
             tables.append(pm.values)
             for subset in pm.subsets() if n <= 5 else ():
                 assert pm.purity(subset) == pytest.approx(ref_subset_purity(mat, n, subset), abs=1e-12)
@@ -200,11 +202,30 @@ class TestPureSubsetPurities:
             assert separability._pure_roots.cache_info().hits == 1
             assert list(map(float.hex, cold.tolist())) == list(map(float.hex, warm.tolist()))
 
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_table_at_the_cap_stays_within_a_fixed_memory_bound(self, n):
+        # the traced peak of one table, its root plan built cold: about 2.5 MiB with
+        # stacks of at most _ROOT_STACK_BYTES (1.0 to 1.5 MiB one root at a time),
+        # where one stack of all 1716 roots would take over 500 MB
+        psi = random_pure_state(n, n)
+        separability._pure_roots.cache_clear()
+        tracemalloc.start()
+        try:
+            all_subset_purities(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_root_plan_is_immutable(self):
-        roots = separability._pure_roots(6)
-        assert len(roots) == 10  # C(6, 3) / 2: at even N only the roots holding site 1
+        stacks = separability._pure_roots(6)
+        assert sum(len(perms) for perms, _, _ in stacks) == 10  # C(6, 3) / 2: at even N only the roots holding site 1
         with pytest.raises(TypeError):
-            roots[0] = roots[1]
+            stacks[0] = stacks[-1]
+        for perms, comps, reach in stacks:
+            assert isinstance(perms, tuple) and isinstance(reach, tuple)
+            with pytest.raises(ValueError):
+                comps[0] = 0
 
     @pytest.mark.parametrize("n_a, n_b", [(6, 7), (7, 7)])
     def test_product_table_at_the_cap_is_the_outer_product(self, n_a, n_b):
