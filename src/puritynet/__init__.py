@@ -30,7 +30,6 @@ from .states import (
     cat_purity_closed_form,
     cat_state,
     cluster_family_state,
-    collision_phase_state,
     estimate_epsilon,
     ghz,
     linear_cluster,

@@ -9,8 +9,10 @@ all N splitters yields 2^N joint probabilities
     P_s = 2^{-N} sum_{T subseteq {1..N}} (prod_{i in T} s_i) tr(rho_T^2),
 
 a sign-weighted subset sum over the reduction purities (empty subset term
-1).  This is a Walsh-Hadamard transform of the purity table, and the
-transform is its own inverse up to 2^{-N}, so the purities are recovered
+1).  Both tables are indexed by the same site bitmask, and the sum
+factorizes over sites: the table is the purity table under one 2x2 map
+per site, 1/2 [[1, 1], [1, -1]] (a Walsh-Hadamard transform scaled by
+2^{-N}).  Its inverse is twice the map, so the purities are recovered
 exactly from the probabilities.
 """
 
@@ -28,26 +30,31 @@ from .separability import SubsetPurityMap, freeze_values
 NORM_ATOL = 1e-8
 
 #: Sign convention: "+" is the symmetric projector (I + V)/2, whose
-#: expectation on rho x rho is (1 + tr rho^2)/2.
+#: expectation on rho x rho is (1 + tr rho^2)/2.  The per-site maps of the
+#: sign transform take a site's purity factors (1, tr rho_i^2) to its "+"
+#: and "-" probabilities, and back.
+SIGNS_FROM_PURITIES = np.array([[0.5, 0.5], [0.5, -0.5]])
+PURITIES_FROM_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+SIGNS_FROM_PURITIES.flags.writeable = PURITIES_FROM_SIGNS.flags.writeable = False
 
 
-def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Fast Walsh-Hadamard transform (Sylvester order).
+def site_map(values, m) -> np.ndarray:
+    """Apply the 2x2 matrix ``m`` along every site axis of a bitmask-indexed
+    table: ``kron(m, ..., m) @ values``, without the 2^N x 2^N matrix.
 
-    out[j] = sum_k (-1)^{popcount(j & k)} values[k]; self-inverse up to the
-    factor len(values).  Viewed as a (2,)*N tensor, the transform is a
-    two-point butterfly (a, b) -> (a + b, a - b) along each axis in turn,
-    the most significant first; axis ``a`` is the middle axis of the
-    (2^a, 2, rest) view.
+    Viewed as a (2,)*N tensor, each axis in turn, the most significant
+    first, is one matmul of ``m`` with the (2^a, 2, rest) view whose middle
+    axis is axis ``a``.  With m = [[1, 1], [1, -1]] this is the
+    Walsh-Hadamard transform, bit for bit the butterfly (x, y) -> (x + y,
+    x - y) on each axis; with half that matrix it is the same transform
+    divided by 2^N, bit for bit barring subnormals and overflow.
     """
     out = np.array(values, dtype=float)
     if out.ndim != 1 or out.size < 1 or out.size & (out.size - 1):
         raise ValueError("length must be a power of two")
     for axis in range(out.size.bit_length() - 1):
-        pair = out.reshape(2**axis, 2, -1)  # a view: writes land in ``out``
-        a, b = pair[:, 0], pair[:, 1]
-        a[...], b[...] = a + b, a - b
-    return out
+        out = np.matmul(m, out.reshape(2**axis, 2, -1))
+    return out.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +103,10 @@ def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProb
     """Forward sign transform: purity table -> joint outcome probabilities.
 
     Accepts any SubsetPurityMap, physical or not; the involution with
-    :func:`purities_from_probabilities` holds regardless.  Both tables are
-    indexed by the same site bitmask, so the transform is one
-    Walsh-Hadamard pass over the purity array.
+    :func:`purities_from_probabilities` holds regardless.  The transform is
+    one :func:`site_map` pass over the purity array.
     """
-    n = purities.n_sites
-    return JointSignProbabilityTable(n, walsh_hadamard(purities.values) / 2**n)
+    return JointSignProbabilityTable(purities.n_sites, site_map(purities.values, SIGNS_FROM_PURITIES))
 
 
 def purities_from_probabilities(table: JointSignProbabilityTable) -> SubsetPurityMap:
@@ -117,6 +122,6 @@ def purities_from_probabilities(table: JointSignProbabilityTable) -> SubsetPurit
             f"probability table sums to {total!r}, deficit {1.0 - total:+.3e} "
             f"exceeds tolerance {NORM_ATOL}"
         )
-    back = walsh_hadamard(table.values)
+    back = site_map(table.values, PURITIES_FROM_SIGNS)
     back[0] = 1.0  # the empty subset is the sentinel, not the measured total
     return SubsetPurityMap(table.n_sites, back)

@@ -64,7 +64,9 @@ from .separability import (
     maximal_chains,
     subset_order,
 )
-from .states import InversionError, cat_purity_closed_form, cat_state, cluster_family_state, estimate_epsilon, ghz
+from .states import (
+    PHASE_FAMILIES, InversionError, cat_purity_closed_form, cat_state, cluster_family_state, estimate_epsilon, ghz
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -208,9 +210,7 @@ def _parse_bloch(text: str) -> PureState:
         raise SpecParseError(f"Bloch angles must be 'theta,azimuth', got {text!r}") from exc
     if not (math.isfinite(theta) and math.isfinite(azim)):
         raise SpecParseError(f"Bloch angles must be finite, got {text!r}")
-    return PureState.from_amplitudes(
-        [math.cos(theta / 2), np.exp(1j * azim) * math.sin(theta / 2)]
-    )
+    return PureState(1, [math.cos(theta / 2), np.exp(1j * azim) * math.sin(theta / 2)])
 
 
 def _complex_literals(tokens: list[str], field: str) -> np.ndarray:
@@ -313,7 +313,7 @@ def parse_state_spec(
         if not qubits:
             raise SpecParseError("product state needs at least one qubit")
         check_qubit_capacity(len(qubits), cap)
-        state = PureState.from_amplitudes(product_amplitudes([_parse_bloch(q).amplitudes for q in qubits]))
+        state = PureState(len(qubits), product_amplitudes([_parse_bloch(q).amplitudes for q in qubits]))
     else:  # raw
         if "amplitudes" in fields and "matrix" in fields:
             raise SpecParseError("kind 'raw' takes 'amplitudes' or 'matrix', not both")
@@ -438,7 +438,7 @@ def run_probe(args) -> int:
 
     purities = all_subset_purities(state, cap=args.qubit_cap)
     plan = _report_plan(n)
-    links = chain_links(parse_chains(args.chains), n) if args.chains else plan.default_chains
+    links = plan.default_chains if args.chains is None else chain_links(parse_chains(args.chains), n)
     # every link of every chain in one gather
     violations = links.violations(purities)
     flags = violations > args.threshold
@@ -476,6 +476,8 @@ def run_fig2b(args) -> int:
         m_list = [int(m) for m in m_texts]
     except ValueError as exc:
         raise SpecParseError(f"--m must be comma-separated integers, got {args.m!r}") from exc
+    if len(set(m_list)) < len(m_list):
+        raise SpecParseError(f"--m lists a value more than once, got {args.m!r}")
     for m in m_list:
         if not 0 < m < args.n:
             raise SpecParseError(f"m values must lie strictly between 0 and N={args.n}, got {m}")
@@ -621,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--chains", help="chain spec, e.g. '1,2,3>1,2>1;1,2>2'")
     command("fig2a", "three-site violation curves (CSV)").add_argument(
         "--family",
-        choices=["collision", "superposition"],
+        choices=list(PHASE_FAMILIES),
         default="collision",
         help="interpolating family: controlled-phase dynamics or two-term superposition",
     )

@@ -115,14 +115,6 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "PureState":
-        amps = np.asarray(amplitudes, dtype=complex)
-        n = amps.size.bit_length() - 1
-        if amps.size != 2**n:
-            raise ValueError(f"amplitude vector length {amps.size} is not a power of two")
-        return cls(n, amps)
-
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 

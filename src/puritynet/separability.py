@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import DensityOperator, PureState, check_normalized, check_qubit_capacity, site_mask, trace_site
-from .states import cluster_family_amplitudes, cluster_family_state, collision_phase_amplitudes, collision_phase_state
+from .states import phase_family_amplitudes
 
 #: Arithmetic error a computed purity carries: a difference of two
 #: purities this small says nothing about the state.
@@ -294,12 +294,12 @@ def fig2a_violations(phi, family: str = "collision") -> tuple[np.ndarray, np.nda
 
     V1 = tr rho_123^2 - tr rho_12^2, V2 = tr rho_12^2 - tr rho_1^2 and
     V3 = tr rho_12^2 - tr rho_2^2, each an array of ``phi``'s shape.
-    ``family`` selects the interpolating state: "collision" (default) uses
-    the state generated by nearest-neighbour controlled-phase dynamics,
-    which separates the edge and middle reductions (V3 > 0 away from the
-    endpoints); "superposition" uses the idealized two-term formula, whose
-    proper reductions all share one purity, leaving V2 = V3 = 0
-    identically.  Both give V1 = 0 at phi = 0 and V1 = 1/2 at phi = pi.
+    ``family`` names the interpolating state in ``states.PHASE_FAMILIES``:
+    "collision" (default) is the state generated by nearest-neighbour
+    controlled-phase dynamics, which separates the edge and middle
+    reductions (V3 > 0 away from the endpoints); "superposition" is the
+    idealized two-term formula, whose proper reductions all share one
+    purity, leaving V2 = V3 = 0 identically.  Both give V1 = 0 at phi = 0 and V1 = 1/2 at phi = pi.
 
     All phases are one array pass, without a state object or purity table
     per phase.  The site purities come from the Gram matrices M M^dag, M the
@@ -309,12 +309,7 @@ def fig2a_violations(phi, family: str = "collision") -> tuple[np.ndarray, np.nda
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite")
-    if family == "collision":
-        amps = collision_phase_amplitudes(3, phi)
-    elif family == "superposition":
-        amps = cluster_family_amplitudes(3, phi)
-    else:
-        raise ValueError(f"unknown family {family!r}; use 'collision' or 'superposition'")
+    amps = phase_family_amplitudes(family, 3, phi)
     check_normalized(amps)
     psi = amps.reshape(phi.shape + (2, 2, 2))
     p1, p2, p3 = (
@@ -368,13 +363,7 @@ def chsh_threshold_phi(family: str = "superposition", lo: float = 1e-4, hi: floa
     """
 
     def gap(phi: float) -> float:
-        if family == "superposition":
-            psi = cluster_family_state(2, phi)
-        elif family == "collision":
-            psi = collision_phase_state(2, phi)
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        return chsh_max(psi.to_density()) - 2.0
+        return chsh_max(PureState(2, phase_family_amplitudes(family, 2, phi)).to_density()) - 2.0
 
     if gap(lo) > 0:
         return lo

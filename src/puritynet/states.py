@@ -87,9 +87,17 @@ def collision_phase_amplitudes(n: int, phi) -> np.ndarray:
     return np.exp(1j * np.asarray(phi, dtype=float)[..., None] * _adjacent_pairs(n)) / math.sqrt(2**n)
 
 
-def collision_phase_state(n: int, phi: float) -> PureState:
-    """The state of :func:`collision_phase_amplitudes` at one phase."""
-    return PureState(n, collision_phase_amplitudes(n, phi))
+#: The product-to-cluster phase families by name, each an (n, phi) ->
+#: amplitudes builder.
+PHASE_FAMILIES = {"collision": collision_phase_amplitudes, "superposition": cluster_family_amplitudes}
+
+
+def phase_family_amplitudes(family: str, n: int, phi) -> np.ndarray:
+    """The amplitudes of the named :data:`PHASE_FAMILIES` member at ``phi``
+    (a phase or an array of them)."""
+    if family not in PHASE_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; use {' or '.join(map(repr, PHASE_FAMILIES))}")
+    return PHASE_FAMILIES[family](n, phi)
 
 
 def ghz(n: int, cap: int | None = None) -> PureState:

@@ -112,7 +112,8 @@ def sign_probability(table, signs) -> float:
 def ref_walsh_hadamard(values) -> np.ndarray:
     """The Walsh-Hadamard butterfly over a (2,)*N view, one axis at a time
     through ``np.moveaxis``, most significant first: the same pairs in the
-    same order as ``bs_network.walsh_hadamard``, so the two agree bit for bit."""
+    same order as ``bs_network.site_map`` with the Hadamard matrix, so the
+    two agree bit for bit."""
     out = np.array(values, dtype=float)
     t = out.reshape((2,) * (out.size.bit_length() - 1))
     for axis in range(t.ndim):

@@ -49,7 +49,7 @@ from puritynet.separability import (
 from puritynet.states import (
     cat_purity_closed_form,
     cluster_family_state,
-    collision_phase_state,
+    collision_phase_amplitudes,
     estimate_epsilon,
     ghz,
 )
@@ -156,7 +156,7 @@ def test_criterion_04_chsh_threshold():
     # violates (Gisin's theorem).  README, "Acceptance criteria 04 and 11".
     families = {
         "superposition": lambda phi: cluster_family_state(2, phi),
-        "collision": lambda phi: collision_phase_state(2, phi),
+        "collision": lambda phi: PureState(2, collision_phase_amplitudes(2, phi)),
     }
     worst_dev = 0.0  # (a) chsh_max against the concurrence oracle
     oracle_violates = True  # (b) oracle value > 2 strictly inside (0, 2 pi)
@@ -192,11 +192,11 @@ def test_criterion_04_chsh_threshold():
 
 def test_criterion_05_cat_closed_form_vs_brute_force():
     start = time.perf_counter()
-    ket0 = PureState.from_amplitudes([1.0, 0.0])
+    ket0 = PureState(1, [1.0, 0.0])
     worst = 0.0
     for n in (4, 6, 8):
         for overlap in np.arange(0.0, 1.0001, 0.1):
-            phi2 = PureState.from_amplitudes([overlap, math.sqrt(max(0.0, 1 - overlap**2))])
+            phi2 = PureState(1, [overlap, math.sqrt(max(0.0, 1 - overlap**2))])
             gamma = float(overlap) ** 2
             for m in range(n + 1):
                 brute = cat_reduced_purity_brute_force(n, ket0, phi2, m)

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from puritynet.bs_network import (
     JointSignProbabilityTable,
     purities_from_probabilities,
     sign_probabilities_from_purities,
-    walsh_hadamard,
+    site_map,
 )
 from puritynet.qstate import CapacityError, PureState
 from puritynet.separability import SubsetPurityMap, all_subset_purities
@@ -197,30 +198,73 @@ class TestInversion:
         assert pm.purity((1, 2, 3)) == pytest.approx(1.0, abs=1e-10)
 
 
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def hex_list(values: np.ndarray) -> list[str]:
+    return list(map(float.hex, values.tolist()))
+
+
 class TestWalshHadamard:
+    """``site_map`` with the Hadamard matrix is the Walsh-Hadamard transform."""
+
     @given(st.lists(st.floats(-10, 10), min_size=8, max_size=8))
     @settings(max_examples=50)
     def test_self_inverse(self, values):
         v = np.array(values)
-        np.testing.assert_allclose(walsh_hadamard(walsh_hadamard(v)) / 8, v, atol=1e-9)
+        np.testing.assert_allclose(site_map(site_map(v, HADAMARD), HADAMARD) / 8, v, atol=1e-9)
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         for size in (1, 2, 4, 8, 16, 32, 64):
             v = rng.standard_normal(size)
-            out = walsh_hadamard(v)
+            out = site_map(v, HADAMARD)
             for j in range(size):
                 direct = sum((-1) ** bin(j & k).count("1") * v[k] for k in range(size))
                 assert out[j] == pytest.approx(direct, abs=1e-12)
 
-    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("n", range(15))
     def test_bit_identical_to_the_moveaxis_butterfly(self, n):
-        # the same pairs in the same order: not one bit may move
-        v = np.random.default_rng(n).standard_normal(2**n) * 10.0 ** np.random.default_rng(n + 50).uniform(-8, 8, 2**n)
-        got, want = walsh_hadamard(v), ref_walsh_hadamard(v)
-        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
+        # the same pairs in the same order: not one bit may move, nor may
+        # the half matrix move one from the butterfly divided by 2^N
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(2**n) * 10.0 ** np.random.default_rng(n + 50).uniform(-300, 300, 2**n)
+        want = ref_walsh_hadamard(v)
+        assert hex_list(site_map(v, HADAMARD)) == hex_list(want)
+        assert hex_list(site_map(v, HADAMARD / 2)) == hex_list(want / 2**n)
 
     def test_rejects_non_power_of_two(self):
-        for size in (0, 3, 6):
-            with pytest.raises(ValueError):
-                walsh_hadamard(np.ones(size))
+        for values in (np.ones(0), np.ones(3), np.ones(6), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="power of two"):
+                site_map(values, HADAMARD)
+
+
+def kron_oracle(values: np.ndarray, m) -> np.ndarray:
+    """``values`` under the dense 2^N x 2^N matrix kron(m, ..., m)."""
+    n = values.size.bit_length() - 1
+    return functools.reduce(np.kron, [np.asarray(m, dtype=float)] * n, np.eye(1)) @ values
+
+
+class TestSiteMap:
+    @pytest.mark.parametrize(
+        "m",
+        [[[1.0, 0.0], [0.83 - 1, 0.83]], [[1.0, -1.0], [0.0, 1.0]], [[0.3, -1.7], [2.2, 0.9]]],
+        ids=["contrast", "moebius", "general"],
+    )
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_the_dense_kron_oracle(self, m, n):
+        v = np.random.default_rng(n).standard_normal(2**n)
+        np.testing.assert_allclose(site_map(v, m), kron_oracle(v, m), rtol=1e-12, atol=1e-12)
+
+    def test_each_sign_transform_is_one_call(self):
+        purities = all_subset_purities(ref_random_state(4, 2, 5))
+        table = sign_probabilities_from_purities(purities)
+        assert hex_list(table.values) == hex_list(site_map(purities.values, HADAMARD / 2))
+        back = purities_from_probabilities(table).values
+        want = site_map(table.values, HADAMARD)
+        assert back[0] == 1.0 and hex_list(back[1:]) == hex_list(want[1:])
+
+    def test_leaves_its_input_unchanged(self):
+        v = np.arange(8.0)
+        site_map(v, HADAMARD)
+        assert v.tolist() == list(range(8))

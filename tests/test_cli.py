@@ -526,6 +526,9 @@ class TestProbeCommand:
             pytest.param("1,4>1", "outside 1..3", id="out-of-range"),
             pytest.param("0,1>1", "outside 1..3", id="zero"),
             pytest.param("1,>1", "bad subset '1,'", id="empty-label"),
+            # an explicit empty --chains is a chain spec with no subsets, not the default chains
+            pytest.param("", "bad subset ''", id="empty-spec"),
+            pytest.param(" ", "bad subset ' '", id="blank-spec"),
         ],
     )
     def test_bad_chain_labels_exit_usage_without_output(self, tmp_path, capsys, chains, message):
@@ -544,6 +547,9 @@ class TestProbeCommand:
             pytest.param("matrix = 0.5 1e308; 1e308 0.5", "literal 1e308 in field 'matrix'", id="huge-off-diagonal"),
             pytest.param("amplitudes = 0.6 0.9j", "norm 1.0816653826391966,", id="norm-off"),
             pytest.param("matrix = 0.6 0; 0 0.6", "trace (1.2+0j) more", id="trace-off"),
+            pytest.param("amplitudes = 0.6 0.8 0", "dimension 3 is not a power of two", id="three-amplitudes"),
+            pytest.param("matrix = 1 0 0; 0 0 0; 0 0 0", "dimension 3 is not a power of two", id="three-rows"),
+            pytest.param("amplitudes = 1", "dimension 1; a state needs at least one site", id="one-amplitude"),
         ],
     )
     def test_raw_input_it_cannot_mean_exits_usage(self, tmp_path, capsys, field, message):
@@ -619,6 +625,14 @@ class TestFigureCommands:
 
     def test_fig2b_m_validation(self, tmp_path):
         assert run("fig2b", "--m", "0,7", "--out", str(tmp_path / "x.csv")) == EXIT_USAGE
+
+    @pytest.mark.parametrize("m", ["1,1", "7,1,07"])
+    def test_fig2b_repeated_m_exits_usage_without_output(self, tmp_path, capsys, m):
+        # a repeated m would repeat its column name in the header
+        out = tmp_path / "x.csv"
+        assert run("fig2b", "--m", m, "--out", str(out)) == EXIT_USAGE
+        assert f"--m lists a value more than once, got {m!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig2b_unparsable_m_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

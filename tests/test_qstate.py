@@ -30,7 +30,7 @@ from conftest import (
 I2 = maximally_mixed(1)
 KET0 = DensityOperator(1, np.diag([1.0, 0.0]).astype(complex))
 KET1 = DensityOperator(1, np.diag([0.0, 1.0]).astype(complex))
-BELL = PureState.from_amplitudes(np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density()
+BELL = PureState(2, np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density()
 
 
 def test_tensor_maximally_mixed():
@@ -197,8 +197,8 @@ def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState(1, np.array([1.0, 1.0]))
     for length in (0, 3, 6):
-        with pytest.raises(ValueError, match=f"length {length} is not a power of two"):
-            PureState.from_amplitudes(np.ones(length))
+        with pytest.raises(ValueError, match=rf"shape \({length},\) does not match 2 qubits"):
+            PureState(2, np.ones(length))
     psi = random_pure_state(2, 3)
     assert ref_purity(psi.to_density().matrix) == pytest.approx(1.0, abs=1e-12)
 
@@ -235,7 +235,7 @@ def test_bad_amplitudes_raise_without_warning(amplitudes, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            PureState.from_amplitudes(amplitudes)
+            PureState(1, amplitudes)
         with pytest.raises(ValueError, match=message):
             check_normalized(np.array([[1.0, 0.0], amplitudes], dtype=complex))
 

@@ -416,12 +416,23 @@ class TestFig2aViolations:
             fig2a_violations(np.array([0.0]), family="ring")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda family: fig2a_violations(np.array([0.0]), family=family), chsh_threshold_phi],
+    ids=["fig2a_violations", "chsh_threshold_phi"],
+)
+def test_unknown_family_raises_the_one_table_error(call):
+    # both name their family through states.PHASE_FAMILIES, so both say the same
+    with pytest.raises(ValueError, match=r"^unknown family 'ring'; use 'collision' or 'superposition'$"):
+        call("ring")
+
+
 class TestChshMax:
     def test_product_state_classical_bound(self):
         assert chsh_max(all_zero(2)) == pytest.approx(2.0, abs=1e-12)
 
     def test_bell_state_tsirelson(self):
-        bell = PureState.from_amplitudes(np.array([1, 0, 0, 1]) / math.sqrt(2)).to_density()
+        bell = PureState(2, np.array([1, 0, 0, 1]) / math.sqrt(2)).to_density()
         assert chsh_max(bell) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_cluster_state_tsirelson(self):

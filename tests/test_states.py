@@ -12,8 +12,9 @@ from puritynet.states import (
     InversionError,
     cat_purity_closed_form,
     cat_state,
+    cluster_family_amplitudes,
     cluster_family_state,
-    collision_phase_state,
+    collision_phase_amplitudes,
     estimate_epsilon,
     ghz,
     linear_cluster,
@@ -28,14 +29,12 @@ from conftest import (
     ref_subset_purity,
 )
 
-KET0 = PureState.from_amplitudes([1.0, 0.0])
-KET1 = PureState.from_amplitudes([0.0, 1.0])
+KET0 = PureState(1, [1.0, 0.0])
+KET1 = PureState(1, [0.0, 1.0])
 
 
 def bloch(theta, azim=0.0):
-    return PureState.from_amplitudes(
-        [math.cos(theta / 2), np.exp(1j * azim) * math.sin(theta / 2)]
-    )
+    return PureState(1, [math.cos(theta / 2), np.exp(1j * azim) * math.sin(theta / 2)])
 
 
 class TestLinearCluster:
@@ -88,19 +87,27 @@ class TestClusterFamily:
 
 class TestCollisionPhaseState:
     def test_phi_zero_is_uniform(self):
-        psi = collision_phase_state(3, 0.0)
+        psi = PureState(3, collision_phase_amplitudes(3, 0.0))
         np.testing.assert_allclose(psi.amplitudes, np.full(8, 1 / math.sqrt(8)), atol=1e-15)
 
     def test_phi_pi_is_cluster(self):
-        psi = collision_phase_state(3, math.pi)
+        psi = PureState(3, collision_phase_amplitudes(3, math.pi))
         np.testing.assert_allclose(psi.amplitudes, linear_cluster(3).amplitudes, atol=1e-12)
 
     def test_middle_qubit_purity_drops_below_pair(self):
         # the collision state distinguishes middle from edge reductions
-        rho = collision_phase_state(3, math.pi / 2).to_density()
+        rho = PureState(3, collision_phase_amplitudes(3, math.pi / 2)).to_density()
         p12 = ref_purity(ref_reduced(rho, [1, 2]).matrix)
         p2 = ref_purity(ref_reduced(rho, [2]).matrix)
         assert p12 - p2 > 0.1
+
+
+def test_phase_families_build_each_family_by_name():
+    phi = np.array([0.0, 1.1, math.pi])
+    assert list(states.PHASE_FAMILIES) == ["collision", "superposition"]
+    for family, build in [("collision", collision_phase_amplitudes), ("superposition", cluster_family_amplitudes)]:
+        got = states.phase_family_amplitudes(family, 3, phi)
+        assert got.shape == (3, 8) and got.tobytes() == build(3, phi).tobytes()
 
 
 class TestGhz:
@@ -135,7 +142,7 @@ class TestCatState:
 
     def test_degenerate_superposition_rejected(self):
         # antipodal branches at odd n: |phi2> = -|phi1| up to phase, K ~ 0
-        minus0 = PureState.from_amplitudes([-1.0, 0.0])
+        minus0 = PureState(1, [-1.0, 0.0])
         with pytest.raises(ValueError, match="degenerate"):
             cat_state(3, KET0, minus0)
 
