@@ -213,15 +213,19 @@ def _parse_bloch(text: str) -> PureState:
     return PureState(1, [math.cos(theta / 2), np.exp(1j * azim) * math.sin(theta / 2)])
 
 
-def _complex_literals(tokens: list[str], field: str) -> np.ndarray:
+def _complex_literals(tokens: list[str], field: str, row_length: int = 0) -> np.ndarray:
     """Convert every literal of a raw field in one pass; all must be finite
     and of modulus at most 2.  No entry of a state the parser accepts comes
     near 2, and the bound keeps every later sum, norm and trace from
-    overflowing."""
+    overflowing.  A malformed literal is named with its row and entry when
+    ``row_length`` gives the rows' length, else with its position."""
     try:
         values = np.fromiter(map(complex, tokens), complex, len(tokens))
     except ValueError as exc:
-        raise SpecParseError(f"bad complex literal in field {field!r}: {exc}") from exc
+        # only once the conversion has failed: the accept path makes no per-token call
+        i = next(i for i, token in enumerate(tokens) if not _parses_as(complex, token))
+        where = f"row {i // row_length + 1}, entry {i % row_length + 1}" if row_length else f"position {i + 1}"
+        raise SpecParseError(f"bad complex literal in field {field!r}: {tokens[i]!r} ({where})") from exc
     if not np.isfinite(values).all():
         raise SpecParseError(f"non-finite complex literal in field {field!r}")
     large = np.flatnonzero(np.abs(values) > 2)
@@ -260,12 +264,17 @@ def parse_state_spec(
     ``text``.  Each key may appear once, and only the keys of ``SPEC_FIELDS``
     for the given kind are accepted.  The site count of every kind is checked
     against the qubit cap (default ``DEFAULT_QUBIT_CAP``) before the state is
-    built.  Returns the state and an echo dict for reports.  Every kind but
+    built.  Returns the state and an echo dict for reports (``source``,
+    ``kind``, any derived values, ``n_sites``; not the text).  Every kind but
     ``raw`` with ``matrix`` describes a pure state and yields a
     :class:`PureState` (2^N amplitudes); a raw ``matrix`` yields a
-    :class:`DensityOperator`.  No pure kind ever builds the 4^N density
-    matrix.  Text longer than ``SPEC_HEADER_CHARS + SPEC_CHARS_PER_ENTRY
-    * 4^cap`` characters raises :class:`CapacityError` before it is split.
+    :class:`DensityOperator`, after its trace is divided out, its rounding
+    dust symmetrized away and its smallest eigenvalue checked against -1e-8
+    (one Cholesky factorization of the matrix plus 0.5e-8 I; ``eigvalsh``
+    decides, and words the error, only when that fails).  No pure kind ever
+    builds the 4^N density matrix.  Text longer than ``SPEC_HEADER_CHARS +
+    SPEC_CHARS_PER_ENTRY * 4^cap`` characters raises :class:`CapacityError`
+    before it is split.
     """
     _check_spec_length(len(text), cap)
     lines = [(ln_no, ln.partition("#")[0].strip()) for ln_no, ln in enumerate(text.splitlines(), start=1)]
@@ -335,7 +344,8 @@ def parse_state_spec(
             n = _raw_qubits(len(rows), cap)
             if len(rows[0]) != len(rows):
                 raise SpecParseError(f"raw matrix is not square: {len(rows)} rows of {len(rows[0])} entries")
-            mat = _complex_literals(list(itertools.chain.from_iterable(rows)), "matrix").reshape(len(rows), -1)
+            tokens = list(itertools.chain.from_iterable(rows))
+            mat = _complex_literals(tokens, "matrix", len(rows)).reshape(len(rows), -1)
             herm = float(np.abs(mat - mat.conj().T).max())
             if herm > 1e-6:
                 raise SpecParseError(f"raw matrix is not Hermitian: max |rho - rho^dag| = {herm!r}, more than 1e-6")
@@ -345,9 +355,15 @@ def parse_state_spec(
             mat = mat / tr
             # symmetrize away rounding dust below the tolerance
             mat = (mat + mat.conj().T) / 2
-            min_eigenvalue = float(np.linalg.eigvalsh(mat)[0])
-            if min_eigenvalue < -1e-8:
-                raise SpecParseError(f"raw matrix has negative eigenvalue {min_eigenvalue!r}")
+            # The floor is -1e-8.  A Cholesky factorization of mat + 0.5e-8 I
+            # succeeds only if no eigenvalue lies below -0.5e-8 (less rounding,
+            # about 1e-14 here), so only a failed one needs the spectrum.
+            try:
+                np.linalg.cholesky(mat + 0.5e-8 * np.eye(len(mat)))
+            except np.linalg.LinAlgError:
+                min_eigenvalue = float(np.linalg.eigvalsh(mat)[0])
+                if min_eigenvalue < -1e-8:
+                    raise SpecParseError(f"raw matrix has negative eigenvalue {min_eigenvalue!r}") from None
             state = DensityOperator(n, mat)
         else:
             raise SpecParseError("kind 'raw' requires 'amplitudes' or 'matrix'")
@@ -435,6 +451,15 @@ def run_probe(args) -> int:
         source = args.spec
     state, echo = parse_state_spec(text, source, cap=args.qubit_cap)
     n = state.n_qubits
+    if echo["kind"] == "raw":
+        # a raw spec is mostly its literals, so its report names the text rather than holding it;
+        # hashlib loads OpenSSL (about 3 ms), which no other report needs
+        import hashlib
+
+        digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+        echo.update(text_sha256=digest, text_length=len(text))
+    else:
+        echo["text"] = text
 
     purities = all_subset_purities(state, cap=args.qubit_cap)
     plan = _report_plan(n)
@@ -448,7 +473,7 @@ def run_probe(args) -> int:
     report = {
         "tool": "puritynet",
         "version": __version__,
-        "input": {**echo, "text": text},
+        "input": echo,
         "seed": None,
         "threshold": args.threshold,
         "purities": dict(zip(plan.keys, purities.values[plan.order].tolist())),
@@ -639,9 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _parses_as_float(text: str) -> bool:
+def _parses_as(convert, text: str) -> bool:
     try:
-        float(text)
+        convert(text)
     except ValueError:
         return False
     return True
@@ -655,7 +680,7 @@ def _join_numeric_values(argv: list[str]) -> list[str]:
     flags = FLAG_DOMAINS.get(argv[0], {}) if argv else {}
     joined, i = [], 0
     while i < len(argv):
-        if argv[i] in flags and i + 1 < len(argv) and _parses_as_float(argv[i + 1]):
+        if argv[i] in flags and i + 1 < len(argv) and _parses_as(float, argv[i + 1]):
             joined.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:

@@ -142,7 +142,8 @@ class DensityOperator:
     positivity of the spectrum is not, since an eigendecomposition on every
     construction would dominate run time.  :func:`random_states` builds
     positive matrices by construction, and the ``raw`` spec parser checks
-    the spectrum of a matrix it is given.
+    a matrix it is given against an eigenvalue floor of -1e-8: one Cholesky
+    factorization, with the spectrum computed only when that fails.
     """
 
     n_qubits: int

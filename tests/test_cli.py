@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -39,11 +40,13 @@ from puritynet.cli import (
     write_json,
 )
 from puritynet import cli, lattice, qstate, separability, states
+from puritynet.bs_network import sign_probabilities_from_purities
 from puritynet.lattice import COUPLING_MAX, COUPLING_MIN, build_fock_basis
 from puritynet.qstate import CapacityError, DensityOperator, PureState
 from puritynet.states import cat_purity_closed_form, estimate_epsilon, ghz
 
 from conftest import (
+    random_pure_state,
     ref_cat_experiment,
     ref_end_to_end,
     ref_interaction_phase,
@@ -71,6 +74,12 @@ THREE_SITE_SPECS = {
 
 def run(*argv):
     return main(list(argv))
+
+
+def _raw_matrix_spec(mat: np.ndarray) -> str:
+    """A ``raw`` spec of ``mat``, each entry a round-trip complex literal."""
+    rows = ";".join(" ".join(repr(complex(v)) for v in row) for row in mat)
+    return f"statespec v1\nkind = raw\nmatrix = {rows}\n"
 
 
 class TestStateSpecParsing:
@@ -116,6 +125,64 @@ class TestStateSpecParsing:
         with pytest.raises(SpecParseError, match="eigenvalue"):
             parse_state_spec(f"statespec v1\nkind = raw\nmatrix = {rows}\n")
 
+    @pytest.mark.parametrize("field", ["matrix", "amplitudes"])
+    def test_malformed_literal_is_named_among_many(self, field):
+        # one bad literal among the 16384 entries of an N = 7 matrix, or the 128 amplitudes of a state
+        rng = np.random.default_rng(36)
+        values = ref_random_state(7, 3, seed=36).matrix if field == "matrix" else random_pure_state(7, 36).amplitudes
+        values = values.reshape(-1, 128)
+        row, entry = int(rng.integers(values.shape[0])), int(rng.integers(128))
+        entries = [[repr(complex(v)) for v in r] for r in values]
+        entries[row][entry] = "0.25+0.5i"
+        where = f"row {row + 1}, entry {entry + 1}" if field == "matrix" else f"position {entry + 1}"
+        message = f"bad complex literal in field {field!r}: '0.25+0.5i' ({where})"
+        with pytest.raises(SpecParseError) as info:
+            parse_state_spec(f"statespec v1\nkind = raw\n{field} = {';'.join(map(' '.join, entries))}\n")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("floor", [-2e-8, -1.01e-8, -0.99e-8, -0.6e-8, -0.4e-8, 0.0, 1e-12])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_eigenvalue_floor_matches_the_spectrum(self, n, floor, monkeypatch):
+        """A planted smallest eigenvalue under a random unitary, beside 1, 2
+        or all but one positive eigenvalues: accepted exactly when eigvalsh of
+        the matrix as parsed (divided by its trace, symmetrized) gives at
+        least -1e-8, rejected with that eigenvalue; eigvalsh runs only when
+        the Cholesky test at -0.5e-8 fails."""
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        dim = 2**n
+        for rank in sorted({r for r in (1, 2, dim - 1) if r < dim}):
+            rng = np.random.default_rng([n, rank, round(abs(floor) * 1e12)])
+            unitary, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            weights = rng.uniform(0.5, 1.5, rank)
+            spectrum = np.zeros(dim)
+            spectrum[0], spectrum[1 : rank + 1] = floor, weights * (1 - floor) / weights.sum()
+            mat = (unitary * spectrum) @ unitary.conj().T
+            text = _raw_matrix_spec(mat)  # its literals round-trip, so it parses to mat
+            parsed = mat / complex(mat.trace())
+            parsed = (parsed + parsed.conj().T) / 2
+            lowest = float(eigvalsh(parsed)[0])
+            calls.clear()
+            if lowest >= -1e-8:
+                state, _ = parse_state_spec(text)
+                np.testing.assert_array_equal(state.matrix, parsed)
+            else:
+                with pytest.raises(SpecParseError) as info:
+                    parse_state_spec(text)
+                assert str(info.value) == f"raw matrix has negative eigenvalue {lowest!r}"
+            assert len(calls) == (floor < -0.5e-8), (rank, lowest)
+
+    def test_workload_matrices_never_compute_the_spectrum(self, monkeypatch):
+        # mixed N = 7 matrices of rank 2..6, as the benchmark's raw specs draw them
+        def unreachable(*args):
+            raise AssertionError("eigvalsh ran on a positive matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        for seed in range(50):
+            state, _ = parse_state_spec(_raw_matrix_spec(ref_random_state(7, 2 + seed % 5, seed=seed).matrix))
+            assert state.n_qubits == 7
+
     def test_header_required(self):
         with pytest.raises(SpecParseError, match="statespec"):
             parse_state_spec("kind = ghz\nn = 3\n")
@@ -157,7 +224,14 @@ class TestStateSpecParsing:
             pytest.param("kind = raw\nmatrix = 1+0j", "at least one site", id="raw-1x1"),
             pytest.param("kind = raw\namplitudes = 1+0j", "at least one site", id="raw-one-amplitude"),
             pytest.param("kind = raw\nmatrix = 1 0 0 0;0 0 0 0", "not square: 2 rows of 4", id="raw-2x4"),
-            pytest.param("kind = raw\nmatrix = 1 x;0 0", "bad complex literal in field 'matrix'", id="raw-bad-literal"),
+            pytest.param(
+                "kind = raw\nmatrix = 1 x;0 0", r"bad complex literal in field 'matrix': 'x' \(row 1, entry 2\)",
+                id="raw-bad-literal",
+            ),
+            pytest.param(
+                "kind = raw\namplitudes = 1 0 0 1e5j+", r"literal in field 'amplitudes': '1e5j\+' \(position 4\)",
+                id="raw-bad-amplitude",
+            ),
             # a line is numbered as it stands in the text, comment and blank lines counted
             pytest.param("# a comment\n\nkind ghz", "line 4: expected 'key = value', got 'kind ghz'", id="line-4"),
             pytest.param("# a comment\n\nkind = ghz\nkind = ghz", "line 5: duplicate key 'kind'", id="line-5"),
@@ -577,6 +651,47 @@ class TestProbeCommand:
         spec = "statespec v1\nkind = raw\nmatrix = 0.5 1e-9; -1e-9 0.5\n"
         assert run("probe", "--spec-text", spec, "--out", str(out)) == EXIT_OK
         assert json.loads(out.read_text())["purities"]["1"] == 0.5
+
+    @pytest.mark.parametrize("source", ["--spec", "--spec-text"])
+    def test_raw_report_names_its_text_by_digest(self, tmp_path, source):
+        text = _raw_matrix_spec(ref_random_state(3, 2, seed=36).matrix)
+        out, spec = tmp_path / "r.json", tmp_path / "r.spec"
+        # a file is read in text mode, so the digest covers its text with newlines normalized
+        spec.write_bytes(text.replace("\n", "\r\n").encode())
+        assert run("probe", source, str(spec) if source == "--spec" else text, "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["input"] == {
+            "source": str(spec) if source == "--spec" else "inline",
+            "kind": "raw",
+            "n_sites": 3,
+            "text_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "text_length": len(text),
+        }
+        table = separability.all_subset_purities(parse_state_spec(text)[0])
+        keys, order = separability.subset_order(3)
+        assert {k: v.hex() for k, v in report["purities"].items()} == {
+            k: float(table.values[m]).hex() for k, m in zip(keys, order)
+        }
+        signs = sign_probabilities_from_purities(table).values
+        assert {k: v.hex() for k, v in report["sign_probabilities"].items()} == {
+            "".join(s): float(p).hex() for s, p in zip(itertools.product("+-", repeat=3), signs)
+        }
+
+    def test_non_raw_report_echoes_its_text(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run("probe", "--spec-text", GHZ_SPEC, "--out", str(out)) == EXIT_OK
+        echo = json.loads(out.read_text())["input"]
+        assert echo == {"source": "inline", "kind": "ghz", "n_sites": 3, "text": GHZ_SPEC}
+
+    @pytest.mark.parametrize("body", ["kind = raw\nmatrix = 1 0; 0 0", "kind = ghz\nn = 2"], ids=["raw", "ghz"])
+    def test_lone_surrogate_in_a_comment_exits_ok(self, tmp_path, body):
+        # a byte that is not UTF-8 reaches argv as a lone surrogate
+        text = f"statespec v1\n{body}  # \udc80\n"
+        out = tmp_path / "r.json"
+        assert run("probe", "--spec-text", text, "--out", str(out)) == EXIT_OK
+        digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+        expected = {"text_sha256": digest} if "raw" in body else {"text": text}
+        assert expected.items() <= json.loads(out.read_text())["input"].items()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
