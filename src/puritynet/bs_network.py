@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import site_mask
+from .qstate import site_map, site_mask
 from .separability import SubsetPurityMap, freeze_values
 
 #: How far from 1 a probability table may sum and still be inverted.
@@ -36,25 +36,6 @@ NORM_ATOL = 1e-8
 SIGNS_FROM_PURITIES = np.array([[0.5, 0.5], [0.5, -0.5]])
 PURITIES_FROM_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 SIGNS_FROM_PURITIES.flags.writeable = PURITIES_FROM_SIGNS.flags.writeable = False
-
-
-def site_map(values, m) -> np.ndarray:
-    """Apply the 2x2 matrix ``m`` along every site axis of a bitmask-indexed
-    table: ``kron(m, ..., m) @ values``, without the 2^N x 2^N matrix.
-
-    Viewed as a (2,)*N tensor, each axis in turn, the most significant
-    first, is one matmul of ``m`` with the (2^a, 2, rest) view whose middle
-    axis is axis ``a``.  With m = [[1, 1], [1, -1]] this is the
-    Walsh-Hadamard transform, bit for bit the butterfly (x, y) -> (x + y,
-    x - y) on each axis; with half that matrix it is the same transform
-    divided by 2^N, bit for bit barring subnormals and overflow.
-    """
-    out = np.array(values, dtype=float)
-    if out.ndim != 1 or out.size < 1 or out.size & (out.size - 1):
-        raise ValueError("length must be a power of two")
-    for axis in range(out.size.bit_length() - 1):
-        out = np.matmul(m, out.reshape(2**axis, 2, -1))
-    return out.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +85,7 @@ def sign_probabilities_from_purities(purities: SubsetPurityMap) -> JointSignProb
 
     Accepts any SubsetPurityMap, physical or not; the involution with
     :func:`purities_from_probabilities` holds regardless.  The transform is
-    one :func:`site_map` pass over the purity array.
+    one ``qstate.site_map`` pass over the purity array.
     """
     return JointSignProbabilityTable(purities.n_sites, site_map(purities.values, SIGNS_FROM_PURITIES))
 

@@ -445,7 +445,8 @@ def run_probe(args) -> int:
     if args.spec_text is not None:
         text, source = args.spec_text, "inline"
     else:
-        with open(args.spec) as fh:
+        # a byte that is not UTF-8 decodes as it does in argv, to a lone surrogate
+        with open(args.spec, errors="surrogateescape") as fh:
             _check_spec_length(os.fstat(fh.fileno()).st_size, args.qubit_cap)  # before reading it
             text = fh.read()
         source = args.spec

@@ -168,12 +168,34 @@ def trace_site(matrix: np.ndarray, position: int) -> np.ndarray:
     a = 2^position, the reduced operator is the sum of the two diagonal
     blocks of the traced axis pair; it acts on the other k - 1 sites in
     their order.  Each operator of a stack is reduced as it would be alone,
-    bit for bit.
+    bit for bit.  The subset-purity table reduces only pure states' stacks.
     """
     a = 2**position
     b = matrix.shape[-1] // (2 * a)
     t = matrix.reshape(-1, a, 2, b, a, 2, b)
     return (t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]).reshape(matrix.shape[:-2] + (a * b, a * b))
+
+
+def site_map(values, m) -> np.ndarray:
+    """``kron(m, ..., m) @ values`` for an r x d matrix ``m``, without the
+    dense matrix: ``values``' first axis has length d^N, site 1 most
+    significant, and later axes ride along; the result's has length r^N.
+    Each site in turn, the most significant first, is one matmul of the
+    transposed (d, rest) view by m^T, which moves the mapped axis last.
+    With m = [[1, 1], [1, -1]] on a 1-D table this is the Walsh-Hadamard
+    transform, bit for bit the butterfly (x, y) -> (x + y, x - y) on each
+    axis; half that matrix divides it by 2^N, bit for bit barring
+    subnormals and overflow.  The input is neither written nor returned.
+    """
+    values = np.asarray(values, dtype=float)  # rebound: a temporary passed in is freed after site 1
+    (r, d), tail, mt = np.shape(m), values.shape[1:], np.transpose(m)
+    size = values.shape[0] if values.ndim else 0
+    n = round(math.log(size, d)) if size > 1 else 0
+    if d**n != size:
+        raise ValueError(f"table length {size} is not a power of {d}")
+    for _ in range(n):
+        values = values.reshape(d, -1).T @ mt
+    return values.reshape(-1, r**n).T.reshape((r**n,) + tail) if n else values.copy()
 
 
 def random_states(n_qubits: int, ranks, seeds) -> np.ndarray:

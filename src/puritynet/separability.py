@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityOperator, PureState, check_normalized, check_qubit_capacity, site_mask, trace_site
+from .qstate import DensityOperator, PureState, check_normalized, check_qubit_capacity, site_map, site_mask, trace_site
 from .states import phase_family_amplitudes
 
 #: Arithmetic error a computed purity carries: a difference of two
@@ -36,11 +36,17 @@ VIOLATION_THRESHOLD = 1e-9
 #: interleaved probes at those sizes visits.
 PLAN_SIZES_KEPT = 8
 
-#: Bytes one stack of the subset-purity table's roots may take while it is
-#: built (at least one root a stack): 32 of a pure state's 126 roots at
-#: N = 10, 2 of its 1716 at N = 14.  A pure table builds every stack in one
-#: buffer of this size.
+#: Bytes one stack of a pure state's Gram roots may take while its table is
+#: built (at least one root a stack): 32 of the 126 roots at N = 10, 2 of the
+#: 1716 at N = 14.  Every stack is built in one buffer of this size; a mixed
+#: table has no roots.
 _ROOT_STACK_BYTES = 3 * 2**19
+
+#: A mixed table's per-site maps: index 2 row + column to tr(rho P), P = I, X, -iY
+#: (real; its square is Y's), Z; then the squares to I's for a traced site, half their sum for a kept one.
+_PAULI_WEIGHTS = np.array([[1.0, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]])
+_PURITY_FROM_SQUARES = np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]])
+_PAULI_WEIGHTS.flags.writeable = _PURITY_FROM_SQUARES.flags.writeable = False
 
 
 def freeze_values(table, values: np.ndarray) -> None:
@@ -123,27 +129,34 @@ def subset_order(n: int) -> tuple[list[str], np.ndarray]:
 def all_subset_purities(state: PureState | DensityOperator, cap: int | None = None) -> SubsetPurityMap:
     """Purity of every reduction of ``state``, including the full set.
 
-    One depth-first recursion serves both types; the type only chooses the
-    roots.  Each node of the recursion is a stack of reduced operators, one
-    per root, each traced from its parent by one more site: at or after the
-    position its parent removed, and before its root's ``stop``, the
-    position of the first site the root lacks.  So every subset is reached
-    once.  The roots are sorted by ``stop``, largest first, so the roots
-    that still trace a position are a prefix of the stack, and a node costs
+    A :class:`DensityOperator`'s table is its Pauli form, tr rho_T^2 =
+    2^-|T| sum_{P on T} tr(rho P)^2: ``qstate.site_map`` by
+    ``_PAULI_WEIGHTS`` on each site's (row, column) bit pair, the squares,
+    and ``site_map`` by ``_PURITY_FROM_SQUARES``, in O(N * 4^N) work and
+    twice rho of extra memory.  A :class:`PureState` never becomes a density
+    matrix: its table is a depth-first recursion whose nodes are stacks of
+    reduced operators, one per root, each traced from its parent by one more
+    site, at or after the position its parent removed and before its root's
+    ``stop``, the position of the first site the root lacks.  So every
+    subset is reached once.  Sorted by ``stop``, largest first, the roots
+    that still trace a position are a prefix of the stack, so a node costs
     one batched ``qstate.trace_site``, one batched purity and one masked
-    write.  A :class:`DensityOperator`'s roots are its N reductions by one
-    site: 2^N - 2 traced operators in all, about 4 * 5^N operations, O(4^N)
-    memory.  A :class:`PureState` never becomes a density matrix.  Its roots
-    are the Gram matrices M M^dag of the h = floor(N/2)-site subsets (at
-    even N only those holding site 1), M the amplitudes with the subset's
-    axes first, so a smaller subset S is reached only from S plus the
-    smallest sites not in S.  That is C(N, h) Gram products (half at even N)
-    and sum_{1 <= j < h} C(N, j) traced operators in O(2^N) memory; Schmidt
-    symmetry (T and its complement share one purity) fills the rest.  Either
-    type's roots are built and traced in stacks of ``_ROOT_STACK_BYTES``.
+    write.  The roots are the Gram matrices M M^dag of the h =
+    floor(N/2)-site subsets (at even N only those holding site 1), M the
+    amplitudes with the subset's axes first, so a smaller subset S is
+    reached only from S plus the smallest sites not in S: C(N, h) Gram
+    products (half at even N) and sum_{1 <= j < h} C(N, j) traced operators
+    in O(2^N) memory, in ``_ROOT_STACK_BYTES`` stacks.  Schmidt symmetry
+    fills in the complements.
     """
     n = state.n_qubits
     check_qubit_capacity(n, cap)
+    if isinstance(state, DensityOperator):
+        pairs = state.matrix.reshape((2,) * 2 * n).transpose([a for s in range(n) for a in (s, n + s)])
+        weights = site_map(np.ascontiguousarray(pairs).view(float).reshape(4**n, 2), _PAULI_WEIGHTS)
+        values = site_map(np.square(weights, out=weights).sum(axis=1), _PURITY_FROM_SQUARES)
+        values[0] = 1.0  # the empty subset is the sentinel, not the squared trace
+        return SubsetPurityMap(n, values)
     values = np.zeros(2**n)
     values[0] = 1.0
     # below[path:][c] is values[full - path - c]: for c a root's complement mask and
@@ -160,40 +173,23 @@ def all_subset_purities(state: PureState | DensityOperator, cap: int | None = No
             k = reach[j + depth]
             visit(trace_site(mats[:k], j), comps[:k], path | (1 << (n - 1 - depth - j)), reach, j, depth + 1)
 
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape((2,) * n)
-        stacks = _pure_roots(n)
-        d, e = 2 ** (n // 2), 2 ** (n - n // 2)
-        # one buffer for every stack in turn: its amplitude copies (m[r] the amplitudes with
-        # root r's sites first), their conjugates and the Gram matrices, so that no stack
-        # allocates (and page-faults) memory of its own
-        work = np.empty(len(stacks[0][0]) * (2 * d * e + d * d) if stacks else 0, dtype=complex)
-        for perms, comps, reach in stacks:
-            k, size = len(perms), len(perms) * d * e
-            m = work[:size].reshape(k, *psi.shape)
-            for r, perm in enumerate(perms):
-                m[r] = psi.transpose(perm)
-            m = m.reshape(k, d, e)
-            mc = np.conjugate(m, out=work[size : 2 * size].reshape(k, d, e))
-            gram = np.matmul(m, mc.mT, out=work[2 * size : 2 * size + k * d * d].reshape(k, d, d))
-            visit(gram, comps, 0, reach, 0, 0)
-    else:
-        rho = state.matrix[None]
-        visit(rho, np.zeros(1, dtype=np.intp), 0, (), 0, 0)  # the full set
-        # the root lacking the site at position s has stop = s
-        per_stack = max(1, _ROOT_STACK_BYTES // (rho.itemsize * 4 ** (n - 1)))
-        work = np.empty((min(per_stack, n), 2 ** (n - 1), 2 ** (n - 1)), dtype=rho.dtype) if per_stack > 1 else None
-        for top in range(n - 1, -1, -per_stack) if n > 1 else ():
-            stops = range(top, max(top - per_stack, -1), -1)
-            if len(stops) == 1:  # a stack of one root is that root's trace as it stands
-                mats = trace_site(rho, top)
-            else:  # several are gathered, one at a time, in one buffer allocated once per table
-                mats = work[: len(stops)]
-                for r, s in enumerate(stops):
-                    mats[r] = trace_site(rho, s)[0]
-            # top - s roots have stop > s, or the whole stack, which is what mats[:top - s] takes
-            visit(mats, np.array([1 << (n - 1 - s) for s in stops]), 0, range(top, 0, -1), 0, 0)
-    # entries still 0 are pure-state complements of set ones; below[m] is values[full ^ m]
+    psi = state.amplitudes.reshape((2,) * n)
+    stacks = _pure_roots(n)
+    d, e = 2 ** (n // 2), 2 ** (n - n // 2)
+    # one buffer for every stack in turn: its amplitude copies (m[r] the amplitudes with
+    # root r's sites first), their conjugates and the Gram matrices, so that no stack
+    # allocates (and page-faults) memory of its own
+    work = np.empty(len(stacks[0][0]) * (2 * d * e + d * d) if stacks else 0, dtype=complex)
+    for perms, comps, reach in stacks:
+        k, size = len(perms), len(perms) * d * e
+        m = work[:size].reshape(k, *psi.shape)
+        for r, perm in enumerate(perms):
+            m[r] = psi.transpose(perm)
+        m = m.reshape(k, d, e)
+        mc = np.conjugate(m, out=work[size : 2 * size].reshape(k, d, e))
+        gram = np.matmul(m, mc.mT, out=work[2 * size : 2 * size + k * d * d].reshape(k, d, d))
+        visit(gram, comps, 0, reach, 0, 0)
+    # entries still 0 are complements of set ones; below[m] is values[full ^ m]
     return SubsetPurityMap(n, np.where(values, values, below))
 
 

@@ -234,27 +234,44 @@ class TestWalshHadamard:
         assert hex_list(site_map(v, HADAMARD / 2)) == hex_list(want / 2**n)
 
     def test_rejects_non_power_of_two(self):
-        for values in (np.ones(0), np.ones(3), np.ones(6), np.ones((2, 2))):
-            with pytest.raises(ValueError, match="power of two"):
+        # only the first axis counts sites: a (2, 2) table is one site with a trailing axis
+        for values in (np.ones(()), np.ones(0), np.ones(3), np.ones(6), np.ones((3, 2)), np.ones((6, 2))):
+            with pytest.raises(ValueError, match="power of 2"):
                 site_map(values, HADAMARD)
+        with pytest.raises(ValueError, match="power of 4"):
+            site_map(np.ones(8), np.ones((2, 4)))
 
 
 def kron_oracle(values: np.ndarray, m) -> np.ndarray:
-    """``values`` under the dense 2^N x 2^N matrix kron(m, ..., m)."""
-    n = values.size.bit_length() - 1
-    return functools.reduce(np.kron, [np.asarray(m, dtype=float)] * n, np.eye(1)) @ values
+    """``values`` (first axis d^N, later axes riding along) under the dense
+    r^N x d^N matrix kron(m, ..., m) of the r x d matrix ``m``."""
+    m = np.asarray(m, dtype=float)
+    n = 0
+    while m.shape[1] ** n < len(values):
+        n += 1
+    return np.tensordot(functools.reduce(np.kron, [m] * n, np.eye(1)), values, axes=1)
+
+
+SITE_MAPS = {
+    "contrast": [[1.0, 0.0], [0.83 - 1, 0.83]],
+    "moebius": [[1.0, -1.0], [0.0, 1.0]],
+    "general": [[0.3, -1.7], [2.2, 0.9]],
+    "wide": [[0.3, -1.7, 0.5, 1.1], [2.2, 0.9, -0.4, 0.6]],
+    "square": [[0.3, -1.7, 0.5, 1.1], [2.2, 0.9, -0.4, 0.6], [-0.8, 0.2, 1.3, -1.0], [0.7, 1.4, -0.9, 0.1]],
+    "tall": [[0.3, -1.7], [2.2, 0.9], [-0.8, 0.2], [0.7, 1.4]],
+}
+
+#: (N, map name): N up to 8 for the 2x2 maps, up to 5 where the dense 4^N side is large.
+KRON_CASES = [(n, name) for name, m in SITE_MAPS.items() for n in range(9 if np.shape(m) == (2, 2) else 6)]
 
 
 class TestSiteMap:
-    @pytest.mark.parametrize(
-        "m",
-        [[[1.0, 0.0], [0.83 - 1, 0.83]], [[1.0, -1.0], [0.0, 1.0]], [[0.3, -1.7], [2.2, 0.9]]],
-        ids=["contrast", "moebius", "general"],
-    )
-    @pytest.mark.parametrize("n", range(9))
-    def test_matches_the_dense_kron_oracle(self, m, n):
-        v = np.random.default_rng(n).standard_normal(2**n)
-        np.testing.assert_allclose(site_map(v, m), kron_oracle(v, m), rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("n, name", KRON_CASES, ids=[f"{n}-{name}" for n, name in KRON_CASES])
+    def test_matches_the_dense_kron_oracle(self, n, name):
+        m = SITE_MAPS[name]
+        rng = np.random.default_rng(n)
+        for v in (rng.standard_normal(len(m[0]) ** n), rng.standard_normal((len(m[0]) ** n, 2))):
+            np.testing.assert_allclose(site_map(v, m), kron_oracle(v, m), rtol=1e-12, atol=1e-12)
 
     def test_each_sign_transform_is_one_call(self):
         purities = all_subset_purities(ref_random_state(4, 2, 5))

@@ -693,6 +693,24 @@ class TestProbeCommand:
         expected = {"text_sha256": digest} if "raw" in body else {"text": text}
         assert expected.items() <= json.loads(out.read_text())["input"].items()
 
+    @pytest.mark.parametrize("body", ["kind = raw\nmatrix = 1 0; 0 0", "kind = ghz\nn = 2"], ids=["raw", "ghz"])
+    def test_non_utf8_comment_byte_in_a_spec_file_reads_as_in_argv(self, tmp_path, body):
+        # the byte 0xff reaches argv as the lone surrogate U+DCFF, and a file read decodes it alike
+        head, tail = body.split("\n")
+        text = f"statespec v1\n{head}  # \udcff\n{tail}\n"
+        spec = tmp_path / "r.spec"
+        spec.write_bytes(f"statespec v1\n{head}  # ".encode() + b"\xff" + f"\n{tail}\n".encode())
+        reports = []
+        for source, value in (("--spec", str(spec)), ("--spec-text", text)):
+            out = tmp_path / f"{source}.json"
+            assert run("probe", source, value, "--out", str(out)) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert [r["input"].pop("source") for r in reports] == [str(spec), "inline"]
+        assert reports[0] == reports[1]
+        if "raw" in body:
+            digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+            assert reports[0]["input"]["text_sha256"] == digest
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run("probe", "--spec-text", GHZ_SPEC, "--out", str(a))

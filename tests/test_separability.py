@@ -102,7 +102,7 @@ class TestAllSubsetPurities:
     def test_every_subset_reached_once(self, n, monkeypatch):
         # one traced operator per subset below the roots, counted over every
         # stack trace_site reduces: the subsets under half size for a pure
-        # state, all proper nonempty ones for a mixed one
+        # state, none for a mixed one, whose table is its Pauli form
         calls = []
         trace = separability.trace_site
         monkeypatch.setattr(separability, "trace_site", lambda mats, j: calls.append(len(mats)) or trace(mats, j))
@@ -110,8 +110,8 @@ class TestAllSubsetPurities:
         dense = psi.to_density()
         cases = [
             (psi, dense.matrix, sum(math.comb(n, j) for j in range(1, n // 2))),
-            (dense, dense.matrix, 2**n - 2),
-            (rho, rho.matrix, 2**n - 2),
+            (dense, dense.matrix, 0),
+            (rho, rho.matrix, 0),
         ]
         tables = []
         for state, mat, count in cases:
@@ -147,6 +147,31 @@ class TestAllSubsetPurities:
             factors.append(parse_state_spec(f"statespec v1\nkind = raw\nmatrix = {rows}\n")[0])
         want = np.outer(*(all_subset_purities(f).values for f in factors)).ravel()
         np.testing.assert_allclose(all_subset_purities(tensor(factors)).values, want, rtol=0, atol=1e-12)
+
+
+class TestMixedSubsetPurities:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference_oracle(self, n):
+        # complex off-diagonal entries at ranks 1, 2 and 2^N: every subset up
+        # to N = 7, 200 of the 255 drawn without replacement at N = 8
+        masks = np.arange(1, 2**n)
+        if len(masks) > 200:
+            masks = np.random.default_rng(n).choice(masks, 200, replace=False)
+        for rank in sorted({1, 2, 2**n}):
+            rho = DensityOperator(n, random_states(n, [rank], [10 * n + rank])[0])
+            assert np.abs(rho.matrix[np.triu_indices(2**n, 1)].imag).min() > 0
+            values = all_subset_purities(rho).values
+            assert values[0] == 1.0
+            for mask in masks.tolist():
+                subset = [s for s in range(1, n + 1) if mask >> (n - s) & 1]
+                assert values[mask] == pytest.approx(ref_subset_purity(rho.matrix, n, subset), abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_rank_one_matches_the_pure_table(self, n):
+        psi = random_pure_state(n, 300 + n)
+        mixed = all_subset_purities(psi.to_density()).values
+        assert mixed[0] == 1.0
+        np.testing.assert_allclose(mixed, all_subset_purities(psi).values, rtol=0, atol=1e-12)
 
 
 def family_states(n):
